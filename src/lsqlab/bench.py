@@ -165,6 +165,7 @@ def run_bench(cfg: BenchConfig, table=None) -> BenchReport:
     """
     delta = graph_metrics(cfg.graph)["max_degree"]
     if cfg.c >= 1:
+        # imported per call, so a replaced module attribute is the one used
         from .separation import grid_path_arrangement, sample_separation_instance
 
         pa = grid_path_arrangement(math.isqrt(cfg.graph.n))

@@ -20,39 +20,23 @@ from .errors import CapabilityError
 
 def _load_or_build_graph(args) -> tuple:
     """Returns (kind, Graph, group table or None)."""
+    table = _load_table(args)
     if getattr(args, "graph", None):
-        return "file", serialize.load_graph(args.graph), _load_table(args)
+        return "file", serialize.load_graph(args.graph), table
     kind = getattr(args, "kind", None)
     if kind is None:
         raise ValueError("provide --graph FILE or --kind KIND")
-    table = _load_table(args)
-    if kind == "hypercube":
-        if args.dim is None:
-            raise ValueError("--kind hypercube needs --dim")
-        return kind, graphs.hypercube_graph(args.dim), table
-    if kind == "grid":
-        if args.side is None:
-            raise ValueError("--kind grid needs --side")
-        return kind, graphs.grid_graph(args.side), table
-    if kind in ("clique", "ring", "barbell"):
-        if args.n is None:
-            raise ValueError(f"--kind {kind} needs --n")
-        builder = {"clique": graphs.clique_graph, "ring": graphs.ring_graph,
-                   "barbell": graphs.barbell_graph}[kind]
-        return kind, builder(args.n), table
-    if kind == "random_regular":
-        if args.n is None or args.d is None:
-            raise ValueError("--kind random_regular needs --n and --d")
-        return kind, graphs.random_regular_graph(args.n, args.d,
-                                                 args.seed or 0), table
+    generators = None
     if kind == "cayley":
         if table is None:
             raise ValueError("--kind cayley needs --group FILE")
-        gens = json.loads(Path(args.group).read_text()).get("generators")
-        if gens is None:
+        generators = json.loads(Path(args.group).read_text()).get("generators")
+        if generators is None:
             raise ValueError("group file must carry a generators list")
-        return kind, graphs.cayley_graph(table, set(gens)), table
-    raise ValueError(f"unknown kind {kind!r}")
+    params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
+              if getattr(args, name, None) is not None}
+    spec = graphs.GraphSpec(kind, params, table, generators)
+    return kind, graphs.build_graph(spec), table
 
 
 def _load_table(args):
@@ -91,13 +75,19 @@ def cmd_metrics(args):
     return 0
 
 
+def _load_paths(path, g):
+    """A path-system file, checked to be a system of paths in g."""
+    ps = serialize.load_path_system(path)
+    if ps.n != g.n:
+        raise ValueError("path system size does not match the graph")
+    pathsystems._check_paths_in_graph(g, ps)
+    return ps
+
+
 def _build_paths(args):
     kind, g, table = _load_or_build_graph(args)
     if getattr(args, "paths", None):
-        ps = serialize.load_path_system(args.paths)
-        if ps.n != g.n:
-            raise ValueError("path system size does not match the graph")
-        return kind, g, ps
+        return kind, g, _load_paths(args.paths, g)
     return kind, g, bench.build_path_system(g, args.strategy, table=table)
 
 
@@ -121,9 +111,7 @@ def cmd_congestion(args):
 
 def cmd_instance(args):
     g = serialize.load_graph(args.graph)
-    ps = serialize.load_path_system(args.paths)
-    if ps.n != g.n:
-        raise ValueError("path system size does not match the graph")
+    ps = _load_paths(args.paths, g)
     inst = staircase.sample_hard_instance(g, ps, args.L, args.seed)
     values = flags = None
     if args.materialize:
@@ -137,7 +125,7 @@ def cmd_instance(args):
 def _load_instance(path):
     data = serialize.load_json(path)
     g = serialize.load_graph(data["graph"])
-    ps = serialize.load_path_system(data["paths"])
+    ps = _load_paths(data["paths"], g)
     inst = staircase.make_instance(tuple(data["milestones"]), data["bit"], ps, g)
     return g, inst
 

@@ -29,6 +29,8 @@ class Graph:
     n: int
     edges: frozenset
     adjacency: tuple = field(init=False, repr=False, compare=False)
+    _distances: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -64,6 +66,16 @@ class Graph:
                     count += 1
                     stack.append(w)
         return count == self.n
+
+    def distances(self, src: int) -> tuple:
+        """bfs_distances(self, src) as a tuple, computed once per source.
+
+        Threads that miss the cache together each store the same tuple.
+        """
+        dist = self._distances.get(src)
+        if dist is None:
+            dist = self._distances[src] = tuple(bfs_distances(self, src))
+        return dist
 
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]
@@ -300,37 +312,22 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
             edges.add((min(u, v), max(u, v)))
         if not ok:
             continue
-        g = Graph(n, frozenset(edges)) if _edges_connected(n, edges) else None
-        if g is not None:
-            return g
+        try:
+            return Graph(n, frozenset(edges))
+        except ValueError:  # a simple pairing fails only by being disconnected
+            continue
 
 
-def _edges_connected(n: int, edges) -> bool:
-    adj = [[] for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * (n + 1)
-    seen[1] = True
-    stack = [1]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
-
-
+# kind -> (required params, builder); random_regular also reads an
+# optional seed.  Builders are looked up by name at call time.
 _BUILDERS = {
-    "hypercube": lambda p: hypercube_graph(p["dim"]),
-    "grid": lambda p: grid_graph(p["side"]),
-    "clique": lambda p: clique_graph(p["n"]),
-    "ring": lambda p: ring_graph(p["n"]),
-    "barbell": lambda p: barbell_graph(p["n"]),
-    "random_regular": lambda p: random_regular_graph(p["n"], p["d"], p.get("seed", 0)),
+    "hypercube": (("dim",), lambda p: hypercube_graph(p["dim"])),
+    "grid": (("side",), lambda p: grid_graph(p["side"])),
+    "clique": (("n",), lambda p: clique_graph(p["n"])),
+    "ring": (("n",), lambda p: ring_graph(p["n"])),
+    "barbell": (("n",), lambda p: barbell_graph(p["n"])),
+    "random_regular": (("n", "d"), lambda p: random_regular_graph(
+        p["n"], p["d"], p.get("seed", 0))),
 }
 
 
@@ -341,9 +338,12 @@ def build_graph(spec: GraphSpec) -> Graph:
             raise ValueError("cayley spec needs a multiplication table and generators")
         return cayley_graph(spec.table, spec.generators)
     try:
-        builder = _BUILDERS[spec.kind]
+        required, builder = _BUILDERS[spec.kind]
     except KeyError:
         raise ValueError(f"unknown graph kind {spec.kind!r}") from None
+    if any(name not in spec.params for name in required):
+        flags = " and ".join(f"--{name}" for name in required)
+        raise ValueError(f"--kind {spec.kind} needs {flags}")
     return builder(spec.params)
 
 

@@ -16,15 +16,20 @@ name Q; it is read here as P, the only path family an arrangement carries.
 from __future__ import annotations
 
 import math
+import random
+from collections import deque
 from dataclasses import dataclass, field
 
-from .graphs import Graph, bfs_distances
+from . import graphs
+from .graphs import Graph
 from .staircase import (
     Staircase,
     HiddenBitInstance,
     hide_bit,
-    is_good,
+    related,
+    sample_milestones,
     shared_prefix_length,
+    tail,
 )
 
 
@@ -60,9 +65,7 @@ def grid_path_arrangement(side: int) -> PathArrangement:
     """
     if side < 2:
         raise ValueError("grid side must be >= 2")
-    from .graphs import grid_graph
-
-    g = grid_graph(side)
+    g = graphs.grid_graph(side)  # through the module: a replaced builder is seen
 
     def cell(row, col):  # 1-based row/col -> row-major vertex id
         return (row - 1) * side + col
@@ -165,8 +168,6 @@ def intra_cluster_path(pa: PathArrangement, i: int, u: int, v: int) -> tuple:
     if u == v:
         return (u,)
     g = pa.graph
-    from collections import deque
-
     dist = {u: 0}
     queue = deque([u])
     while queue:
@@ -237,31 +238,23 @@ def cluster_staircase(x, pa: PathArrangement) -> Staircase:
 def separation_tail(j: int, s: Staircase) -> tuple:
     """Walk suffix from odd segment j minus the first occurrence of its
     first vertex; empty for j = 2c + 1."""
-    segments = len(s.segment_starts)
     if j % 2 != 1:
         raise ValueError("separation tails are defined for odd indices only")
-    if not (1 <= j <= segments + 1):
-        raise ValueError(f"tail index {j} outside 1..{segments + 1}")
-    if j == segments + 1:
-        return ()
-    return s.walk[s.segment_starts[j - 1] + 1:]
-
-
-def separation_value_function(x, pa: PathArrangement, g: Graph) -> dict:
-    """Off the walk: dist(v, v_start); on the walk: -(last position of v)."""
-    s = cluster_staircase(x, pa)
-    dist = bfs_distances(g, pa.v_start)
-    values = {v: dist[v] for v in g.vertices()}
-    for pos, v in enumerate(s.walk, start=1):
-        values[v] = -pos
-    return values
+    return tail(j, s)
 
 
 def make_separation_instance(x, bit: int, pa: PathArrangement,
                              g: Graph) -> HiddenBitInstance:
+    """The hidden-bit instance of a cluster sequence: off the walk
+    dist(v, v_start), on it -(last position of v)."""
     s = cluster_staircase(x, pa)
-    values = separation_value_function(x, pa, g)
-    return hide_bit(values, s, bit, x=x)
+    walk_values = {v: -pos for pos, v in enumerate(s.walk, start=1)}
+    return hide_bit(x, bit, s, walk_values, g)
+
+
+def separation_value_function(x, pa: PathArrangement, g: Graph) -> dict:
+    """The separation value function as a vertex -> int map."""
+    return make_separation_instance(x, 0, pa, g).values
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +273,7 @@ def max_odd_shared_prefix(x, y) -> int:
 def relation_separation(x, b1: int, y, b2: int, m: int) -> int:
     """Separation relation: 0 for equal bits or a bad sequence, else m^j
     for the largest odd shared-prefix index j."""
-    if len(x) != len(y):
-        raise ValueError("cluster sequences must share their length")
-    if x[0] != 1 or y[0] != 1:
-        raise ValueError("cluster sequences must start at 1")
-    if b1 == b2 or not is_good(x) or not is_good(y):
-        return 0
-    return m ** max_odd_shared_prefix(x, y)
-
-
-def count_good_with_prefix_separation(x, j: int, m: int) -> int:
-    """Count of good sequences whose longest shared prefix with the good
-    sequence x is exactly j: (m-j-1) * prod_{i=j+2}^{2c+1}(m-i+1).
-
-    The count classifies by the longest shared prefix over all positions;
-    restricting to odd positions only would additionally need the
-    even-extension case and does not match this product.
-    """
-    length = len(x)  # 2c + 1
-    if not is_good(x):
-        raise ValueError("reference sequence must be good")
-    if not (1 <= j <= length - 1):
-        raise ValueError(f"prefix length {j} outside 1..{length - 1}")
-    count = m - j - 1
-    for i in range(j + 2, length + 1):
-        count *= m - i + 1
-    return count
+    return m ** max_odd_shared_prefix(x, y) if related(x, b1, y, b2) else 0
 
 
 def arrangement_parameter_bound(s: int, delta: int) -> int:
@@ -317,23 +285,14 @@ def arrangement_parameter_bound(s: int, delta: int) -> int:
     return max(math.isqrt(s // (2 * delta)), 1)
 
 
-def sample_cluster_sequence(m: int, c: int, rng) -> tuple:
-    """Cluster 1 followed by 2c distinct entries drawn uniformly from 2..m.
-
-    Without-replacement sampling makes every good sequence equally likely,
-    mirroring the milestone sampler on the congestion side.
-    """
-    if 2 * c + 1 > m:
-        raise ValueError(f"need 2c + 1 <= m, got c={c}, m={m}")
-    return (1, *rng.sample(range(2, m + 1), 2 * c))
-
-
 def sample_separation_instance(pa: PathArrangement, c: int,
                                seed) -> HiddenBitInstance:
-    """Seed-deterministic draw of (cluster sequence, bit) plus the instance."""
-    import random
+    """Seed-deterministic draw of (cluster sequence, bit) plus the instance.
 
+    The cluster sequence is cluster 1 followed by 2c distinct entries drawn
+    uniformly from 2..m, the milestone sampler's hard distribution.
+    """
     rng = random.Random(seed)
-    x = sample_cluster_sequence(pa.m, c, rng)
+    x = sample_milestones(pa.m, 2 * c, rng)
     bit = rng.randrange(2)
     return make_separation_instance(x, bit, pa, pa.graph)

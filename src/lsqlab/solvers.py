@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import Graph
+from .staircase import local_minima
 
 
 class QueryOracle:
@@ -118,8 +119,4 @@ def solve_decision(g: Graph, oracle: QueryOracle, inner) -> SolverResult:
 def brute_force_min(g: Graph, target) -> set:
     """Evaluate everything and return all local minima; the test oracle."""
     oracle = QueryOracle(target)
-    vals = {v: oracle.value(v) for v in g.vertices()}
-    return {
-        v for v in g.vertices()
-        if all(vals[v] <= vals[u] for u in g.neighbors(v))
-    }
+    return local_minima(g, {v: oracle.value(v) for v in g.vertices()})

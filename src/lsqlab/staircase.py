@@ -10,8 +10,9 @@ sits at the end of the walk; an extra per-vertex flag hides one bit there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graphs import Graph, bfs_distances
 from .pathsystems import PathSystem
@@ -80,68 +81,81 @@ def tail(j: int, s: Staircase) -> tuple:
     return s.walk[s.segment_starts[j - 1] + 1:]
 
 
-def value_function(x, ps: PathSystem, g: Graph) -> dict:
-    """The staircase value function as a vertex -> int map.
-
-    Off the walk the value is dist(v, 1); on the walk it is -(i*n + j)
-    where i is the largest quasi-segment index whose path contains v and
-    j is v's position within that path.
-    """
-    check_milestones(x, g.n)
-    dist = bfs_distances(g, 1)
-    values = {v: dist[v] for v in g.vertices()}
-    n = g.n
-    for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
-        seg = ps.path(a, b)
-        for pos, v in enumerate(seg, start=1):
-            values[v] = -(i * n + pos)
-    return values
-
-
 @dataclass(frozen=True)
 class HiddenBitInstance:
     """A staircase function with its hidden bit and full provenance.
 
-    values maps each vertex to the staircase value; flags carry the hidden
-    bit at the walk's last vertex and -1 everywhere else.  oracle() is the
-    point of entry for solvers and the adversary machinery.
+    walk_values holds the value of each walk vertex; every other vertex
+    takes its hop distance to the walk's start, read from dist (index 0
+    unused).  The hidden bit sits at the walk's last vertex, -1 everywhere
+    else.  oracle() answers from these alone and is the point of entry for
+    solvers and the adversary machinery; values and flags are the full
+    vertex maps, derived on first access.
     """
 
     milestones: tuple
     bit: int
     staircase: Staircase
-    values: dict
-    flags: dict
+    walk_values: dict = field(repr=False)
+    dist: tuple = field(repr=False)
 
     def oracle(self, v: int):
-        return (self.values[v], self.flags[v])
+        return (self.walk_values.get(v, self.dist[v]),
+                self.bit if v == self.staircase.end else -1)
+
+    @cached_property
+    def values(self) -> dict:
+        values = {v: self.dist[v] for v in range(1, len(self.dist))}
+        values.update(self.walk_values)
+        return values
+
+    @cached_property
+    def flags(self) -> dict:
+        flags = dict.fromkeys(range(1, len(self.dist)), -1)
+        flags[self.staircase.end] = self.bit
+        return flags
 
     @property
     def minimum(self) -> int:
         return self.staircase.end
 
 
-def hide_bit(values: dict, staircase: Staircase, bit: int, x=None) -> HiddenBitInstance:
-    """Attach the hidden bit at the walk's last vertex, -1 elsewhere."""
+def hide_bit(x, bit: int, staircase: Staircase, walk_values: dict,
+             g: Graph) -> HiddenBitInstance:
+    """The instance of sequence x whose walk vertices take walk_values and
+    every other vertex its distance to the walk's start, with the bit
+    hidden at the walk's end."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    flags = {v: -1 for v in values}
-    flags[staircase.end] = bit
     return HiddenBitInstance(
-        milestones=tuple(x) if x is not None else (),
+        milestones=tuple(x),
         bit=bit,
         staircase=staircase,
-        values=dict(values),
-        flags=flags,
+        walk_values=walk_values,
+        dist=g.distances(staircase.walk[0]),
     )
 
 
 def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
-    """Build the full hidden-bit instance for a milestone sequence."""
+    """The hidden-bit instance of a milestone sequence.
+
+    On the walk the value is -(i*n + j), where i is the largest
+    quasi-segment index whose path contains v and j is v's position
+    within that path.
+    """
     s = build_staircase(x, ps)
-    values = value_function(x, ps, g)
-    inst = hide_bit(values, s, bit, x=x)
-    return inst
+    n = g.n
+    walk_values = {}
+    for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
+        for pos, v in enumerate(ps.path(a, b), start=1):
+            walk_values[v] = -(i * n + pos)
+    return hide_bit(x, bit, s, walk_values, g)
+
+
+def value_function(x, ps: PathSystem, g: Graph) -> dict:
+    """The staircase value function as a vertex -> int map: dist(v, 1) off
+    the walk, the make_instance rule on it."""
+    return make_instance(x, 0, ps, g).values
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +173,22 @@ def shared_prefix_length(x, y) -> int:
     return j
 
 
+def related(x, b1: int, y, b2: int) -> bool:
+    """Whether two equal-length sequences starting at 1 carry a nonzero
+    relation weight: different bits and both sequences good."""
+    if len(x) != len(y):
+        raise ValueError("sequences must share their length")
+    if x[0] != 1 or y[0] != 1:
+        raise ValueError("sequences must start at 1")
+    return b1 != b2 and is_good(x) and is_good(y)
+
+
 def relation_congestion(x, b1: int, y, b2: int, n: int) -> int:
     """r(g_{x,b1}, g_{y,b2}): 0 for equal bits or a bad sequence, else n^j.
 
     The result is an exact Python int; n^{L+1} routinely exceeds 64 bits.
     """
-    if len(x) != len(y):
-        raise ValueError("milestone sequences must share their length")
-    if x[0] != 1 or y[0] != 1:
-        raise ValueError("milestone sequences must start at vertex 1")
-    if b1 == b2 or not is_good(x) or not is_good(y):
-        return 0
-    return n ** shared_prefix_length(x, y)
+    return n ** shared_prefix_length(x, y) if related(x, b1, y, b2) else 0
 
 
 def distinguishing_weights(v: int, f1: HiddenBitInstance, f2: HiddenBitInstance,
@@ -181,7 +199,7 @@ def distinguishing_weights(v: int, f1: HiddenBitInstance, f2: HiddenBitInstance,
     requires the first walk to visit v at most as often as the second.
     """
     if n is None:
-        n = len(f1.values)
+        n = len(f1.dist) - 1
     r = relation_congestion(f1.milestones, f1.bit, f2.milestones, f2.bit, n)
     if r == 0:
         return 0, 0, 0
@@ -196,7 +214,12 @@ def distinguishing_weights(v: int, f1: HiddenBitInstance, f2: HiddenBitInstance,
 
 def count_good_with_prefix(x, j: int, n: int) -> int:
     """Closed-form count of good sequences whose longest shared prefix with
-    the good sequence x is exactly j: (n-j-1) * prod_{i=j+2}^{L+1}(n-i+1)."""
+    the good sequence x is exactly j: (n-j-1) * prod_{i=j+2}^{L+1}(n-i+1).
+
+    Cluster sequences are counted the same way, with n = m: the count
+    classifies by the longest shared prefix over all positions, not only
+    the odd ones the separation relation reads.
+    """
     length = len(x)  # L + 1
     if not is_good(x):
         raise ValueError("reference sequence must be good")

@@ -501,7 +501,7 @@ def check_separation_count(samples=0, seed=0):
                         if staircase.is_good(y)
                         and staircase.shared_prefix_length(x, y) == j
                     )
-                    expected = separation.count_good_with_prefix_separation(x, j, m)
+                    expected = staircase.count_good_with_prefix(x, j, m)
                     if actual != expected:
                         return _fail("separation", "count_formula",
                                      f"m={m} c={c} x={x} j={j}: "

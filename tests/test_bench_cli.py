@@ -214,3 +214,27 @@ def test_cli_env_cap_override(tmp_path):
     )
     assert r2.returncode != 0
     assert "cap" in r2.stderr
+
+
+def test_cli_rejects_path_system_with_non_edge(tmp_path):
+    gfile = tmp_path / "c4.json"
+    pfile = tmp_path / "p.json"
+    ifile = tmp_path / "i.json"
+    assert run_cli("gen", "--kind", "ring", "--n", "4",
+                   "--out", str(gfile)).returncode == 0
+    assert run_cli("paths", "--graph", str(gfile), "--out",
+                   str(pfile)).returncode == 0
+    data = json.loads(pfile.read_text())
+    for row in data["paths"]:
+        if (row["u"], row["v"]) == (1, 3):
+            row["p"] = [1, 3]  # 1-3 is not an edge of the 4-cycle
+    pfile.write_text(json.dumps(data))
+    ifile.write_text(json.dumps({"graph": str(gfile), "paths": str(pfile),
+                                 "milestones": [1, 3], "bit": 1}))
+    for args in (("congestion", "--graph", str(gfile), "--paths", str(pfile)),
+                 ("instance", "--graph", str(gfile), "--paths", str(pfile),
+                  "--L", "1"),
+                 ("solve", "--instance", str(ifile))):
+        r = run_cli(*args)
+        assert r.returncode != 0
+        assert "non-edge (1,3)" in r.stderr and "Traceback" not in r.stderr

@@ -8,12 +8,11 @@ import lsqlab as L
 from lsqlab.separation import (
     arrangement_violations,
     cluster_staircase,
-    count_good_with_prefix_separation,
     intra_cluster_path,
     make_separation_instance,
     separation_tail,
 )
-from lsqlab.staircase import shared_prefix_length
+from lsqlab.staircase import count_good_with_prefix, shared_prefix_length
 
 
 def test_nine_vertex_arrangement_verifies(nine_vertex_arrangement):
@@ -134,7 +133,7 @@ def test_count_formula_exhaustive_small():
                 if L.is_good((1, *rest))
                 and shared_prefix_length(x, (1, *rest)) == j
             )
-            assert actual == count_good_with_prefix_separation(x, j, m)
+            assert actual == count_good_with_prefix(x, j, m)
 
 
 def test_arrangement_serialization_roundtrip(nine_vertex_arrangement):
@@ -165,3 +164,16 @@ def test_parameter_bound_examples():
     assert L.arrangement_parameter_bound(8, 1) == 2
     with pytest.raises(ValueError):
         L.arrangement_parameter_bound(8, 0)
+
+
+def test_separation_instance_builds_its_walk_once(monkeypatch):
+    import lsqlab.separation as sep
+
+    calls = []
+    build = sep.cluster_staircase
+    monkeypatch.setattr(sep, "cluster_staircase",
+                        lambda x, pa: calls.append(x) or build(x, pa))
+    pa = L.grid_path_arrangement(5)
+    inst = make_separation_instance((1, 3, 2), 1, pa, pa.graph)
+    assert calls == [(1, 3, 2)]
+    assert inst.staircase == build((1, 3, 2), pa)

@@ -181,3 +181,69 @@ def test_count_good_with_prefix_matches_enumeration():
 def test_tail_count_bound_is_rational_at_the_edge():
     b = tail_count_bound(2, 7, 4, 1, 1)
     assert b == 2 + 7 / 4
+
+
+def _eager_distances(g, src):
+    dist = {src: 0}
+    queue = [src]
+    for u in queue:
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _milestone_draws(rng):
+    g = L.hypercube_graph(5)
+    ps = L.hypercube_path_system(g)
+    for _ in range(15):
+        inst = L.sample_hard_instance(g, ps, rng.randrange(1, 8), rng.getrandbits(64))
+        values = _eager_distances(g, 1)
+        x = inst.milestones
+        for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
+            for pos, v in enumerate(ps.path(a, b), start=1):
+                values[v] = -(i * g.n + pos)
+        yield g, inst, values
+
+
+def _cluster_draws(rng):
+    pa = L.grid_path_arrangement(7)
+    for _ in range(15):
+        inst = L.sample_separation_instance(pa, rng.randrange(1, 4), rng.getrandbits(64))
+        values = _eager_distances(pa.graph, pa.v_start)
+        for pos, v in enumerate(inst.staircase.walk, start=1):
+            values[v] = -pos
+        yield pa.graph, inst, values
+
+
+@pytest.mark.parametrize("draws", [_milestone_draws, _cluster_draws])
+def test_walk_only_oracle_matches_eager_construction(draws):
+    for g, inst, values in draws(random.Random(5)):
+        walk = inst.staircase.walk
+        flags = {v: -1 for v in g.vertices()}
+        flags[walk[-1]] = inst.bit
+        assert set(inst.walk_values) == set(walk)
+        for v in g.vertices():
+            assert inst.oracle(v) == (values[v], flags[v])
+        assert "values" not in vars(inst) and "flags" not in vars(inst)
+        assert inst.values == values
+        assert inst.flags == flags
+
+
+def test_instances_on_one_graph_share_one_entrance_bfs(monkeypatch):
+    calls = []
+    bfs = L.graphs.bfs_distances
+    monkeypatch.setattr(L.graphs, "bfs_distances",
+                        lambda g, src: calls.append(src) or bfs(g, src))
+    g = L.hypercube_graph(4)
+    ps = L.hypercube_path_system(g)
+    calls.clear()
+    for seed in range(6):
+        L.sample_hard_instance(g, ps, 3, seed)
+    assert calls == [1]
+    pa = L.grid_path_arrangement(5)
+    calls.clear()
+    for seed in range(6):
+        L.sample_separation_instance(pa, 2, seed)
+    assert calls == [pa.v_start]
