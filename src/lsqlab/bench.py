@@ -20,7 +20,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .graphs import Graph, graph_metrics
+# graph_metrics is unused here; benchmarks/run.py wraps bench.graph_metrics
+from .graphs import Graph, graph_metrics  # noqa: F401
 from .pathsystems import (
     PathSystem,
     cayley_path_system,
@@ -163,7 +164,7 @@ def run_bench(cfg: BenchConfig, table=None) -> BenchReport:
     In arrangement mode (c >= 1) instances are cluster staircases over the
     grid path arrangement and the g column is 0 (no path system is built).
     """
-    delta = graph_metrics(cfg.graph)["max_degree"]
+    delta = cfg.graph.max_degree
     if cfg.c >= 1:
         # imported per call, so a replaced module attribute is the one used
         from .separation import grid_path_arrangement, sample_separation_instance

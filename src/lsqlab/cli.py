@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -116,7 +117,12 @@ def cmd_instance(args):
     values = flags = None
     if args.materialize:
         values, flags = inst.values, inst.flags
-    _emit(args, serialize.instance_to_dict(args.graph, args.paths,
+    graph_path, paths_path = args.graph, args.paths
+    if args.out:  # instance files name their inputs relative to themselves
+        base = os.path.dirname(args.out) or "."
+        graph_path = os.path.relpath(graph_path, base)
+        paths_path = os.path.relpath(paths_path, base)
+    _emit(args, serialize.instance_to_dict(graph_path, paths_path,
                                            inst.milestones, inst.bit,
                                            values, flags))
     return 0
@@ -124,8 +130,9 @@ def cmd_instance(args):
 
 def _load_instance(path):
     data = serialize.load_json(path)
-    g = serialize.load_graph(data["graph"])
-    ps = _load_paths(data["paths"], g)
+    base = Path(path).parent
+    g = serialize.load_graph(base / data["graph"])
+    ps = _load_paths(base / data["paths"], g)
     inst = staircase.make_instance(tuple(data["milestones"]), data["bit"], ps, g)
     return g, inst
 

@@ -8,7 +8,6 @@ ascending-id neighbor order fixed here.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +28,7 @@ class Graph:
     n: int
     edges: frozenset
     adjacency: tuple = field(init=False, repr=False, compare=False)
+    max_degree: int = field(init=False, repr=False, compare=False)
     _distances: dict = field(init=False, repr=False, compare=False,
                              default_factory=dict)
 
@@ -48,24 +48,9 @@ class Graph:
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(nb)) for nb in adj)
         )
-        if not self._connected():
+        object.__setattr__(self, "max_degree", max(map(len, adj[1:])))
+        if -1 in bfs_tree(self, 1)[0][1:]:
             raise ValueError("graph is not connected")
-
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * (self.n + 1)
-        seen[1] = True
-        stack = [1]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
 
     def distances(self, src: int) -> tuple:
         """bfs_distances(self, src) as a tuple, computed once per source.
@@ -352,30 +337,56 @@ def build_graph(spec: GraphSpec) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def bfs_distances(g: Graph, src: int) -> list:
-    """Hop counts from src; index 0 is unused padding."""
+def bfs_tree(g: Graph, src: int, within=None) -> tuple:
+    """One BFS pass from src: (dist, parent) lists, index 0 unused.
+
+    dist[v] is the hop count, -1 where v is unreached.  parent[w] is the
+    lowest-id neighbor of w one hop closer to src (0 at src and where
+    unreached); this is the package's one shortest-path tie-break.  When
+    within is given, the traversal stays inside that vertex set, which
+    must contain src.
+    """
     if not (1 <= src <= g.n):
         raise ValueError(f"source {src} outside 1..{g.n}")
     dist = [-1] * (g.n + 1)
+    parent = [0] * (g.n + 1)
     dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
+    order = [src]
+    for u in order:  # the list grows while it is read: a FIFO queue
+        d = dist[u] + 1
+        for w in g.adjacency[u]:
+            if within is not None and w not in within:
+                continue
             if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+                dist[w] = d
+                parent[w] = u
+                order.append(w)
+            elif dist[w] == d and u < parent[w]:
+                parent[w] = u  # a same-level predecessor with a lower id
+    return dist, parent
+
+
+def tree_path(parent, src: int, v: int) -> tuple:
+    """The path src..v read back along a bfs_tree parent list."""
+    path = [v]
+    while v != src:
+        v = parent[v]
+        if not v:
+            raise ValueError(f"vertex {path[0]} is not reached from {src}")
+        path.append(v)
+    path.reverse()
+    return tuple(path)
+
+
+def bfs_distances(g: Graph, src: int) -> list:
+    """Hop counts from src; index 0 is unused padding."""
+    return bfs_tree(g, src)[0]
 
 
 def graph_metrics(g: Graph) -> dict:
     """Max degree and exact diameter (all-sources BFS)."""
-    max_degree = max(g.degree(v) for v in g.vertices())
-    diameter = 0
-    for v in g.vertices():
-        dist = bfs_distances(g, v)
-        diameter = max(diameter, max(dist[1:]))
-    return {"max_degree": max_degree, "diameter": diameter}
+    diameter = max(max(bfs_distances(g, v)) for v in g.vertices())
+    return {"max_degree": g.max_degree, "diameter": diameter}
 
 
 def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import check_cap
-from .graphs import Graph, bfs_distances, group_inverses, validate_group_table
+from .graphs import Graph, bfs_tree, group_inverses, tree_path, validate_group_table
 
 ORACLE_CAP_DEFAULT = 6
 ORACLE_PATHS_PER_PAIR_CAP = 512
@@ -25,12 +25,14 @@ class PathSystem:
     paths: dict = field(repr=False)
 
     def __post_init__(self):
-        expected = self.n * self.n
-        if len(self.paths) != expected:
+        n = self.n
+        if len(self.paths) != n * n:
             raise ValueError(
-                f"path table has {len(self.paths)} entries, expected {expected}"
+                f"path table has {len(self.paths)} entries, expected {n * n}"
             )
-        for (u, v), p in self.paths.items():
+        for (u, v), p in self.paths.items():  # n^2 in-range keys: every pair
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"path key ({u},{v}) outside 1..{n}")
             if p[0] != u or p[-1] != v:
                 raise ValueError(f"path for ({u},{v}) runs {p[0]}..{p[-1]}")
             if len(set(p)) != len(p):
@@ -60,45 +62,13 @@ def _check_paths_in_graph(g: Graph, ps: PathSystem) -> None:
                 raise ValueError(f"path for ({u},{v}) uses non-edge ({a},{b})")
 
 
-def bfs_parents(g: Graph, src: int) -> tuple:
-    """Distances plus the lowest-id predecessor of each vertex.
-
-    parent[w] = min neighbor of w one hop closer to src; this is the
-    canonical tie-break for every shortest path in the package.
-    """
-    dist = bfs_distances(g, src)
-    parent = [0] * (g.n + 1)
-    for w in g.vertices():
-        if w == src:
-            continue
-        for u in g.neighbors(w):  # ascending, so first hit is the minimum
-            if dist[u] == dist[w] - 1:
-                parent[w] = u
-                break
-    return dist, parent
-
-
-def shortest_path(g: Graph, u: int, v: int) -> tuple:
-    """Canonical BFS shortest path from u to v (lowest-id predecessors)."""
-    _, parent = bfs_parents(g, u)
-    return _walk_back(parent, u, v)
-
-
-def _walk_back(parent, src, v) -> tuple:
-    path = [v]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
 def shortest_path_system(g: Graph) -> PathSystem:
     """BFS shortest paths for every ordered pair, deterministic tie-break."""
     paths = {}
     for u in g.vertices():
-        _, parent = bfs_parents(g, u)
+        _, parent = bfs_tree(g, u)
         for v in g.vertices():
-            paths[(u, v)] = _walk_back(parent, u, v)
+            paths[(u, v)] = tree_path(parent, u, v)
     return PathSystem(g.n, paths)
 
 
@@ -174,8 +144,8 @@ def cayley_path_system(g: Graph, table) -> PathSystem:
     if expected != set(g.edges):
         raise ValueError("graph is not the Cayley graph of the supplied group")
 
-    _, parent = bfs_parents(g, 1)
-    base = {w: _walk_back(parent, 1, w) for w in g.vertices()}
+    _, parent = bfs_tree(g, 1)
+    base = {w: tree_path(parent, 1, w) for w in g.vertices()}
     paths = {}
     for u in g.vertices():
         row = table[u - 1]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import graphs
@@ -147,17 +146,8 @@ def verify_arrangement(pa: PathArrangement, g: Graph) -> bool:
 
 
 def _induced_connected(g: Graph, cluster) -> bool:
-    cluster = set(cluster)
-    start = next(iter(cluster))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in cluster and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == cluster
+    dist, _ = graphs.bfs_tree(g, next(iter(cluster)), within=cluster)
+    return sum(d >= 0 for d in dist) == len(cluster)
 
 
 def intra_cluster_path(pa: PathArrangement, i: int, u: int, v: int) -> tuple:
@@ -165,28 +155,10 @@ def intra_cluster_path(pa: PathArrangement, i: int, u: int, v: int) -> tuple:
     cluster = pa.clusters[i - 1]
     if u not in cluster or v not in cluster:
         raise ValueError(f"endpoints {u},{v} not inside cluster {i}")
-    if u == v:
-        return (u,)
-    g = pa.graph
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        for w in g.neighbors(a):
-            if w in cluster and w not in dist:
-                dist[w] = dist[a] + 1
-                queue.append(w)
-    if v not in dist:
+    dist, parent = graphs.bfs_tree(pa.graph, u, within=cluster)
+    if dist[v] < 0:
         raise ValueError(f"cluster {i} does not connect {u} and {v}")
-    path = [v]
-    while path[-1] != u:
-        cur = path[-1]
-        for w in g.neighbors(cur):  # ascending: first hit is the minimum
-            if w in cluster and dist.get(w, -1) == dist[cur] - 1:
-                path.append(w)
-                break
-    path.reverse()
-    return tuple(path)
+    return graphs.tree_path(parent, u, v)
 
 
 def check_cluster_sequence(x, m: int) -> int:

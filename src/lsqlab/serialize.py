@@ -4,7 +4,8 @@ arrangements.
 Graph files: {"n": int, "edges": [[u, v], ...]} with 1-indexed vertices
 and edges sorted with u < v.  Path-system files list all n^2 ordered
 pairs sorted by (u, v).  Instance files reference their graph and path
-files by path rather than inlining them.
+files by paths relative to the instance file rather than inlining them.
+Files of the wrong shape raise a ValueError that names the field.
 """
 
 from __future__ import annotations
@@ -21,8 +22,41 @@ def graph_to_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
 
 
+def _field(data, name: str, where: str):
+    """data[name] of a JSON object; a ValueError names what is missing."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if name not in data:
+        raise ValueError(f"{where} has no {name!r} field")
+    return data[name]
+
+
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list")
+    return value
+
+
+def _ints(value, name: str, length: int | None = None) -> tuple:
+    """A nonempty list of integers, of the given length if one is given."""
+    ints = tuple(_int(x, name) for x in _list(value, name))
+    if not ints or length not in (None, len(ints)):
+        need = f"{length} integers" if length else "at least one integer"
+        raise ValueError(f"{name} must hold {need}")
+    return ints
+
+
 def graph_from_dict(data: dict) -> Graph:
-    return from_edges(int(data["n"]), ((int(u), int(v)) for u, v in data["edges"]))
+    n = _int(_field(data, "n", "graph"), "n")
+    edges = _list(_field(data, "edges", "graph"), "edges")
+    return from_edges(n, [_ints(e, f"edges[{i}]", 2) for i, e in enumerate(edges)])
 
 
 def path_system_to_dict(ps: PathSystem) -> dict:
@@ -35,11 +69,13 @@ def path_system_to_dict(ps: PathSystem) -> dict:
 
 
 def path_system_from_dict(data: dict) -> PathSystem:
-    n = int(data["n"])
-    paths = {
-        (int(row["u"]), int(row["v"])): tuple(int(x) for x in row["p"])
-        for row in data["paths"]
-    }
+    n = _int(_field(data, "n", "path system"), "n")
+    paths = {}
+    for i, row in enumerate(_list(_field(data, "paths", "path system"), "paths")):
+        where = f"paths[{i}]"
+        u = _int(_field(row, "u", where), f"{where}.u")
+        v = _int(_field(row, "v", where), f"{where}.v")
+        paths[(u, v)] = _ints(_field(row, "p", where), f"{where}.p")
     return PathSystem(n, paths)
 
 

@@ -77,7 +77,7 @@ def steepest_descent(g: Graph, oracle: QueryOracle, start: int) -> SolverResult:
 
 def auto_warm_start_size(g: Graph) -> int:
     """Default sample budget ceil(sqrt(n * max_degree))."""
-    delta = max(g.degree(v) for v in g.vertices())
+    delta = g.max_degree
     return math.isqrt(g.n * delta - 1) + 1 if g.n * delta else 1
 
 

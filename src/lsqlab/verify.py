@@ -617,7 +617,7 @@ def check_solver_correctness(samples=100, seed=0):
     for name, g, strat in cases:
         ps = (pathsystems.hypercube_path_system(g) if strat == "hypercube"
               else pathsystems.shortest_path_system(g))
-        delta = graphs.graph_metrics(g)["max_degree"]
+        delta = g.max_degree
         for _ in range(max(1, samples // 3)):
             L = rng.randrange(1, min(4, g.n))
             inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))

@@ -1,6 +1,7 @@
 """Bench harness determinism and the CLI surface end to end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -238,3 +239,65 @@ def test_cli_rejects_path_system_with_non_edge(tmp_path):
         r = run_cli(*args)
         assert r.returncode != 0
         assert "non-edge (1,3)" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_run_bench_runs_at_most_one_bfs(monkeypatch):
+    calls = []
+    bfs = L.graphs.bfs_distances
+    monkeypatch.setattr(L.graphs, "bfs_distances",
+                        lambda g, src: calls.append(src) or bfs(g, src))
+    solvers = (SolverSpec("descent"), SolverSpec("warm-start"))
+    for cfg in (BenchConfig("grid", L.grid_graph(5), "bfs", 0, solvers,
+                            trials=4, master_seed=3, c=1),
+                BenchConfig("hypercube", L.hypercube_graph(4), "hypercube", 3,
+                            solvers, trials=4, master_seed=3)):
+        calls.clear()
+        assert all(r["correct"] for r in run_bench(cfg).rows)
+        assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"n": 3, "edges": [1, 2]}', "edges[0]"),
+    ('[[1, 2], [2, 3]]', "JSON object"),
+    ('{"n": 3}', "has no 'edges' field"),
+])
+def test_cli_rejects_malformed_graph_json(tmp_path, text, field):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(text)
+    r = run_cli("metrics", "--graph", str(gfile))
+    assert r.returncode != 0
+    assert field in r.stderr and "Traceback" not in r.stderr
+
+
+def test_cli_rejects_path_key_outside_range(tmp_path):
+    gfile = tmp_path / "g.json"
+    pfile = tmp_path / "p.json"
+    gfile.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
+    pfile.write_text(json.dumps({"n": 2, "paths": [
+        {"u": 1, "v": 1, "p": [1]}, {"u": 1, "v": 2, "p": [1, 2]},
+        {"u": 2, "v": 1, "p": [2, 1]}, {"u": 3, "v": 3, "p": [3]}]}))
+    for command in ("congestion", "paths"):
+        r = run_cli(command, "--graph", str(gfile), "--paths", str(pfile))
+        assert r.returncode != 0
+        assert "path key (3,3) outside 1..2" in r.stderr
+
+
+def test_cli_solves_instance_from_a_sibling_directory(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(L.__file__)))
+
+    def cli(cwd, *args):
+        return subprocess.run([sys.executable, "-m", "lsqlab.cli", *args],
+                              capture_output=True, text=True, cwd=cwd, env=env)
+
+    for d in ("a", "b", "c"):
+        (tmp_path / d).mkdir()
+    assert cli(tmp_path, "gen", "--kind", "hypercube", "--dim", "3",
+               "--out", "a/g.json").returncode == 0
+    assert cli(tmp_path, "paths", "--graph", "a/g.json", "--strategy",
+               "hypercube", "--out", "a/p.json").returncode == 0
+    assert cli(tmp_path, "instance", "--graph", "a/g.json", "--paths",
+               "a/p.json", "--L", "2", "--out", "c/i.json").returncode == 0
+    r = cli(tmp_path / "b", "solve", "--instance", "../c/i.json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["correct"] is True

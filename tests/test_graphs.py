@@ -2,9 +2,11 @@
 
 import json
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
@@ -185,3 +187,56 @@ def test_bfs_edge_lipschitz():
             assert dist[src] == 0
             for u, v in g.edges:
                 assert abs(dist[u] - dist[v]) <= 1
+
+
+@st.composite
+def graph_source_within(draw):
+    """A random connected graph, a source, and None or a connected vertex
+    set holding the source (grown one random frontier vertex at a time)."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(1, n + 1)))
+    edges = {(labels[v], labels[draw(st.integers(0, v - 1))]) for v in range(1, n)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    g = L.from_edges(n, edges)
+    src = draw(st.integers(1, n))
+    if not draw(st.booleans()):
+        return g, src, None
+    within = {src}
+    for _ in range(draw(st.integers(0, n - 1))):
+        frontier = sorted({w for u in within for w in g.neighbors(u)} - within)
+        if not frontier:
+            break
+        within.add(draw(st.sampled_from(frontier)))
+    return g, src, frozenset(within)
+
+
+@settings(deadline=None)
+@given(graph_source_within())
+def test_bfs_tree_matches_reference(case):
+    g, src, within = case
+    inside = set(g.vertices()) if within is None else within
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w in inside and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    parent = {w: min(u for u in g.neighbors(w) if dist.get(u) == dist[w] - 1)
+              for w in dist if w != src}
+
+    got_dist, got_parent = L.graphs.bfs_tree(g, src, within)
+    for v in g.vertices():
+        assert got_dist[v] == dist.get(v, -1)
+        assert got_parent[v] == parent.get(v, 0)
+        if v in dist:
+            path = L.graphs.tree_path(got_parent, src, v)
+            assert path[0] == src and path[-1] == v
+            assert len(path) == dist[v] + 1
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        else:
+            with pytest.raises(ValueError, match="not reached"):
+                L.graphs.tree_path(got_parent, src, v)

@@ -1,6 +1,7 @@
 """Path arrangements, cluster staircases, and separation-side quantities."""
 
 import itertools
+from collections import deque
 
 import pytest
 
@@ -177,3 +178,43 @@ def test_separation_instance_builds_its_walk_once(monkeypatch):
     inst = make_separation_instance((1, 3, 2), 1, pa, pa.graph)
     assert calls == [(1, 3, 2)]
     assert inst.staircase == build((1, 3, 2), pa)
+
+
+def _intra_cluster_path_reference(pa, i, u, v):
+    """The cluster-local BFS and walk-back that intra_cluster_path ran
+    before it read graphs.bfs_tree."""
+    cluster = pa.clusters[i - 1]
+    if u == v:
+        return (u,)
+    g = pa.graph
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        a = queue.popleft()
+        for w in g.neighbors(a):
+            if w in cluster and w not in dist:
+                dist[w] = dist[a] + 1
+                queue.append(w)
+    path = [v]
+    while path[-1] != u:
+        cur = path[-1]
+        for w in g.neighbors(cur):
+            if w in cluster and dist.get(w, -1) == dist[cur] - 1:
+                path.append(w)
+                break
+    path.reverse()
+    return tuple(path)
+
+
+def test_intra_cluster_path_matches_reference(nine_vertex_arrangement):
+    arrangements = [L.grid_path_arrangement(side) for side in range(2, 7)]
+    arrangements.append(nine_vertex_arrangement[1])
+    for pa in arrangements:
+        for i, cluster in enumerate(pa.clusters, start=1):
+            for u, v in itertools.product(sorted(cluster), repeat=2):
+                assert (intra_cluster_path(pa, i, u, v)
+                        == _intra_cluster_path_reference(pa, i, u, v))
+    g = nine_vertex_arrangement[0]
+    split = L.PathArrangement(g, 1, (frozenset({1, 3}),), {}, v_start=1)
+    with pytest.raises(ValueError, match="does not connect 1 and 3"):
+        intra_cluster_path(split, 1, 1, 3)
