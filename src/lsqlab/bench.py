@@ -3,8 +3,9 @@
 Each trial draws a staircase instance and runs every configured solver on
 a fresh oracle.  Trial seeds derive from the master seed by a fixed
 splitmix64 counter mix, so runs are byte-identical across repeat
-invocations and worker counts; rows are sorted by (solver, trial) before
-writing.
+invocations; rows are sorted by (solver, trial) before writing.  Trials
+run one after another in the calling thread; the worker count is accepted
+and validated but changes neither the output nor how it is computed.
 
 Seed derivation (64-bit, documented so other implementations can match):
   trial_seed(t)        = splitmix64(master_seed + (t + 1) * GOLDEN)
@@ -17,7 +18,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 # graph_metrics is unused here; benchmarks/run.py wraps bench.graph_metrics
@@ -62,11 +62,10 @@ class SolverSpec:
 
     name: str
     t: object = "auto"  # warm-start sample budget
-    start: int = 1      # descent start vertex
 
     def run(self, g: Graph, oracle: QueryOracle, seed: int):
         if self.name == "descent":
-            return steepest_descent(g, oracle, self.start)
+            return steepest_descent(g, oracle, 1)
         if self.name == "warm-start":
             return warm_start_descent(g, oracle, t=self.t, seed=seed)
         raise ValueError(f"unknown solver {self.name!r}")
@@ -176,16 +175,8 @@ def run_bench(cfg: BenchConfig, table=None) -> BenchReport:
         ps = build_path_system(cfg.graph, cfg.strategy, table=table)
         g_cong = congestion(ps).max_vertex
         sampler = lambda seed: sample_hard_instance(cfg.graph, ps, cfg.L, seed)
-    if cfg.workers == 1:
-        per_trial = [_run_trial(cfg, sampler, delta, g_cong, t)
-                     for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_trial = list(pool.map(
-                lambda t: _run_trial(cfg, sampler, delta, g_cong, t),
-                range(cfg.trials),
-            ))
-    rows = [row for batch in per_trial for row in batch]
+    rows = [row for t in range(cfg.trials)
+            for row in _run_trial(cfg, sampler, delta, g_cong, t)]
     rows.sort(key=lambda r: (r["solver"], r["trial"]))
 
     aggregates = {}

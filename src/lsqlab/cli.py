@@ -21,33 +21,24 @@ from .errors import CapabilityError
 
 def _load_or_build_graph(args) -> tuple:
     """Returns (kind, Graph, group table or None)."""
-    table = _load_table(args)
+    table = generators = None
+    if getattr(args, "group", None):
+        table, generators = serialize.load_group(args.group)
+    elif getattr(args, "kind", None) == "ring" and getattr(args, "n", None):
+        table = graphs.cyclic_group(args.n)
     if getattr(args, "graph", None):
         return "file", serialize.load_graph(args.graph), table
     kind = getattr(args, "kind", None)
     if kind is None:
         raise ValueError("provide --graph FILE or --kind KIND")
-    generators = None
-    if kind == "cayley":
-        if table is None:
-            raise ValueError("--kind cayley needs --group FILE")
-        generators = json.loads(Path(args.group).read_text()).get("generators")
-        if generators is None:
-            raise ValueError("group file must carry a generators list")
+    if kind == "cayley" and table is None:
+        raise ValueError("--kind cayley needs --group FILE")
+    if kind == "cayley" and generators is None:
+        raise ValueError("group file must carry a generators list")
     params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
               if getattr(args, name, None) is not None}
     spec = graphs.GraphSpec(kind, params, table, generators)
     return kind, graphs.build_graph(spec), table
-
-
-def _load_table(args):
-    group = getattr(args, "group", None)
-    if group:
-        data = json.loads(Path(group).read_text())
-        return tuple(tuple(row) for row in data["table"])
-    if getattr(args, "kind", None) == "ring" and getattr(args, "n", None):
-        return graphs.cyclic_group(args.n)
-    return None
 
 
 def _emit(args, data) -> None:
@@ -129,12 +120,12 @@ def cmd_instance(args):
 
 
 def _load_instance(path):
-    data = serialize.load_json(path)
+    graph, paths, milestones, bit = serialize.instance_from_dict(
+        serialize.load_json(path))
     base = Path(path).parent
-    g = serialize.load_graph(base / data["graph"])
-    ps = _load_paths(base / data["paths"], g)
-    inst = staircase.make_instance(tuple(data["milestones"]), data["bit"], ps, g)
-    return g, inst
+    g = serialize.load_graph(base / graph)
+    ps = _load_paths(base / paths, g)
+    return g, staircase.make_instance(milestones, bit, ps, g)
 
 
 def cmd_solve(args):

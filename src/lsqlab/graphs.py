@@ -53,10 +53,7 @@ class Graph:
             raise ValueError("graph is not connected")
 
     def distances(self, src: int) -> tuple:
-        """bfs_distances(self, src) as a tuple, computed once per source.
-
-        Threads that miss the cache together each store the same tuple.
-        """
+        """bfs_distances(self, src) as a tuple, computed once per source."""
         dist = self._distances.get(src)
         if dist is None:
             dist = self._distances[src] = tuple(bfs_distances(self, src))
@@ -174,6 +171,8 @@ def cayley_edges(table, generators) -> set:
         raise ValueError("empty generating set")
     inv = group_inverses(table)
     for s in gens:
+        if not (1 <= s <= n):
+            raise ValueError(f"generator {s} outside 1..{n}")
         if s == 1:
             raise ValueError("identity cannot be a generator")
         if inv[s] not in gens:

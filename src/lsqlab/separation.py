@@ -16,7 +16,6 @@ name Q; it is read here as P, the only path family an arrangement carries.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from . import graphs
@@ -24,9 +23,10 @@ from .graphs import Graph
 from .staircase import (
     Staircase,
     HiddenBitInstance,
+    chain,
     hide_bit,
     related,
-    sample_milestones,
+    sample_sequence,
     shared_prefix_length,
     tail,
 )
@@ -176,35 +176,20 @@ def check_cluster_sequence(x, m: int) -> int:
 def cluster_staircase(x, pa: PathArrangement) -> Staircase:
     """Walk induced by a cluster sequence.
 
-    Odd segments are intra-cluster shortest paths, even segments the chosen
-    inter-cluster paths; segment i > 1 odd runs from the end of the previous
-    inter-cluster path to the start of the next one.  c = 0 degenerates to
-    the single-vertex walk (v_start,).
+    Leg l reads the inter-cluster path P_{x_{2l}}(x_{2l-1}, x_{2l+1}) and
+    reaches its start by a shortest path inside cluster x_{2l-1}, from
+    v_start for l = 1 and from the end of the previous leg's path after.
+    c = 0 degenerates to the single-vertex walk (v_start,).
     """
     c = check_cluster_sequence(x, pa.m)
-    if c == 0:
-        return Staircase((pa.v_start,), ())
     segments = []
-    for i in range(1, 2 * c + 1):
-        if i == 1:
-            nxt = pa.path(x[1], 1, x[2])
-            segments.append(intra_cluster_path(pa, 1, pa.v_start, nxt[0]))
-        elif i % 2 == 0:
-            segments.append(pa.path(x[i - 1], x[i - 2], x[i]))
-        else:
-            # odd i > 1: inside cluster x_i, from the end of the previous
-            # inter-cluster path to the start of the next one
-            prev = pa.path(x[i - 2], x[i - 3], x[i - 1])
-            nxt = pa.path(x[i], x[i - 1], x[i + 1])
-            segments.append(intra_cluster_path(pa, x[i - 1], prev[-1], nxt[0]))
-    walk = list(segments[0])
-    starts = [0]
-    for seg in segments[1:]:
-        if seg[0] != walk[-1]:
-            raise ValueError("cluster staircase segments do not chain")
-        starts.append(len(walk) - 1)
-        walk.extend(seg[1:])
-    return Staircase(tuple(walk), tuple(starts))
+    at = pa.v_start
+    for leg in range(c):
+        here, k, there = x[2 * leg:2 * leg + 3]
+        p = pa.path(k, here, there)
+        segments += (intra_cluster_path(pa, here, at, p[0]), p)
+        at = p[-1]
+    return chain(pa.v_start, segments)
 
 
 def separation_tail(j: int, s: Staircase) -> tuple:
@@ -264,7 +249,5 @@ def sample_separation_instance(pa: PathArrangement, c: int,
     The cluster sequence is cluster 1 followed by 2c distinct entries drawn
     uniformly from 2..m, the milestone sampler's hard distribution.
     """
-    rng = random.Random(seed)
-    x = sample_milestones(pa.m, 2 * c, rng)
-    bit = rng.randrange(2)
-    return make_separation_instance(x, bit, pa, pa.graph)
+    return make_separation_instance(*sample_sequence(pa.m, 2 * c, seed),
+                                    pa, pa.graph)

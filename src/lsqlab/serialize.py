@@ -5,6 +5,8 @@ Graph files: {"n": int, "edges": [[u, v], ...]} with 1-indexed vertices
 and edges sorted with u < v.  Path-system files list all n^2 ordered
 pairs sorted by (u, v).  Instance files reference their graph and path
 files by paths relative to the instance file rather than inlining them.
+Group files: {"table": [[...], ...], "generators": [...]}, generators
+optional unless the group builds a Cayley graph.
 Files of the wrong shape raise a ValueError that names the field.
 """
 
@@ -41,6 +43,12 @@ def _int(value, name: str) -> int:
 def _list(value, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list")
+    return value
+
+
+def _str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string")
     return value
 
 
@@ -93,6 +101,23 @@ def instance_to_dict(graph_path: str, paths_path: str, milestones, bit: int,
     return data
 
 
+def instance_from_dict(data: dict) -> tuple:
+    """(graph file, path-system file, milestones, bit) of an instance file;
+    the files as written, relative to the instance file."""
+    return (_str(_field(data, "graph", "instance"), "graph"),
+            _str(_field(data, "paths", "instance"), "paths"),
+            _ints(_field(data, "milestones", "instance"), "milestones"),
+            _int(_field(data, "bit", "instance"), "bit"))
+
+
+def group_from_dict(data: dict) -> tuple:
+    """(multiplication table, generators or None) of a group file."""
+    table = _list(_field(data, "table", "group"), "table")
+    generators = data.get("generators")
+    return (tuple(_ints(row, f"table[{i}]") for i, row in enumerate(table)),
+            None if generators is None else _ints(generators, "generators"))
+
+
 def arrangement_to_dict(pa: PathArrangement) -> dict:
     return {
         "m": pa.m,
@@ -114,25 +139,17 @@ def arrangement_from_dict(data: dict, g: Graph) -> PathArrangement:
     return PathArrangement(g, int(data["m"]), clusters, inter, int(data["v_start"]))
 
 
-def dump_json(data, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-
-
 def load_json(path):
     return json.loads(Path(path).read_text())
-
-
-def save_graph(g: Graph, path) -> None:
-    dump_json(graph_to_dict(g), path)
 
 
 def load_graph(path) -> Graph:
     return graph_from_dict(load_json(path))
 
 
-def save_path_system(ps: PathSystem, path) -> None:
-    dump_json(path_system_to_dict(ps), path)
-
-
 def load_path_system(path) -> PathSystem:
     return path_system_from_dict(load_json(path))
+
+
+def load_group(path) -> tuple:
+    return group_from_dict(load_json(path))

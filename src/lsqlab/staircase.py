@@ -48,16 +48,24 @@ def check_milestones(x, n: int) -> None:
             raise ValueError(f"milestone {v} outside 1..{n}")
 
 
+def chain(start: int, segments) -> Staircase:
+    """The walk from start through each segment in turn; every segment
+    must begin where the walk so far ends.  Both staircase kinds are put
+    together here."""
+    walk = [start]
+    starts = []
+    for seg in segments:
+        if seg[0] != walk[-1]:
+            raise ValueError(f"segment at {seg[0]} does not chain to {walk[-1]}")
+        starts.append(len(walk) - 1)
+        walk.extend(seg[1:])
+    return Staircase(tuple(walk), tuple(starts))
+
+
 def build_staircase(x, ps: PathSystem) -> Staircase:
     """Concatenate ps entries between consecutive milestones."""
     check_milestones(x, ps.n)
-    walk = [x[0]]
-    starts = []
-    for a, b in zip(x, x[1:]):
-        starts.append(len(walk) - 1)
-        seg = ps.path(a, b)
-        walk.extend(seg[1:])
-    return Staircase(tuple(walk), tuple(starts))
+    return chain(x[0], (ps.path(a, b) for a, b in zip(x, x[1:])))
 
 
 def is_good(x) -> bool:
@@ -146,8 +154,9 @@ def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
     s = build_staircase(x, ps)
     n = g.n
     walk_values = {}
-    for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
-        for pos, v in enumerate(ps.path(a, b), start=1):
+    ends = (*s.segment_starts[1:], len(s.walk) - 1)
+    for i, (lo, hi) in enumerate(zip(s.segment_starts, ends), start=1):
+        for pos, v in enumerate(s.walk[lo:hi + 1], start=1):
             walk_values[v] = -(i * n + pos)
     return hide_bit(x, bit, s, walk_values, g)
 
@@ -292,9 +301,14 @@ def sample_milestones(n: int, L: int, rng: random.Random) -> tuple:
     return (1, *rng.sample(range(2, n + 1), L))
 
 
+def sample_sequence(n: int, L: int, seed) -> tuple:
+    """Seed-deterministic draw of (sequence, bit): sample_milestones(n, L)
+    from a fresh generator, then the bit from the same generator."""
+    rng = random.Random(seed)
+    x = sample_milestones(n, L, rng)
+    return x, rng.randrange(2)
+
+
 def sample_hard_instance(g: Graph, ps: PathSystem, L: int, seed) -> HiddenBitInstance:
     """Seed-deterministic draw of (milestones, bit) plus the built instance."""
-    rng = random.Random(seed)
-    x = sample_milestones(g.n, L, rng)
-    bit = rng.randrange(2)
-    return make_instance(x, bit, ps, g)
+    return make_instance(*sample_sequence(g.n, L, seed), ps, g)

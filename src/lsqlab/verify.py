@@ -235,37 +235,50 @@ def unique_minimum_violation(g, values, expected_end):
     return None
 
 
+def _instance_violation(g, inst, start):
+    """Counterexample text unless inst's walk runs along edges of g from
+    start, its values are valid for that walk, and the walk's end is its
+    only local minimum."""
+    walk = inst.staircase.walk
+    if walk[0] != start:
+        return "wrong start"
+    for a, b in zip(walk, walk[1:]):
+        if not g.has_edge(a, b):
+            return f"non-edge ({a},{b})"
+    if not staircase.validate_function(inst.values, walk, g):
+        return "function not valid"
+    return unique_minimum_violation(g, inst.values, inst.minimum)
+
+
+def _check_instances(scope, name, cases):
+    """_instance_violation over (label, graph, start, instance) cases."""
+    for label, g, start, inst in cases:
+        bad = _instance_violation(g, inst, start)
+        if bad:
+            return _fail(scope, name, f"{label} x={inst.milestones}: {bad}")
+    return _ok(scope, name)
+
+
 def check_unique_local_minimum(samples=200, seed=0):
-    cases = []
-    for n in (3, 4, 5):
-        cases.append((f"K{n}", graphs.clique_graph(n)))
-        if n >= 3:
-            cases.append((f"C{n}", graphs.ring_graph(n)))
-    cases.append(("grid2", graphs.grid_graph(2)))
-    for name, g in cases:
-        ps = pathsystems.shortest_path_system(g)
-        for L in (1, 2, 3):
-            for x in all_sequences(g.n, L):
-                inst = staircase.make_instance(x, 0, ps, g)
-                if not staircase.validate_function(inst.values, inst.staircase.walk, g):
-                    return _fail("staircase", "unique_local_minimum",
-                                 f"{name} x={x}: function not valid")
-                bad = unique_minimum_violation(g, inst.values, inst.minimum)
-                if bad:
-                    return _fail("staircase", "unique_local_minimum",
-                                 f"{name} x={x}: {bad}")
-    rng = random.Random(seed)
-    for dim in (4, 6, 8):
-        g = graphs.hypercube_graph(dim)
-        ps = pathsystems.hypercube_path_system(g)
-        L = max(1, int(g.n ** 0.5) - 1)
-        for _ in range(max(1, samples // 3)):
-            inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))
-            bad = unique_minimum_violation(g, inst.values, inst.minimum)
-            if bad:
-                return _fail("staircase", "unique_local_minimum",
-                             f"hypercube{dim} x={inst.milestones}: {bad}")
-    return _ok("staircase", "unique_local_minimum")
+    def cases():
+        zoo = []
+        for n in (3, 4, 5):
+            zoo += [(f"K{n}", graphs.clique_graph(n)), (f"C{n}", graphs.ring_graph(n))]
+        zoo.append(("grid2", graphs.grid_graph(2)))
+        for name, g in zoo:
+            ps = pathsystems.shortest_path_system(g)
+            for L in (1, 2, 3):
+                for x in all_sequences(g.n, L):
+                    yield name, g, 1, staircase.make_instance(x, 0, ps, g)
+        rng = random.Random(seed)
+        for dim in (4, 6, 8):
+            g = graphs.hypercube_graph(dim)
+            ps = pathsystems.hypercube_path_system(g)
+            L = max(1, int(g.n ** 0.5) - 1)
+            for _ in range(max(1, samples // 3)):
+                inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))
+                yield f"hypercube{dim}", g, 1, inst
+    return _check_instances("staircase", "unique_local_minimum", cases())
 
 
 def _good_instances(g, ps, L):
@@ -317,41 +330,52 @@ def check_rv_twice_rtilde(samples=1000, seed=0):
     return _ok("staircase", "rv_twice_rtilde")
 
 
+def _m_large_violation(relation, cases):
+    """(counterexample or None, good sequences checked): M({F}) summed over
+    all sequences y against the (1/2e) lower bound, and the exact value
+    where one is given, for every good x of each (label, n, L, lower,
+    exact) case."""
+    checked = 0
+    for label, n, L, lower, exact in cases:
+        for x in good_sequences(n, L):
+            total = sum(relation(x, 0, y, 1, n) for y in all_sequences(n, L))
+            if total < lower:
+                return f"{label} x={x}: M={total} < {lower}", checked
+            if exact is not None and total != exact:
+                return f"{label} x={x}: M={total} != {exact}", checked
+            checked += 1
+    return None, checked
+
+
 def check_m_large(samples=0, seed=0):
-    for n in (4, 5):
-        for L in (1, 2):
-            lower = staircase.ONE_OVER_2E_UPPER * (L + 1) * n ** (L + 1)
-            for x in good_sequences(n, L):
-                total = sum(
-                    staircase.relation_congestion(x, 0, y, 1, n)
-                    for y in all_sequences(n, L)
+    bad, _ = _m_large_violation(staircase.relation_congestion, [
+        (f"n={n} L={L}", n, L, staircase.ONE_OVER_2E_UPPER * (L + 1) * n ** (L + 1),
+         24 if (n, L) == (4, 1) else None)
+        for n in (4, 5) for L in (1, 2)])
+    return _fail("staircase", "m_large", bad) if bad else _ok("staircase", "m_large")
+
+
+def _check_prefix_counts(scope, name, cases):
+    """count_good_with_prefix against enumeration for every good x and
+    prefix length j of each (label, n, L) case."""
+    for label, n, L in cases:
+        for x in good_sequences(n, L):
+            for j in range(1, L + 1):
+                actual = sum(
+                    1 for y in all_sequences(n, L)
+                    if staircase.is_good(y)
+                    and staircase.shared_prefix_length(x, y) == j
                 )
-                if total < lower:
-                    return _fail("staircase", "m_large",
-                                 f"n={n} L={L} x={x}: M={total} < {lower}")
-                if n == 4 and L == 1 and total != 24:
-                    return _fail("staircase", "m_large",
-                                 f"n=4 L=1 x={x}: M={total} != 24")
-    return _ok("staircase", "m_large")
+                expected = staircase.count_good_with_prefix(x, j, n)
+                if actual != expected:
+                    return _fail(scope, name, f"{label} x={x} j={j}: "
+                                              f"{actual} != {expected}")
+    return _ok(scope, name)
 
 
 def check_count_denominator(samples=0, seed=0):
-    for n in (4, 5, 6):
-        for L in (1, 2, 3):
-            if L + 1 > n:
-                continue
-            for x in good_sequences(n, L):
-                for j in range(1, L + 1):
-                    actual = sum(
-                        1 for y in all_sequences(n, L)
-                        if staircase.is_good(y)
-                        and staircase.shared_prefix_length(x, y) == j
-                    )
-                    expected = staircase.count_good_with_prefix(x, j, n)
-                    if actual != expected:
-                        return _fail("staircase", "count_denominator",
-                                     f"n={n} L={L} x={x} j={j}: {actual} != {expected}")
-    return _ok("staircase", "count_denominator")
+    return _check_prefix_counts("staircase", "count_denominator", [
+        (f"n={n} L={L}", n, L) for n in (4, 5, 6) for L in (1, 2, 3) if L + 1 <= n])
 
 
 def check_tail_count_bound(samples=0, seed=0):
@@ -440,73 +464,36 @@ def check_grid_arrangements(samples=0, seed=0):
 
 
 def check_separation_validity(samples=50, seed=0):
-    pa3 = separation.grid_path_arrangement(3)
-    for x in itertools.product(range(1, 4), repeat=2):
-        seq = (1, *x)
-        inst = separation.make_separation_instance(seq, 0, pa3, pa3.graph)
-        if not staircase.validate_function(inst.values, inst.staircase.walk,
-                                           pa3.graph):
-            return _fail("separation", "validity", f"side 3 x={seq}: invalid")
-        bad = unique_minimum_violation(pa3.graph, inst.values, inst.minimum)
-        if bad:
-            return _fail("separation", "validity", f"side 3 x={seq}: {bad}")
-    rng = random.Random(seed)
-    pa4 = separation.grid_path_arrangement(4)
-    for _ in range(samples):
-        c = rng.choice((1, 2))
-        seq = (1, *(rng.randrange(1, 5) for _ in range(2 * c)))
-        inst = separation.make_separation_instance(seq, rng.randrange(2),
-                                                   pa4, pa4.graph)
-        walk = inst.staircase.walk
-        if walk[0] != pa4.v_start:
-            return _fail("separation", "validity", f"x={seq}: wrong start")
-        for a, b in zip(walk, walk[1:]):
-            if not pa4.graph.has_edge(a, b):
-                return _fail("separation", "validity",
-                             f"x={seq}: non-edge ({a},{b})")
-        bad = unique_minimum_violation(pa4.graph, inst.values, inst.minimum)
-        if bad:
-            return _fail("separation", "validity", f"side 4 x={seq}: {bad}")
-    return _ok("separation", "validity")
+    def cases():
+        pa3 = separation.grid_path_arrangement(3)
+        for x in itertools.product(range(1, 4), repeat=2):
+            inst = separation.make_separation_instance((1, *x), 0, pa3, pa3.graph)
+            yield "side 3", pa3.graph, pa3.v_start, inst
+        rng = random.Random(seed)
+        pa4 = separation.grid_path_arrangement(4)
+        for _ in range(samples):
+            c = rng.choice((1, 2))
+            seq = (1, *(rng.randrange(1, 5) for _ in range(2 * c)))
+            inst = separation.make_separation_instance(seq, rng.randrange(2),
+                                                       pa4, pa4.graph)
+            yield "side 4", pa4.graph, pa4.v_start, inst
+    return _check_instances("separation", "validity", cases())
 
 
 def check_separation_m_large(samples=0, seed=0):
-    checked = 0
-    for m in (4, 5, 6):
-        for c in (1, 2):
-            if 2 * c + 1 > m:
-                continue  # no good sequences exist
-            lower = staircase.ONE_OVER_2E_UPPER * (c + 1) * m ** (2 * c + 1)
-            for x in good_sequences(m, 2 * c):
-                total = sum(
-                    separation.relation_separation(x, 0, y, 1, m)
-                    for y in all_sequences(m, 2 * c)
-                )
-                if total < lower:
-                    return _fail("separation", "m_large",
-                                 f"m={m} c={c} x={x}: M={total} < {lower}")
-                checked += 1
+    bad, checked = _m_large_violation(separation.relation_separation, [
+        (f"m={m} c={c}", m, 2 * c,
+         staircase.ONE_OVER_2E_UPPER * (c + 1) * m ** (2 * c + 1), None)
+        for m in (4, 5, 6) for c in (1, 2) if 2 * c + 1 <= m])  # else no good x
+    if bad:
+        return _fail("separation", "m_large", bad)
     return _ok("separation", "m_large", f"{checked} good sequences")
 
 
 def check_separation_count(samples=0, seed=0):
-    for m in (4, 5, 6):
-        for c in (1, 2):
-            if 2 * c + 1 > m:
-                continue
-            for x in good_sequences(m, 2 * c):
-                for j in range(1, 2 * c + 1):
-                    actual = sum(
-                        1 for y in all_sequences(m, 2 * c)
-                        if staircase.is_good(y)
-                        and staircase.shared_prefix_length(x, y) == j
-                    )
-                    expected = staircase.count_good_with_prefix(x, j, m)
-                    if actual != expected:
-                        return _fail("separation", "count_formula",
-                                     f"m={m} c={c} x={x} j={j}: "
-                                     f"{actual} != {expected}")
-    return _ok("separation", "count_formula")
+    return _check_prefix_counts("separation", "count_formula", [
+        (f"m={m} c={c}", m, 2 * c) for m in (4, 5, 6) for c in (1, 2)
+        if 2 * c + 1 <= m])
 
 
 def check_parameter_bound(samples=0, seed=0):

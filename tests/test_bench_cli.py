@@ -269,6 +269,31 @@ def test_cli_rejects_malformed_graph_json(tmp_path, text, field):
     assert field in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command, text, field", [
+    (("solve", "--instance"), '[1]', "instance must be a JSON object"),
+    (("solve", "--instance"),
+     '{"graph": 5, "paths": "p.json", "milestones": [1, 2], "bit": 0}',
+     "graph must be a string"),
+    (("solve", "--instance"),
+     '{"graph": "g.json", "paths": "p.json", "milestones": 3, "bit": 0}',
+     "milestones must be a list"),
+    (("gen", "--kind", "cayley", "--group"), '[1]', "group must be a JSON object"),
+    (("gen", "--kind", "cayley", "--group"), '{"table": 5, "generators": [2]}',
+     "table must be a list"),
+    (("gen", "--kind", "cayley", "--group"),
+     '{"table": [[1, 2], [2, 1]], "generators": 2}', "generators must be a list"),
+    (("gen", "--kind", "cayley", "--group"),
+     '{"table": [[1, 2], [2, 1]], "generators": [9]}', "generator 9 outside 1..2"),
+])
+def test_cli_rejects_malformed_instance_and_group_json(tmp_path, command, text,
+                                                       field):
+    f = tmp_path / "f.json"
+    f.write_text(text)
+    r = run_cli(*command, str(f))
+    assert r.returncode != 0
+    assert field in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_rejects_path_key_outside_range(tmp_path):
     gfile = tmp_path / "g.json"
     pfile = tmp_path / "p.json"

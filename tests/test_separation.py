@@ -218,3 +218,51 @@ def test_intra_cluster_path_matches_reference(nine_vertex_arrangement):
     split = L.PathArrangement(g, 1, (frozenset({1, 3}),), {}, v_start=1)
     with pytest.raises(ValueError, match="does not connect 1 and 3"):
         intra_cluster_path(split, 1, 1, 3)
+
+
+def _cluster_staircase_reference(x, pa):
+    """The three-branch construction cluster_staircase ran before it
+    chained one intra-cluster path and one inter-cluster path per leg."""
+    c = (len(x) - 1) // 2
+    if c == 0:
+        return L.Staircase((pa.v_start,), ())
+    segments = []
+    for i in range(1, 2 * c + 1):
+        if i == 1:
+            nxt = pa.path(x[1], 1, x[2])
+            segments.append(intra_cluster_path(pa, 1, pa.v_start, nxt[0]))
+        elif i % 2 == 0:
+            segments.append(pa.path(x[i - 1], x[i - 2], x[i]))
+        else:
+            prev = pa.path(x[i - 2], x[i - 3], x[i - 1])
+            nxt = pa.path(x[i], x[i - 1], x[i + 1])
+            segments.append(intra_cluster_path(pa, x[i - 1], prev[-1], nxt[0]))
+    walk = list(segments[0])
+    starts = [0]
+    for seg in segments[1:]:
+        assert seg[0] == walk[-1]
+        starts.append(len(walk) - 1)
+        walk.extend(seg[1:])
+    return L.Staircase(tuple(walk), tuple(starts))
+
+
+def test_cluster_staircase_matches_reference(nine_vertex_arrangement,
+                                             monkeypatch):
+    arrangements = [L.grid_path_arrangement(side) for side in range(2, 6)]
+    arrangements.append(nine_vertex_arrangement[1])
+    reads = []
+    path = L.PathArrangement.path
+    for pa in arrangements:
+        for c in (0, 1, 2):
+            for rest in itertools.product(range(1, pa.m + 1), repeat=2 * c):
+                x = (1, *rest)
+                want = _cluster_staircase_reference(x, pa)
+                with monkeypatch.context() as m:
+                    m.setattr(L.PathArrangement, "path",
+                              lambda self, *key: reads.append(key)
+                              or path(self, *key))
+                    assert cluster_staircase(x, pa) == want
+                # one inter-cluster path read per leg
+                assert reads == [(x[2 * leg + 1], x[2 * leg], x[2 * leg + 2])
+                                 for leg in range(c)]
+                reads.clear()

@@ -7,6 +7,7 @@ import pytest
 
 import lsqlab as L
 from lsqlab.staircase import (
+    chain,
     count_good_with_prefix,
     make_instance,
     sample_milestones,
@@ -25,6 +26,24 @@ def test_staircase_walk_grid(grid16_example):
     g, ps, x = grid16_example
     s = L.build_staircase(x, ps)
     assert s.walk == (1, 2, 3, 7, 6, 10, 11, 7, 8, 12, 16)
+
+
+def test_chain_rejects_segments_that_do_not_meet():
+    assert chain(1, [(1, 2), (2, 3)]) == L.Staircase((1, 2, 3), (0, 1))
+    with pytest.raises(ValueError, match="segment at 4 does not chain to 2"):
+        chain(1, [(1, 2), (4, 3)])
+    with pytest.raises(ValueError, match="segment at 2 does not chain to 1"):
+        chain(1, [(2, 3)])
+
+
+def test_make_instance_reads_each_path_once(grid16_example, monkeypatch):
+    g, ps, x = grid16_example
+    reads = []
+    path = type(ps).path
+    monkeypatch.setattr(type(ps), "path",
+                        lambda self, u, v: reads.append((u, v)) or path(self, u, v))
+    make_instance(x, 1, ps, g)
+    assert reads == list(zip(x, x[1:]))
 
 
 def test_degenerate_staircase():
