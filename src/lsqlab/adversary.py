@@ -269,6 +269,8 @@ def family_staircase(g: Graph, ps: PathSystem, L: int, cap: int | None = None):
     capped (default 10^4).  Also returns the provenance instances aligned
     with the family's function order.
     """
+    if L < 0:
+        raise ValueError(f"L: must be >= 0, got {L}")
     n = g.n
     size = 2 * n ** L
     check_cap("family_staircase", size, cap, FAMILY_CAP_DEFAULT)

@@ -70,9 +70,7 @@ def cmd_metrics(args):
 def _load_paths(path, g):
     """A path-system file, checked to be a system of paths in g."""
     ps = serialize.load_path_system(path)
-    if ps.n != g.n:
-        raise ValueError("path system size does not match the graph")
-    pathsystems._check_paths_in_graph(g, ps)
+    ps.check_graph(g)
     return ps
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import graphs
 from .errors import check_cap
 from .graphs import Graph, bfs_tree, group_inverses, tree_path, validate_group_table
 
@@ -41,6 +42,15 @@ class PathSystem:
     def path(self, u: int, v: int) -> tuple:
         return self.paths[(u, v)]
 
+    def check_graph(self, g: Graph) -> None:
+        """Raise ValueError unless this is a system of paths in g."""
+        if self.n != g.n:
+            raise ValueError("path system size does not match the graph")
+        for (u, v), p in self.paths.items():
+            for a, b in zip(p, p[1:]):
+                if not g.has_edge(a, b):
+                    raise ValueError(f"path for ({u},{v}) uses non-edge ({a},{b})")
+
     def iter_items(self):
         return self.paths.items()
 
@@ -53,13 +63,6 @@ class CongestionProfile:
     per_edge: dict
     max_vertex: int
     max_edge: int
-
-
-def _check_paths_in_graph(g: Graph, ps: PathSystem) -> None:
-    for (u, v), p in ps.iter_items():
-        for a, b in zip(p, p[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"path for ({u},{v}) uses non-edge ({a},{b})")
 
 
 def shortest_path_system(g: Graph) -> PathSystem:
@@ -77,22 +80,6 @@ def shortest_path_system(g: Graph) -> PathSystem:
 # ---------------------------------------------------------------------------
 
 
-def _hypercube_dim(g: Graph) -> int:
-    n = g.n
-    dim = n.bit_length() - 1
-    if 1 << dim != n:
-        raise ValueError("vertex count is not a power of two")
-    expected = set()
-    for x in range(n):
-        for b in range(dim):
-            y = x ^ (1 << b)
-            if y > x:
-                expected.add((x + 1, y + 1))
-    if set(g.edges) != expected:
-        raise ValueError("graph is not the canonical labelled hypercube")
-    return dim
-
-
 def bit_fixing_path(u: int, v: int, dim: int) -> tuple:
     """Toggle differing bits MSB-first; vertices are 1 + bit pattern."""
     cur = u - 1
@@ -107,8 +94,13 @@ def bit_fixing_path(u: int, v: int, dim: int) -> tuple:
 
 
 def hypercube_path_system(g: Graph) -> PathSystem:
-    """Bit-fixing paths on a hypercube; congestion is exactly N*(1+dim/2)."""
-    dim = _hypercube_dim(g)
+    """Bit-fixing paths on a hypercube; congestion is exactly N*(1+dim/2).
+
+    g must be graphs.hypercube_graph(dim), or the one-vertex graph (dim 0).
+    """
+    dim = g.n.bit_length() - 1
+    if g.n > 1 and g != graphs.hypercube_graph(dim):
+        raise ValueError("graph is not the canonical labelled hypercube")
     paths = {}
     for u in g.vertices():
         for v in g.vertices():
@@ -124,26 +116,17 @@ def hypercube_path_system(g: Graph) -> PathSystem:
 def cayley_path_system(g: Graph, table) -> PathSystem:
     """Translate a base system of shortest paths from the identity.
 
-    Edges must be the right-multiplication Cayley edges {u, u*s}, with the
+    Edges must be graphs.cayley_edges(table, generators), with the
     generators read off as the identity's neighbors; then left translation
-    u * P(1, w) maps paths to paths and every vertex sees identical
-    congestion, at most (diameter + 1) * n.
+    u * P(1, w) maps each edge {x, x*s} to an edge and so paths to paths,
+    and every vertex sees identical congestion, at most (diameter + 1) * n.
     """
     n = validate_group_table(table)
     if n != g.n:
         raise ValueError("group order does not match vertex count")
-    gens = set(g.neighbors(1))
-    inv = group_inverses(table)
-    expected = set()
-    for u in g.vertices():
-        for s in gens:
-            v = table[u - 1][s - 1]
-            if u == v:
-                raise ValueError("generator fixes a vertex (identity generator?)")
-            expected.add((min(u, v), max(u, v)))
-    if expected != set(g.edges):
+    if n > 1 and graphs.cayley_edges(table, g.neighbors(1)) != g.edges:
         raise ValueError("graph is not the Cayley graph of the supplied group")
-
+    inv = group_inverses(table)
     _, parent = bfs_tree(g, 1)
     base = {w: tree_path(parent, 1, w) for w in g.vertices()}
     paths = {}
@@ -152,9 +135,7 @@ def cayley_path_system(g: Graph, table) -> PathSystem:
         for v in g.vertices():
             w = table[inv[u] - 1][v - 1]
             paths[(u, v)] = tuple(row[p - 1] for p in base[w])
-    ps = PathSystem(g.n, paths)
-    _check_paths_in_graph(g, ps)
-    return ps
+    return PathSystem(g.n, paths)
 
 
 # ---------------------------------------------------------------------------

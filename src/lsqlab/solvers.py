@@ -22,12 +22,16 @@ class QueryOracle:
     def __init__(self, target):
         self._fn = target if callable(target) else target.__getitem__
         self.memo = {}
-        self.transcript = []
         self.raw_calls = 0
 
     @property
     def count(self) -> int:
         return len(self.memo)
+
+    @property
+    def transcript(self) -> list:
+        """(vertex, answer) of each first query, in query order."""
+        return list(self.memo.items())
 
     def query(self, v: int):
         self.raw_calls += 1
@@ -35,7 +39,6 @@ class QueryOracle:
             return self.memo[v]
         ans = self._fn(v)
         self.memo[v] = ans
-        self.transcript.append((v, ans))
         return ans
 
     def value(self, v: int):

@@ -296,6 +296,8 @@ def sample_milestones(n: int, L: int, rng: random.Random) -> tuple:
     which is exactly the relation-induced hard distribution restricted to
     good functions.
     """
+    if L < 0:
+        raise ValueError(f"L: must be >= 0, got {L}")
     if L + 1 > n:
         raise ValueError(f"need L + 1 <= n, got L={L}, n={n}")
     return (1, *rng.sample(range(2, n + 1), L))

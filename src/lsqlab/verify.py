@@ -709,6 +709,8 @@ SUITES = {
 
 def run_verify(scope: str = "all", budget: int | None = None, seed: int = 0):
     """Run a scope's checks (or all); returns the list of CheckResults."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget: must be >= 0, got {budget}")
     if scope == "all":
         scopes = list(SUITES)
     elif scope in SUITES:

@@ -155,6 +155,15 @@ def test_family_staircase_small():
     assert vb.min_ratio >= 1 / (2 * ab.v_min)
 
 
+def test_family_staircase_rejects_negative_L():
+    g = L.ring_graph(5)
+    ps = L.shortest_path_system(g)
+    with pytest.raises(ValueError, match="L: must be >= 0, got -1"):
+        L.family_staircase(g, ps, -1)
+    fam, _, _ = L.family_staircase(g, ps, 0)
+    assert (fam.name, fam.size) == ("staircase_n5_L0", 2)
+
+
 def test_family_staircase_cap():
     g = L.clique_graph(4)
     ps = L.shortest_path_system(g)

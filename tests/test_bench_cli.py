@@ -84,6 +84,35 @@ def test_bench_arrangement_mode():
                     (SolverSpec("descent"),), trials=1, master_seed=0, c=1)
 
 
+def test_bench_arrangement_mode_needs_the_grid_graph(tmp_path):
+    grid = L.grid_graph(4)
+    swapped = L.graphs.relabel(grid, {v: {1: 2, 2: 1}.get(v, v)
+                                      for v in grid.vertices()})
+    relabeled = tmp_path / "relabeled.json"
+    relabeled.write_text(json.dumps(
+        {"n": 16, "edges": sorted(map(list, swapped.edges))}))
+    for g in (L.hypercube_graph(4), L.clique_graph(16), swapped):
+        with pytest.raises(ValueError, match="square grid"):
+            BenchConfig("file", g, "bfs", 0, (SolverSpec("descent"),),
+                        trials=1, master_seed=0, c=1)
+    args = ("--c", "1", "--solver", "descent", "--solver", "warm-start",
+            "--trials", "5", "--seed", "3")
+    for graph in (("--kind", "hypercube", "--dim", "4"),
+                  ("--kind", "clique", "--n", "16"),
+                  ("--graph", str(relabeled))):
+        r = run_cli("bench", *graph, *args)
+        assert r.returncode == 1 and r.stdout == ""
+        assert "square grid" in r.stderr and "Traceback" not in r.stderr
+    gfile = tmp_path / "grid.json"
+    assert run_cli("gen", "--kind", "grid", "--side", "4",
+                   "--out", str(gfile)).returncode == 0
+    built = run_cli("bench", "--kind", "grid", "--side", "4", *args)
+    loaded = run_cli("bench", "--graph", str(gfile), *args)
+    assert built.returncode == 0 and loaded.returncode == 0
+    assert len(built.stdout.splitlines()) == 11
+    assert built.stdout == loaded.stdout.replace("\nfile,", "\ngrid,")
+
+
 def test_run_verify_all_scopes_small_budget():
     from lsqlab.verify import run_verify
 
@@ -190,6 +219,39 @@ def test_cli_verify_scope():
     assert r.returncode == 0
     report = json.loads(r.stdout)
     assert report["failed"] == 0
+
+
+def test_verify_rejects_negative_budget():
+    from lsqlab.verify import run_verify
+
+    with pytest.raises(ValueError, match="budget"):
+        run_verify("staircase", budget=-1)
+    r = run_cli("verify", "--budget", "-5")
+    assert r.returncode == 1
+    assert "budget" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_cli_rejects_negative_L(tmp_path):
+    gfile = tmp_path / "g.json"
+    pfile = tmp_path / "p.json"
+    assert run_cli("gen", "--kind", "hypercube", "--dim", "3",
+                   "--out", str(gfile)).returncode == 0
+    assert run_cli("paths", "--graph", str(gfile), "--strategy", "hypercube",
+                   "--out", str(pfile)).returncode == 0
+    for args in (("adversary", "--family", "staircase", "--kind", "ring",
+                  "--n", "5", "--L", "-1"),
+                 ("instance", "--graph", str(gfile), "--paths", str(pfile),
+                  "--L", "-2")):
+        r = run_cli(*args)
+        assert r.returncode == 1 and r.stdout == ""
+        assert "L: must be >= 0" in r.stderr and "Traceback" not in r.stderr
+    r = run_cli("adversary", "--family", "staircase", "--kind", "ring",
+                "--n", "5", "--L", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["family"] == "staircase_n5_L0"
+    r = run_cli("instance", "--graph", str(gfile), "--paths", str(pfile),
+                "--L", "0")
+    assert r.returncode == 0 and json.loads(r.stdout)["milestones"] == [1]
 
 
 def test_cli_validation_failures_exit_nonzero(tmp_path):

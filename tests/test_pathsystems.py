@@ -54,6 +54,27 @@ def test_bit_fixing_msb_first():
 def test_hypercube_system_rejects_other_graphs():
     with pytest.raises(ValueError):
         L.hypercube_path_system(L.ring_graph(6))
+    h3 = L.hypercube_graph(3)
+    swapped = L.graphs.relabel(h3, {v: {1: 2, 2: 1}.get(v, v)
+                                    for v in h3.vertices()})
+    with pytest.raises(ValueError, match="canonical labelled hypercube"):
+        L.hypercube_path_system(swapped)
+
+
+def test_one_vertex_path_systems():
+    g = L.from_edges(1, [])
+    for ps in (L.hypercube_path_system(g), L.cayley_path_system(g, ((1,),))):
+        assert ps.n == 1 and ps.paths == {(1, 1): (1,)}
+
+
+def test_path_system_check_graph():
+    ps = L.shortest_path_system(L.ring_graph(4))
+    ps.check_graph(L.ring_graph(4))
+    ps.check_graph(L.clique_graph(4))  # every ring path is a clique path
+    with pytest.raises(ValueError, match="size does not match"):
+        ps.check_graph(L.ring_graph(5))
+    with pytest.raises(ValueError, match=r"path for \(1,2\) uses non-edge \(1,2\)"):
+        ps.check_graph(L.from_edges(4, [(1, 3), (2, 3), (2, 4), (1, 4)]))
 
 
 def test_cayley_system_examples():

@@ -168,6 +168,15 @@ def test_sampler_shape_and_determinism():
         L.sample_hard_instance(g, ps, 4, seed=0)
 
 
+def test_sampler_rejects_negative_L():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="L: must be >= 0, got -1"):
+        sample_milestones(5, -1, rng)
+    assert sample_milestones(5, 0, rng) == (1,)
+    with pytest.raises(ValueError, match="need L \\+ 1 <= n, got L=5, n=5"):
+        sample_milestones(5, 5, rng)
+
+
 def test_sampler_position_marginal():
     rng = random.Random(0)
     n, trials = 10, 10000
