@@ -7,7 +7,7 @@ congestion formulas for the hypercube and Cayley systems.
 """
 
 import lsqlab as L
-from lsqlab.pathsystems import PathSystem, shortest_path_system
+from lsqlab.pathsystems import PathTable, shortest_path_system
 
 print("=" * 70)
 print("1. A staircase that revisits vertices (12-vertex graph)")
@@ -17,12 +17,12 @@ g = L.from_edges(12, [
     (1, 3), (3, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 6), (6, 10),
     (10, 3), (3, 11), (1, 2), (2, 4), (11, 12),
 ])
-paths = dict(shortest_path_system(g).paths)
+paths = shortest_path_system(g).table()
 paths[(1, 6)] = (1, 3, 5, 6)
 paths[(6, 8)] = (6, 7, 8)
 paths[(8, 6)] = (8, 9, 6)
 paths[(6, 11)] = (6, 10, 3, 11)
-ps = PathSystem(12, paths)
+ps = PathTable(12, paths)
 
 x = (1, 6, 8, 6, 11)  # milestones may repeat; the sequence is "bad"
 stair = L.build_staircase(x, ps)
@@ -42,11 +42,11 @@ print("2. The 4x4 grid instance")
 print("=" * 70)
 
 g2 = L.grid_graph(4)
-p2 = dict(shortest_path_system(g2).paths)
+p2 = shortest_path_system(g2).table()
 p2[(1, 6)] = (1, 2, 3, 7, 6)
 p2[(6, 11)] = (6, 10, 11)
 p2[(11, 16)] = (11, 7, 8, 12, 16)
-ps2 = PathSystem(16, p2)
+ps2 = PathTable(16, p2)
 x2 = (1, 6, 11, 16)
 stair2 = L.build_staircase(x2, ps2)
 v2 = L.value_function(x2, ps2, g2)

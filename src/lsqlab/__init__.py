@@ -30,6 +30,7 @@ from .graphs import (
 from .pathsystems import (
     CongestionProfile,
     PathSystem,
+    PathTable,
     cayley_path_system,
     congestion,
     hypercube_path_system,

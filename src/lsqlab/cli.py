@@ -201,19 +201,19 @@ def cmd_adversary(args):
 
 def cmd_verify(args):
     results = verify.run_verify(args.scope, budget=args.budget, seed=args.seed)
-    failed = [r for r in results if not r.passed]
+    failed = [r for r in results if not (r.passed or r.skipped)]
     report = {
         "checks": [
             {"scope": r.scope, "name": r.name, "passed": r.passed,
-             "detail": r.detail}
+             "detail": r.detail, **({"skipped": True} if r.skipped else {})}
             for r in results
         ],
-        "passed": len(results) - len(failed),
+        "passed": sum(r.passed for r in results),
         "failed": len(failed),
     }
     _emit(args, report)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
+        status = "SKIP" if r.skipped else "PASS" if r.passed else "FAIL"
         line = f"[{status}] {r.scope}/{r.name}"
         if r.detail:
             line += f": {r.detail}"

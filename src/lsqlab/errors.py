@@ -15,14 +15,17 @@ def resolve_cap(explicit: int | None, default: int) -> int:
     """Pick the cap for a brute-force routine.
 
     Priority: explicit argument, then the LSQLAB_MAX_EXHAUSTIVE environment
-    variable, then the built-in default.
+    variable, then the built-in default.  A variable that is not a
+    nonnegative integer raises ValueError.
     """
     if explicit is not None:
         return explicit
     env = os.environ.get(ENV_CAP)
-    if env is not None:
-        return int(env)
-    return default
+    if env is None:
+        return default
+    if not env.strip().isdecimal():
+        raise ValueError(f"{ENV_CAP} must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 def check_cap(what: str, size: int, explicit: int | None, default: int) -> None:

@@ -1,14 +1,27 @@
 """All-pairs path systems and their vertex/edge congestion.
 
-A path system stores one simple path per ordered vertex pair, with the
+A path system holds one simple path per ordered vertex pair, with the
 trivial path (u,) for every pair (u, u).  Congestion counts paths with
 multiplicity, which only matters for walks fed through the same counters
 elsewhere in the package.
+
+Three representations share the PathSystem interface:
+  PathTable       a table {(u, v): path} over all n^2 pairs: the brute
+                  oracle's output, path-system files and hand-made fixtures;
+  SourceTrees     one BFS tree per source (the bfs strategy): path(u, v)
+                  is v's path in u's tree;
+  TranslateTrees  left translates u * base(u^-1 v) of one tree rooted at
+                  the identity 1: CayleyTrees (the cayley strategy) and
+                  HypercubeTrees (the hypercube strategy).
+Every built-in strategy is prefix-closed from each source, so the number of
+paths from u through v is the size of v's subtree in u's tree; congestion is
+counted from subtree sizes, never by walking n^2 paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from . import graphs
 from .errors import check_cap
@@ -20,9 +33,38 @@ ORACLE_PATHS_PER_PAIR_CAP = 512
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Complete table {(u, v): path} over all ordered pairs of 1..n."""
+    """One simple path per ordered pair of 1..n; path(u, v) reads it.
+
+    Each representation supplies path, _counts (the per-vertex and
+    per-edge membership counts of congestion) and _through (the counts of
+    num_paths_through).
+    """
 
     n: int
+
+    def path(self, u: int, v: int) -> tuple:
+        raise NotImplementedError
+
+    def table(self) -> dict:
+        """A fresh {(u, v): path} dict of all n^2 paths: the one O(n^2)
+        read-out, for callers that need every path at once."""
+        vs = range(1, self.n + 1)
+        return {(u, v): self.path(u, v) for u in vs for v in vs}
+
+    def check_graph(self, g: Graph) -> None:
+        """Raise ValueError unless this is a system of paths in g."""
+        if self.n != g.n:
+            raise ValueError("path system size does not match the graph")
+        for (u, v), p in self.table().items():
+            for a, b in zip(p, p[1:]):
+                if not g.has_edge(a, b):
+                    raise ValueError(f"path for ({u},{v}) uses non-edge ({a},{b})")
+
+
+@dataclass(frozen=True)
+class PathTable(PathSystem):
+    """Complete table {(u, v): path} over all ordered pairs of 1..n."""
+
     paths: dict = field(repr=False)
 
     def __post_init__(self):
@@ -42,17 +84,140 @@ class PathSystem:
     def path(self, u: int, v: int) -> tuple:
         return self.paths[(u, v)]
 
-    def check_graph(self, g: Graph) -> None:
-        """Raise ValueError unless this is a system of paths in g."""
-        if self.n != g.n:
-            raise ValueError("path system size does not match the graph")
-        for (u, v), p in self.paths.items():
-            for a, b in zip(p, p[1:]):
-                if not g.has_edge(a, b):
-                    raise ValueError(f"path for ({u},{v}) uses non-edge ({a},{b})")
+    def table(self) -> dict:
+        return dict(self.paths)
 
-    def iter_items(self):
-        return self.paths.items()
+    def _counts(self) -> tuple:
+        per_vertex = dict.fromkeys(range(1, self.n + 1), 0)
+        per_edge = {}
+        for p in self.paths.values():
+            for v in p:
+                per_vertex[v] += 1
+            for a, b in zip(p, p[1:]):
+                e = (min(a, b), max(a, b))
+                per_edge[e] = per_edge.get(e, 0) + 1
+        return per_vertex, per_edge
+
+    def _through(self, v: int) -> dict:
+        counts = dict.fromkeys(range(1, self.n + 1), 0)
+        for (u, _), p in self.paths.items():
+            if v in p:
+                counts[u] += 1
+        return counts
+
+
+def _subtree_sizes(tree) -> list:
+    """size[v] of a (dist, parent) tree as bfs_tree returns it: the number
+    of vertices whose tree path from the root runs through v."""
+    dist, parent = tree
+    size = [1] * len(parent)
+    for w in sorted(range(1, len(parent)), key=dist.__getitem__, reverse=True):
+        size[parent[w]] += size[w]  # the root adds itself to unused index 0
+    return size
+
+
+@dataclass(frozen=True)
+class SourceTrees(PathSystem):
+    """trees[u] is bfs_tree(g, u), (dist, parent); trees[0] is unused."""
+
+    trees: tuple = field(repr=False)
+
+    def path(self, u: int, v: int) -> tuple:
+        return tree_path(self.trees[u][1], u, v)
+
+    def _counts(self) -> tuple:
+        # one source's subtree sizes at a time: O(n) memory besides the
+        # trees and the counts
+        n = self.n
+        load = [0] * (n + 1)
+        per_edge = {}
+        for tree in self.trees[1:]:
+            size = _subtree_sizes(tree)
+            load = list(map(add, load, size))
+            for w, p in enumerate(tree[1]):
+                if p:  # not index 0 or the root: the tree edge above w
+                    e = (p, w) if p < w else (w, p)
+                    per_edge[e] = per_edge.get(e, 0) + size[w]
+        return {v: load[v] for v in range(1, n + 1)}, per_edge
+
+    def _through(self, v: int) -> dict:
+        return {u: _subtree_sizes(self.trees[u])[v] for u in range(1, self.n + 1)}
+
+
+@dataclass(frozen=True)
+class TranslateTrees(PathSystem):
+    """path(u, v) = u * base(u^-1 v) in a group on 1..n with identity 1:
+    base is a (dist, parent) tree rooted at 1 and inv[a] = a^-1.
+    Subclasses supply the product mul(a, b) and path."""
+
+    base: tuple = field(repr=False)
+    inv: tuple = field(repr=False)
+    # patterns[w]: the base path to w as vertex - 1 per vertex
+    patterns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dist, parent = self.base
+        patterns = [()] * (self.n + 1)
+        for w in sorted(range(1, self.n + 1), key=dist.__getitem__):
+            patterns[w] = patterns[parent[w]] + (w - 1,)
+        object.__setattr__(self, "patterns", tuple(patterns))
+
+    def mul(self, a: int, b: int) -> int:
+        raise NotImplementedError
+
+    def _counts(self) -> tuple:
+        n, mul, inv = self.n, self.mul, self.inv
+        parent = self.base[1]
+        size = _subtree_sizes(self.base)
+        # Every vertex lies on sum_w size[w] = sum_w (depth(w) + 1) paths.
+        per_vertex = dict.fromkeys(range(1, n + 1), sum(size[1:]))
+        # load[s]: subtree sizes summed over base edges (p, c) with p^-1 c = s;
+        # edge {x, x*s} carries the translates of those run either way.
+        load = {}
+        for c in range(2, n + 1):
+            s = mul(inv[parent[c]], c)
+            load[s] = load.get(s, 0) + size[c]
+        per_edge = {}
+        for x in range(1, n + 1):
+            for s, k in load.items():
+                y = mul(x, s)
+                if x < y:
+                    per_edge[(x, y)] = k + load[inv[s]]
+        return per_vertex, per_edge
+
+    def _through(self, v: int) -> dict:
+        size = _subtree_sizes(self.base)
+        mul, inv = self.mul, self.inv
+        return {u: size[mul(inv[u], v)] for u in range(1, self.n + 1)}
+
+
+@dataclass(frozen=True)
+class CayleyTrees(TranslateTrees):
+    """Translates by the rows of group, a 1-indexed multiplication table."""
+
+    group: tuple = field(repr=False)
+
+    def mul(self, a: int, b: int) -> int:
+        return self.group[a - 1][b - 1]
+
+    def path(self, u: int, v: int) -> tuple:
+        w = self.group[self.inv[u] - 1][v - 1]
+        return tuple(map(self.group[u - 1].__getitem__, self.patterns[w]))
+
+
+@dataclass(frozen=True)
+class HypercubeTrees(TranslateTrees):
+    """The bit-fixing system: the group product is XOR on v - 1, and in the
+    base tree the parent of w clears the lowest set bit of w - 1, so the
+    path from 1 sets bits from the top down and every path toggles the most
+    significant differing bit first."""
+
+    def mul(self, a: int, b: int) -> int:
+        return ((a - 1) ^ (b - 1)) + 1
+
+    def path(self, u: int, v: int) -> tuple:
+        x = u - 1
+        return tuple([(p ^ x) + 1 for p in self.patterns[((v - 1) ^ x) + 1]])
 
 
 @dataclass(frozen=True)
@@ -65,55 +230,31 @@ class CongestionProfile:
     max_edge: int
 
 
-def shortest_path_system(g: Graph) -> PathSystem:
+def shortest_path_system(g: Graph) -> SourceTrees:
     """BFS shortest paths for every ordered pair, deterministic tie-break."""
-    paths = {}
-    for u in g.vertices():
-        _, parent = bfs_tree(g, u)
-        for v in g.vertices():
-            paths[(u, v)] = tree_path(parent, u, v)
-    return PathSystem(g.n, paths)
+    return SourceTrees(g.n, (None, *(bfs_tree(g, u) for u in g.vertices())))
 
 
 # ---------------------------------------------------------------------------
-# Hypercube bit-fixing system
+# Translate systems: the hypercube's bit-fixing paths and Cayley translates
 # ---------------------------------------------------------------------------
 
 
-def bit_fixing_path(u: int, v: int, dim: int) -> tuple:
-    """Toggle differing bits MSB-first; vertices are 1 + bit pattern."""
-    cur = u - 1
-    tgt = v - 1
-    path = [u]
-    for b in range(dim - 1, -1, -1):
-        mask = 1 << b
-        if (cur ^ tgt) & mask:
-            cur ^= mask
-            path.append(cur + 1)
-    return tuple(path)
-
-
-def hypercube_path_system(g: Graph) -> PathSystem:
-    """Bit-fixing paths on a hypercube; congestion is exactly N*(1+dim/2).
+def hypercube_path_system(g: Graph) -> HypercubeTrees:
+    """Bit-fixing paths; congestion is exactly N*(1+dim/2).
 
     g must be graphs.hypercube_graph(dim), or the one-vertex graph (dim 0).
     """
-    dim = g.n.bit_length() - 1
-    if g.n > 1 and g != graphs.hypercube_graph(dim):
+    n = g.n
+    dim = n.bit_length() - 1
+    if n > 1 and g != graphs.hypercube_graph(dim):
         raise ValueError("graph is not the canonical labelled hypercube")
-    paths = {}
-    for u in g.vertices():
-        for v in g.vertices():
-            paths[(u, v)] = bit_fixing_path(u, v, dim)
-    return PathSystem(g.n, paths)
+    dist = [-1] + [(w - 1).bit_count() for w in range(1, n + 1)]
+    parent = [0, 0] + [((w - 1) & (w - 2)) + 1 for w in range(2, n + 1)]
+    return HypercubeTrees(n, (dist, parent), tuple(range(n + 1)))
 
 
-# ---------------------------------------------------------------------------
-# Cayley translate system
-# ---------------------------------------------------------------------------
-
-
-def cayley_path_system(g: Graph, table) -> PathSystem:
+def cayley_path_system(g: Graph, table) -> CayleyTrees:
     """Translate a base system of shortest paths from the identity.
 
     Edges must be graphs.cayley_edges(table, generators), with the
@@ -126,16 +267,7 @@ def cayley_path_system(g: Graph, table) -> PathSystem:
         raise ValueError("group order does not match vertex count")
     if n > 1 and graphs.cayley_edges(table, g.neighbors(1)) != g.edges:
         raise ValueError("graph is not the Cayley graph of the supplied group")
-    inv = group_inverses(table)
-    _, parent = bfs_tree(g, 1)
-    base = {w: tree_path(parent, 1, w) for w in g.vertices()}
-    paths = {}
-    for u in g.vertices():
-        row = table[u - 1]
-        for v in g.vertices():
-            w = table[inv[u] - 1][v - 1]
-            paths[(u, v)] = tuple(row[p - 1] for p in base[w])
-    return PathSystem(g.n, paths)
+    return CayleyTrees(n, bfs_tree(g, 1), group_inverses(table), table)
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +277,14 @@ def cayley_path_system(g: Graph, table) -> PathSystem:
 
 def congestion(ps: PathSystem) -> CongestionProfile:
     """Exact vertex and edge membership counts, with multiplicity."""
-    per_vertex = {v: 0 for v in range(1, ps.n + 1)}
-    per_edge = {}
-    for _, p in ps.iter_items():
-        for v in p:
-            per_vertex[v] += 1
-        for a, b in zip(p, p[1:]):
-            e = (min(a, b), max(a, b))
-            per_edge[e] = per_edge.get(e, 0) + 1
-    max_vertex = max(per_vertex.values())
-    max_edge = max(per_edge.values()) if per_edge else 0
-    return CongestionProfile(per_vertex, per_edge, max_vertex, max_edge)
+    per_vertex, per_edge = ps._counts()
+    return CongestionProfile(per_vertex, per_edge, max(per_vertex.values()),
+                             max(per_edge.values(), default=0))
 
 
 def num_paths_through(ps: PathSystem, v: int) -> dict:
     """For each start vertex u, the number of paths from u that contain v."""
-    counts = {u: 0 for u in range(1, ps.n + 1)}
-    for (u, _), p in ps.iter_items():
-        if v in p:
-            counts[u] += 1
-    return counts
+    return ps._through(v)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +313,7 @@ def _all_simple_paths(g: Graph, u: int, v: int, limit: int) -> list:
 def min_congestion_oracle(g: Graph, cap: int | None = None):
     """Exhaustive branch-and-bound for the graph's true vertex congestion.
 
-    Returns (g_star, PathSystem) where g_star is the minimum achievable
+    Returns (g_star, PathTable) where g_star is the minimum achievable
     vertex congestion over all all-pairs systems of simple paths.  Pairs
     are processed fewest-alternatives-first and path choices
     shortest-first, so the all-shortest assignment is reached early and
@@ -247,4 +367,4 @@ def min_congestion_oracle(g: Graph, cap: int | None = None):
     paths = {(u, u): (u,) for u in g.vertices()}
     for ((u, v), _), p in zip(pairs, best[1]):
         paths[(u, v)] = p
-    return best[0], PathSystem(n, paths)
+    return best[0], PathTable(n, paths)

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from .graphs import Graph, from_edges
-from .pathsystems import PathSystem
+from .pathsystems import PathSystem, PathTable
 from .separation import PathArrangement
 
 
@@ -68,15 +68,12 @@ def graph_from_dict(data: dict) -> Graph:
 
 
 def path_system_to_dict(ps: PathSystem) -> dict:
-    rows = [
-        {"u": u, "v": v, "p": list(ps.path(u, v))}
-        for u in range(1, ps.n + 1)
-        for v in range(1, ps.n + 1)
-    ]
+    rows = [{"u": u, "v": v, "p": list(p)}
+            for (u, v), p in sorted(ps.table().items())]
     return {"n": ps.n, "paths": rows}
 
 
-def path_system_from_dict(data: dict) -> PathSystem:
+def path_system_from_dict(data: dict) -> PathTable:
     n = _int(_field(data, "n", "path system"), "n")
     paths = {}
     for i, row in enumerate(_list(_field(data, "paths", "path system"), "paths")):
@@ -84,7 +81,7 @@ def path_system_from_dict(data: dict) -> PathSystem:
         u = _int(_field(row, "u", where), f"{where}.u")
         v = _int(_field(row, "v", where), f"{where}.v")
         paths[(u, v)] = _ints(_field(row, "p", where), f"{where}.p")
-    return PathSystem(n, paths)
+    return PathTable(n, paths)
 
 
 def instance_to_dict(graph_path: str, paths_path: str, milestones, bit: int,
@@ -147,7 +144,7 @@ def load_graph(path) -> Graph:
     return graph_from_dict(load_json(path))
 
 
-def load_path_system(path) -> PathSystem:
+def load_path_system(path) -> PathTable:
     return path_system_from_dict(load_json(path))
 
 

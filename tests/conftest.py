@@ -11,14 +11,14 @@ a full inter-cluster path arrangement.
 import pytest
 
 import lsqlab as L
-from lsqlab.pathsystems import PathSystem, shortest_path_system
+from lsqlab.pathsystems import PathSystem, PathTable, shortest_path_system
 from lsqlab.separation import PathArrangement
 
 
-def override_paths(ps: PathSystem, overrides: dict) -> PathSystem:
-    paths = dict(ps.paths)
+def override_paths(ps: PathSystem, overrides: dict) -> PathTable:
+    paths = ps.table()
     paths.update(overrides)
-    return PathSystem(ps.n, paths)
+    return PathTable(ps.n, paths)
 
 
 @pytest.fixture(scope="session")

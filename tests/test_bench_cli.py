@@ -279,6 +279,42 @@ def test_cli_env_cap_override(tmp_path):
     assert "cap" in r2.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_cli_rejects_malformed_cap_variable(value, monkeypatch):
+    from lsqlab.errors import resolve_cap
+
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", value)
+    with pytest.raises(ValueError, match="LSQLAB_MAX_EXHAUSTIVE"):
+        resolve_cap(None, 6)
+    assert resolve_cap(3, 6) == 3  # an explicit cap never reads it
+    r = run_cli("metrics", "--kind", "ring", "--n", "5", "--expansion")
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    assert f"LSQLAB_MAX_EXHAUSTIVE must be a nonnegative integer, got {value!r}" \
+        in r.stderr
+
+
+def test_verify_budget_zero_skips_checks_without_cases():
+    from lsqlab.verify import run_verify
+
+    skipped = {(r.scope, r.name) for r in run_verify("all", budget=0)
+               if r.skipped}
+    assert skipped == {("staircase", "qz_bound"),
+                       ("staircase", "sampler_marginals"),
+                       ("solvers", "determinism")}
+    r = run_cli("verify", "--scope", "staircase", "--budget", "0")
+    assert r.returncode == 0
+    assert "[SKIP] staircase/sampler_marginals" in r.stderr
+    assert "[PASS] staircase/sampler_marginals" not in r.stderr
+    report = json.loads(r.stdout)
+    marked = {c["name"] for c in report["checks"] if c.get("skipped")}
+    assert marked == {"qz_bound", "sampler_marginals"}
+    assert all("skipped" not in c for c in report["checks"]
+               if c["name"] not in marked)
+    assert (report["passed"], report["failed"]) == (len(report["checks"]) - 2, 0)
+    r = run_cli("verify", "--scope", "solvers", "--budget", "1")
+    assert "skipped" not in r.stdout and "[SKIP]" not in r.stderr
+
+
 def test_cli_rejects_path_system_with_non_edge(tmp_path):
     gfile = tmp_path / "c4.json"
     pfile = tmp_path / "p.json"

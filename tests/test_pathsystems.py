@@ -1,16 +1,36 @@
 """Path systems: construction, congestion counts, the psi map, and the
 brute-force congestion oracle."""
 
+import json
+import resource
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
-from lsqlab.pathsystems import PathSystem, bit_fixing_path
+from lsqlab.graphs import bfs_tree, tree_path
+from lsqlab.pathsystems import PathTable
 from lsqlab.serialize import path_system_from_dict, path_system_to_dict
 
 
 def path3():
     return L.from_edges(3, [(1, 2), (2, 3)])
+
+
+def bit_fixing_path(u: int, v: int, dim: int) -> tuple:
+    """Reference: toggle differing bits MSB-first; vertices are 1 + bit pattern."""
+    cur = u - 1
+    tgt = v - 1
+    path = [u]
+    for b in range(dim - 1, -1, -1):
+        mask = 1 << b
+        if (cur ^ tgt) & mask:
+            cur ^= mask
+            path.append(cur + 1)
+    return tuple(path)
 
 
 def test_shortest_system_k4():
@@ -36,7 +56,7 @@ def test_trivial_paths_are_singletons():
     ps = L.shortest_path_system(L.ring_graph(5))
     for u in range(1, 6):
         assert ps.path(u, u) == (u,)
-    assert all(len(p) <= 3 for _, p in ps.iter_items())
+    assert all(len(p) <= 3 for p in ps.table().values())
 
 
 def test_hypercube_congestion_formula():
@@ -49,6 +69,7 @@ def test_hypercube_congestion_formula():
 def test_bit_fixing_msb_first():
     # 00 -> 11 toggles the high bit first: 00, 10, 11
     assert bit_fixing_path(1, 4, 2) == (1, 3, 4)
+    assert L.hypercube_path_system(L.hypercube_graph(2)).path(1, 4) == (1, 3, 4)
 
 
 def test_hypercube_system_rejects_other_graphs():
@@ -64,7 +85,7 @@ def test_hypercube_system_rejects_other_graphs():
 def test_one_vertex_path_systems():
     g = L.from_edges(1, [])
     for ps in (L.hypercube_path_system(g), L.cayley_path_system(g, ((1,),))):
-        assert ps.n == 1 and ps.paths == {(1, 1): (1,)}
+        assert ps.n == 1 and ps.table() == {(1, 1): (1,)}
 
 
 def test_path_system_check_graph():
@@ -128,7 +149,7 @@ def test_cayley_system_nonabelian():
     g = L.cayley_graph(table, gens)
     assert g.n == 6
     ps = L.cayley_path_system(g, table)
-    for (u, v), p in ps.iter_items():
+    for (u, v), p in ps.table().items():
         assert p[0] == u and p[-1] == v
         for a, b in zip(p, p[1:]):
             assert g.has_edge(a, b)
@@ -216,12 +237,93 @@ def test_oracle_cap():
 
 def test_pathsystem_validation():
     with pytest.raises(ValueError):
-        PathSystem(2, {(1, 1): (1,), (1, 2): (1, 2), (2, 1): (2, 1)})
+        PathTable(2, {(1, 1): (1,), (1, 2): (1, 2), (2, 1): (2, 1)})
     with pytest.raises(ValueError):
-        PathSystem(2, {(1, 1): (1,), (1, 2): (2, 1), (2, 1): (2, 1),
+        PathTable(2, {(1, 1): (1,), (1, 2): (2, 1), (2, 1): (2, 1),
                        (2, 2): (2,)})
 
 
 def test_serialization_roundtrip():
     ps = L.shortest_path_system(L.ring_graph(5))
-    assert path_system_from_dict(path_system_to_dict(ps)).paths == ps.paths
+    assert path_system_from_dict(path_system_to_dict(ps)).table() == ps.table()
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph: a random spanning tree plus random edges."""
+    n = draw(st.integers(1, 10))
+    labels = draw(st.permutations(range(1, n + 1)))
+    edges = {(labels[v], labels[draw(st.integers(0, v - 1))]) for v in range(1, n)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return L.from_edges(n, edges)
+
+
+def assert_same_system(ps, ref: PathTable):
+    """ps and the dict-backed ref agree on every path and every count."""
+    vs = range(1, ref.n + 1)
+    assert ps.n == ref.n
+    assert all(ps.path(u, v) == ref.path(u, v) for u in vs for v in vs)
+    assert L.congestion(ps) == L.congestion(ref)
+    for v in vs:
+        assert L.num_paths_through(ps, v) == L.num_paths_through(ref, v)
+
+
+@settings(deadline=None)
+@given(connected_graphs())
+def test_source_trees_match_a_table_of_their_paths(g):
+    vs = g.vertices()
+    ref = PathTable(g.n, {(u, v): tree_path(bfs_tree(g, u)[1], u, v)
+                          for u in vs for v in vs})
+    assert_same_system(L.shortest_path_system(g), ref)
+
+
+def test_translate_systems_match_a_table_of_their_paths():
+    for dim in range(1, 7):
+        g = L.hypercube_graph(dim)
+        vs = g.vertices()
+        ref = PathTable(g.n, {(u, v): bit_fixing_path(u, v, dim)
+                              for u in vs for v in vs})
+        assert_same_system(L.hypercube_path_system(g), ref)
+
+    s3, index = _symmetric_group_3()
+    z2z2 = L.direct_product_group(L.cyclic_group(2), L.cyclic_group(2))
+    for table, gens in [(L.cyclic_group(5), {2, 5}), (L.cyclic_group(6), {2, 6}),
+                        (L.cyclic_group(6), {2, 4, 6}), (z2z2, {2, 3}),
+                        (s3, {index[(1, 0, 2)], index[(0, 2, 1)]})]:
+        g = L.cayley_graph(table, gens)
+        vs = g.vertices()
+        base = bfs_tree(g, 1)[1]
+        inv = {a: table[a - 1].index(1) + 1 for a in vs}
+        ref = PathTable(g.n, {
+            (u, v): tuple(table[u - 1][p - 1]
+                          for p in tree_path(base, 1, table[inv[u] - 1][v - 1]))
+            for u in vs for v in vs})
+        assert_same_system(L.cayley_path_system(g, table), ref)
+
+
+SCALE_SCRIPT = """
+import json, random
+import lsqlab as L
+ps = L.hypercube_path_system(L.hypercube_graph(14))
+rng = random.Random(14)
+pairs = [(rng.randint(1, ps.n), rng.randint(1, ps.n)) for _ in range(500)]
+print(json.dumps({"g": L.congestion(ps).max_vertex,
+                  "paths": [[u, v, ps.path(u, v)] for u, v in pairs]}))
+"""
+
+
+def test_hypercube_dim14_needs_no_path_table():
+    # 2^28 stored paths would blow the 1 GiB address-space limit or the
+    # time limit instead of hanging the suite; the run takes about a second.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run([sys.executable, "-c", SCALE_SCRIPT], capture_output=True,
+                       text=True, timeout=60, preexec_fn=limit_memory)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["g"] == 131072  # N * (1 + dim/2) = 2^14 * 8
+    for u, v, p in out["paths"]:
+        assert tuple(p) == bit_fixing_path(u, v, 14)
