@@ -55,6 +55,8 @@ from .staircase import (
     value_function,
 )
 from .separation import (
+    Arrangement,
+    GridArrangement,
     PathArrangement,
     arrangement_parameter_bound,
     cluster_staircase,

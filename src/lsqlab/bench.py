@@ -76,7 +76,7 @@ class SolverSpec:
 class BenchConfig:
     """Benchmark setup: either milestone staircases (L >= 1, over the chosen
     path-system strategy) or cluster staircases (c >= 1, over the grid path
-    arrangement; the graph must equal graphs.grid_graph of its side)."""
+    arrangement; the graph must have the edges graphs.grid_edges of its side)."""
 
     graph_kind: str
     graph: Graph
@@ -97,7 +97,8 @@ class BenchConfig:
             raise ValueError(f"L: need 1 <= L <= n - 1, got {self.L}")
         if self.c >= 1:
             side = math.isqrt(self.graph.n)
-            if side < 2 or self.graph != graphs.grid_graph(side):
+            if (side < 2 or self.graph.n != side * side
+                    or self.graph.edges != graphs.grid_edges(side)):
                 raise ValueError("c: arrangement mode needs a square grid graph")
             if 2 * self.c + 1 > side:
                 raise ValueError(f"c: need 2c + 1 <= side, got c={self.c}")

@@ -206,33 +206,33 @@ class GraphSpec:
     generators: tuple | None = None
 
 
+def hypercube_edges(dim: int) -> frozenset:
+    """Edge set of the dimension-dim hypercube on 1..2^dim: vertices whose
+    labels minus one differ in one bit."""
+    return frozenset((x + 1, (x | 1 << b) + 1)
+                     for x in range(1 << dim) for b in range(dim)
+                     if not x >> b & 1)
+
+
 def hypercube_graph(dim: int) -> Graph:
     """Boolean hypercube of the given dimension; vertex v <-> bits of v-1."""
     if dim < 1:
         raise ValueError("hypercube dimension must be >= 1")
-    n = 1 << dim
-    edges = set()
-    for x in range(n):
-        for b in range(dim):
-            y = x ^ (1 << b)
-            if y > x:
-                edges.add((x + 1, y + 1))
-    return Graph(n, frozenset(edges))
+    return Graph(1 << dim, hypercube_edges(dim))
+
+
+def grid_edges(side: int) -> frozenset:
+    """Edge set of the side x side grid with row-major labels 1..side^2."""
+    n = side * side
+    return frozenset([(v, v + 1) for v in range(1, n + 1) if v % side]
+                     + [(v, v + side) for v in range(1, n - side + 1)])
 
 
 def grid_graph(side: int) -> Graph:
     """side x side grid with row-major labels 1..side^2."""
     if side < 2:
         raise ValueError("grid side must be >= 2")
-    edges = set()
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c + 1
-            if c + 1 < side:
-                edges.add((v, v + 1))
-            if r + 1 < side:
-                edges.add((v, v + side))
-    return Graph(side * side, frozenset(edges))
+    return Graph(side * side, grid_edges(side))
 
 
 def clique_graph(n: int) -> Graph:

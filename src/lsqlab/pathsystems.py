@@ -21,6 +21,7 @@ counted from subtree sizes, never by walking n^2 paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 
 from . import graphs
@@ -35,9 +36,9 @@ ORACLE_PATHS_PER_PAIR_CAP = 512
 class PathSystem:
     """One simple path per ordered pair of 1..n; path(u, v) reads it.
 
-    Each representation supplies path, _counts (the per-vertex and
-    per-edge membership counts of congestion) and _through (the counts of
-    num_paths_through).
+    Each representation supplies path, _vertex_counts and _edge_counts (the
+    per-vertex and per-edge membership counts of congestion) and _through
+    (the counts of num_paths_through).
     """
 
     n: int
@@ -87,16 +88,20 @@ class PathTable(PathSystem):
     def table(self) -> dict:
         return dict(self.paths)
 
-    def _counts(self) -> tuple:
+    def _vertex_counts(self) -> dict:
         per_vertex = dict.fromkeys(range(1, self.n + 1), 0)
-        per_edge = {}
         for p in self.paths.values():
             for v in p:
                 per_vertex[v] += 1
+        return per_vertex
+
+    def _edge_counts(self) -> dict:
+        per_edge = {}
+        for p in self.paths.values():
             for a, b in zip(p, p[1:]):
                 e = (min(a, b), max(a, b))
                 per_edge[e] = per_edge.get(e, 0) + 1
-        return per_vertex, per_edge
+        return per_edge
 
     def _through(self, v: int) -> dict:
         counts = dict.fromkeys(range(1, self.n + 1), 0)
@@ -118,27 +123,30 @@ def _subtree_sizes(tree) -> list:
 
 @dataclass(frozen=True)
 class SourceTrees(PathSystem):
-    """trees[u] is bfs_tree(g, u), (dist, parent); trees[0] is unused."""
+    """trees[u] is bfs_tree(g, u), (dist, parent); trees[0] is unused.
+    Congestion takes one source's subtree sizes at a time: O(n) memory
+    besides the trees and the counts."""
 
     trees: tuple = field(repr=False)
 
     def path(self, u: int, v: int) -> tuple:
         return tree_path(self.trees[u][1], u, v)
 
-    def _counts(self) -> tuple:
-        # one source's subtree sizes at a time: O(n) memory besides the
-        # trees and the counts
-        n = self.n
-        load = [0] * (n + 1)
+    def _vertex_counts(self) -> dict:
+        load = [0] * (self.n + 1)
+        for tree in self.trees[1:]:
+            load = list(map(add, load, _subtree_sizes(tree)))
+        return {v: load[v] for v in range(1, self.n + 1)}
+
+    def _edge_counts(self) -> dict:
         per_edge = {}
         for tree in self.trees[1:]:
             size = _subtree_sizes(tree)
-            load = list(map(add, load, size))
             for w, p in enumerate(tree[1]):
                 if p:  # not index 0 or the root: the tree edge above w
                     e = (p, w) if p < w else (w, p)
                     per_edge[e] = per_edge.get(e, 0) + size[w]
-        return {v: load[v] for v in range(1, n + 1)}, per_edge
+        return per_edge
 
     def _through(self, v: int) -> dict:
         return {u: _subtree_sizes(self.trees[u])[v] for u in range(1, self.n + 1)}
@@ -165,12 +173,15 @@ class TranslateTrees(PathSystem):
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def _counts(self) -> tuple:
+    def _vertex_counts(self) -> dict:
+        # Every vertex lies on sum_w size[w] = sum_w (depth(w) + 1) paths.
+        return dict.fromkeys(range(1, self.n + 1),
+                             sum(_subtree_sizes(self.base)[1:]))
+
+    def _edge_counts(self) -> dict:
         n, mul, inv = self.n, self.mul, self.inv
         parent = self.base[1]
         size = _subtree_sizes(self.base)
-        # Every vertex lies on sum_w size[w] = sum_w (depth(w) + 1) paths.
-        per_vertex = dict.fromkeys(range(1, n + 1), sum(size[1:]))
         # load[s]: subtree sizes summed over base edges (p, c) with p^-1 c = s;
         # edge {x, x*s} carries the translates of those run either way.
         load = {}
@@ -183,7 +194,7 @@ class TranslateTrees(PathSystem):
                 y = mul(x, s)
                 if x < y:
                     per_edge[(x, y)] = k + load[inv[s]]
-        return per_vertex, per_edge
+        return per_edge
 
     def _through(self, v: int) -> dict:
         size = _subtree_sizes(self.base)
@@ -220,14 +231,28 @@ class HypercubeTrees(TranslateTrees):
         return tuple([(p ^ x) + 1 for p in self.patterns[((v - 1) ^ x) + 1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CongestionProfile:
-    """Per-vertex and per-edge membership counts plus their maxima."""
+    """Per-vertex and per-edge membership counts plus their maxima; the
+    per-edge counts are taken from the system when first read."""
 
+    system: PathSystem = field(repr=False)
     per_vertex: dict
-    per_edge: dict
     max_vertex: int
-    max_edge: int
+
+    @cached_property
+    def per_edge(self) -> dict:
+        return self.system._edge_counts()
+
+    @cached_property
+    def max_edge(self) -> int:
+        return max(self.per_edge.values(), default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, CongestionProfile):
+            return NotImplemented
+        return ((self.per_vertex, self.max_vertex, self.per_edge)
+                == (other.per_vertex, other.max_vertex, other.per_edge))
 
 
 def shortest_path_system(g: Graph) -> SourceTrees:
@@ -247,7 +272,7 @@ def hypercube_path_system(g: Graph) -> HypercubeTrees:
     """
     n = g.n
     dim = n.bit_length() - 1
-    if n > 1 and g != graphs.hypercube_graph(dim):
+    if n != 1 << dim or g.edges != graphs.hypercube_edges(dim):
         raise ValueError("graph is not the canonical labelled hypercube")
     dist = [-1] + [(w - 1).bit_count() for w in range(1, n + 1)]
     parent = [0, 0] + [((w - 1) & (w - 2)) + 1 for w in range(2, n + 1)]
@@ -277,9 +302,8 @@ def cayley_path_system(g: Graph, table) -> CayleyTrees:
 
 def congestion(ps: PathSystem) -> CongestionProfile:
     """Exact vertex and edge membership counts, with multiplicity."""
-    per_vertex, per_edge = ps._counts()
-    return CongestionProfile(per_vertex, per_edge, max(per_vertex.values()),
-                             max(per_edge.values(), default=0))
+    per_vertex = ps._vertex_counts()
+    return CongestionProfile(ps, per_vertex, max(per_vertex.values()))
 
 
 def num_paths_through(ps: PathSystem, v: int) -> dict:

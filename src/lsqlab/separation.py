@@ -9,6 +9,11 @@ and inter-cluster path indices at even positions; the induced walk stitches
 the chosen inter-cluster paths together with shortest paths inside each
 visited cluster.
 
+Two representations share the Arrangement interface: PathArrangement
+stores every path and finds cluster paths by BFS (hand-made
+arrangements); GridArrangement, the grid's, computes both reads in
+closed form and stores no path.
+
 The staircase definition references an inter-cluster family once under the
 name Q; it is read here as P, the only path family an arrangement carries.
 """
@@ -33,18 +38,18 @@ from .staircase import (
 
 
 @dataclass(frozen=True)
-class PathArrangement:
-    """Clusters N_1..N_m with inter-cluster paths P_k(i, j) on a graph.
+class Arrangement:
+    """Clusters N_1..N_m of a graph with inter-cluster paths P_k(i, j).
 
-    inter_paths maps (k, i, j) to a vertex tuple for every k, i, j in [m];
-    v_start is the distinguished walk entrance inside N_1.
+    clusters is a tuple of m vertex frozensets.  Each representation
+    supplies v_start, the distinguished walk entrance inside N_1, and the
+    two path reads: path(k, i, j) for P_k(i, j) and cluster_path(i, u, v)
+    for the shortest path from u to v inside N_i (lowest-id tie-break).
     """
 
     graph: Graph
     m: int
     clusters: tuple
-    inter_paths: dict = field(repr=False)
-    v_start: int
 
     def cluster_of(self, v: int) -> int | None:
         for i, cluster in enumerate(self.clusters, start=1):
@@ -53,41 +58,80 @@ class PathArrangement:
         return None
 
     def path(self, k: int, i: int, j: int) -> tuple:
+        raise NotImplementedError
+
+    def cluster_path(self, i: int, u: int, v: int) -> tuple:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class PathArrangement(Arrangement):
+    """An arrangement given by its paths, for hand-made arrangements.
+
+    inter_paths maps (k, i, j) to a vertex tuple for every k, i, j in [m];
+    cluster paths come from a BFS confined to the cluster.
+    """
+
+    inter_paths: dict = field(repr=False)
+    v_start: int
+
+    def path(self, k: int, i: int, j: int) -> tuple:
         return self.inter_paths[(k, i, j)]
 
+    def cluster_path(self, i: int, u: int, v: int) -> tuple:
+        cluster = self.clusters[i - 1]
+        if u not in cluster or v not in cluster:
+            raise ValueError(f"endpoints {u},{v} not inside cluster {i}")
+        dist, parent = graphs.bfs_tree(self.graph, u, within=cluster)
+        if dist[v] < 0:
+            raise ValueError(f"cluster {i} does not connect {u} and {v}")
+        return graphs.tree_path(parent, u, v)
 
-def grid_path_arrangement(side: int) -> PathArrangement:
+
+@dataclass(frozen=True)
+class GridArrangement(Arrangement):
+    """The arrangement grid_path_arrangement(m) builds on an m x m grid,
+    with both path reads in closed form over row-major ids.
+
+    P_k(i, j) is the segment of row k from column i to column j.  A
+    column induces a path, so the column segment from u to v is the unique
+    shortest path inside it.
+    """
+
+    v_start: int = field(default=1, init=False)
+
+    def path(self, k: int, i: int, j: int) -> tuple:
+        m = self.m
+        if not (1 <= k <= m and 1 <= i <= m and 1 <= j <= m):
+            raise KeyError((k, i, j))
+        row = (k - 1) * m
+        step = 1 if j >= i else -1
+        return tuple(range(row + i, row + j + step, step))
+
+    def cluster_path(self, i: int, u: int, v: int) -> tuple:
+        m = self.m
+        if not all(1 <= w <= m * m and (w - 1) % m == i - 1 for w in (u, v)):
+            raise ValueError(f"endpoints {u},{v} not inside cluster {i}")
+        step = m if v >= u else -m
+        return tuple(range(u, v + step, step))
+
+
+def grid_path_arrangement(side: int) -> GridArrangement:
     """Columns of a side x side grid as clusters, rows as inter-cluster paths.
 
     P_k(i, j) runs along row k from column i to column j; P_k(i, i) is the
-    single k-th vertex of column i.  v_start is vertex 1.
+    single k-th vertex of column i.  v_start is vertex 1.  No path is
+    stored: both path reads are computed when called.
     """
     if side < 2:
         raise ValueError("grid side must be >= 2")
     g = graphs.grid_graph(side)  # through the module: a replaced builder is seen
-
-    def cell(row, col):  # 1-based row/col -> row-major vertex id
-        return (row - 1) * side + col
-
-    clusters = tuple(
-        frozenset(cell(r, c) for r in range(1, side + 1))
-        for c in range(1, side + 1)
-    )
-    inter = {}
-    for k in range(1, side + 1):
-        for i in range(1, side + 1):
-            for j in range(1, side + 1):
-                if i == j:
-                    inter[(k, i, j)] = (cell(k, i),)
-                else:
-                    step = 1 if j > i else -1
-                    inter[(k, i, j)] = tuple(
-                        cell(k, c) for c in range(i, j + step, step)
-                    )
-    return PathArrangement(g, side, clusters, inter, v_start=1)
+    clusters = tuple(frozenset(range(c, side * side + 1, side))
+                     for c in range(1, side + 1))
+    return GridArrangement(g, side, clusters)
 
 
-def arrangement_violations(pa: PathArrangement, g: Graph) -> list:
+def arrangement_violations(pa: Arrangement, g: Graph) -> list:
     """All reasons the arrangement fails its definition (empty if valid)."""
     problems = []
     seen = set()
@@ -109,9 +153,11 @@ def arrangement_violations(pa: PathArrangement, g: Graph) -> list:
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             outside_visits = {}
+            inside = pa.clusters[i - 1] | pa.clusters[j - 1]
             for k in range(1, m + 1):
-                p = pa.inter_paths.get((k, i, j))
-                if p is None:
+                try:
+                    p = pa.path(k, i, j)
+                except KeyError:
                     problems.append(f"missing path P_{k}({i},{j})")
                     continue
                 tag = f"P_{k}({i},{j})"
@@ -124,7 +170,6 @@ def arrangement_violations(pa: PathArrangement, g: Graph) -> list:
                     problems.append(f"{tag} does not start in cluster {i}")
                 if p[-1] not in pa.clusters[j - 1]:
                     problems.append(f"{tag} does not end in cluster {j}")
-                inside = pa.clusters[i - 1] | pa.clusters[j - 1]
                 for v in p[1:-1]:
                     if v in inside:
                         problems.append(f"{tag} interior vertex {v} inside a cluster")
@@ -139,7 +184,7 @@ def arrangement_violations(pa: PathArrangement, g: Graph) -> list:
     return problems
 
 
-def verify_arrangement(pa: PathArrangement, g: Graph) -> bool:
+def verify_arrangement(pa: Arrangement, g: Graph) -> bool:
     """True iff disjointness, connectivity, endpoints, and the collective
     once-visitation condition all hold."""
     return not arrangement_violations(pa, g)
@@ -148,17 +193,6 @@ def verify_arrangement(pa: PathArrangement, g: Graph) -> bool:
 def _induced_connected(g: Graph, cluster) -> bool:
     dist, _ = graphs.bfs_tree(g, next(iter(cluster)), within=cluster)
     return sum(d >= 0 for d in dist) == len(cluster)
-
-
-def intra_cluster_path(pa: PathArrangement, i: int, u: int, v: int) -> tuple:
-    """Shortest path from u to v inside cluster i (lowest-id tie-break)."""
-    cluster = pa.clusters[i - 1]
-    if u not in cluster or v not in cluster:
-        raise ValueError(f"endpoints {u},{v} not inside cluster {i}")
-    dist, parent = graphs.bfs_tree(pa.graph, u, within=cluster)
-    if dist[v] < 0:
-        raise ValueError(f"cluster {i} does not connect {u} and {v}")
-    return graphs.tree_path(parent, u, v)
 
 
 def check_cluster_sequence(x, m: int) -> int:
@@ -173,7 +207,7 @@ def check_cluster_sequence(x, m: int) -> int:
     return (len(x) - 1) // 2
 
 
-def cluster_staircase(x, pa: PathArrangement) -> Staircase:
+def cluster_staircase(x, pa: Arrangement) -> Staircase:
     """Walk induced by a cluster sequence.
 
     Leg l reads the inter-cluster path P_{x_{2l}}(x_{2l-1}, x_{2l+1}) and
@@ -187,7 +221,7 @@ def cluster_staircase(x, pa: PathArrangement) -> Staircase:
     for leg in range(c):
         here, k, there = x[2 * leg:2 * leg + 3]
         p = pa.path(k, here, there)
-        segments += (intra_cluster_path(pa, here, at, p[0]), p)
+        segments += (pa.cluster_path(here, at, p[0]), p)
         at = p[-1]
     return chain(pa.v_start, segments)
 
@@ -200,7 +234,7 @@ def separation_tail(j: int, s: Staircase) -> tuple:
     return tail(j, s)
 
 
-def make_separation_instance(x, bit: int, pa: PathArrangement,
+def make_separation_instance(x, bit: int, pa: Arrangement,
                              g: Graph) -> HiddenBitInstance:
     """The hidden-bit instance of a cluster sequence: off the walk
     dist(v, v_start), on it -(last position of v)."""
@@ -209,7 +243,7 @@ def make_separation_instance(x, bit: int, pa: PathArrangement,
     return hide_bit(x, bit, s, walk_values, g)
 
 
-def separation_value_function(x, pa: PathArrangement, g: Graph) -> dict:
+def separation_value_function(x, pa: Arrangement, g: Graph) -> dict:
     """The separation value function as a vertex -> int map."""
     return make_separation_instance(x, 0, pa, g).values
 
@@ -242,7 +276,7 @@ def arrangement_parameter_bound(s: int, delta: int) -> int:
     return max(math.isqrt(s // (2 * delta)), 1)
 
 
-def sample_separation_instance(pa: PathArrangement, c: int,
+def sample_separation_instance(pa: Arrangement, c: int,
                                seed) -> HiddenBitInstance:
     """Seed-deterministic draw of (cluster sequence, bit) plus the instance.
 

@@ -1,5 +1,5 @@
-"""JSON interchange formats for graphs, path systems, instances, and
-arrangements.
+"""JSON interchange formats for graphs, path systems, instances and
+groups.
 
 Graph files: {"n": int, "edges": [[u, v], ...]} with 1-indexed vertices
 and edges sorted with u < v.  Path-system files list all n^2 ordered
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .graphs import Graph, from_edges
 from .pathsystems import PathSystem, PathTable
-from .separation import PathArrangement
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -113,27 +112,6 @@ def group_from_dict(data: dict) -> tuple:
     generators = data.get("generators")
     return (tuple(_ints(row, f"table[{i}]") for i, row in enumerate(table)),
             None if generators is None else _ints(generators, "generators"))
-
-
-def arrangement_to_dict(pa: PathArrangement) -> dict:
-    return {
-        "m": pa.m,
-        "clusters": [sorted(c) for c in pa.clusters],
-        "v_start": pa.v_start,
-        "inter_paths": [
-            {"k": k, "i": i, "j": j, "p": list(p)}
-            for (k, i, j), p in sorted(pa.inter_paths.items())
-        ],
-    }
-
-
-def arrangement_from_dict(data: dict, g: Graph) -> PathArrangement:
-    clusters = tuple(frozenset(int(v) for v in c) for c in data["clusters"])
-    inter = {
-        (int(r["k"]), int(r["i"]), int(r["j"])): tuple(int(x) for x in r["p"])
-        for r in data["inter_paths"]
-    }
-    return PathArrangement(g, int(data["m"]), clusters, inter, int(data["v_start"]))
 
 
 def load_json(path):

@@ -45,6 +45,22 @@ def test_shortest_system_k4():
     assert prof.max_edge == 2
 
 
+def test_congestion_counts_edges_only_when_read(monkeypatch):
+    g = L.ring_graph(5)
+    for ps in (L.shortest_path_system(g), L.cayley_path_system(g, L.cyclic_group(5)),
+               PathTable(5, L.shortest_path_system(g).table())):
+        calls = []
+        edge_counts = type(ps)._edge_counts
+        monkeypatch.setattr(type(ps), "_edge_counts",
+                            lambda self: calls.append(self) or edge_counts(self))
+        prof = L.congestion(ps)
+        assert prof.max_vertex == 11 and calls == []
+        assert prof.max_edge == 6 and prof.per_edge[(1, 2)] == 6
+        assert calls == [ps]
+        prof.per_edge
+        assert calls == [ps]  # counted once
+
+
 def test_shortest_system_path3_middle_vertex():
     ps = L.shortest_path_system(path3())
     assert ps.path(1, 3) == (1, 2, 3)

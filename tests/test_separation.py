@@ -1,6 +1,10 @@
 """Path arrangements, cluster staircases, and separation-side quantities."""
 
 import itertools
+import json
+import resource
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -9,7 +13,6 @@ import lsqlab as L
 from lsqlab.separation import (
     arrangement_violations,
     cluster_staircase,
-    intra_cluster_path,
     make_separation_instance,
     separation_tail,
 )
@@ -99,10 +102,10 @@ def test_separation_tail(nine_vertex_arrangement):
 
 def test_intra_cluster_path_stays_inside(nine_vertex_arrangement):
     g, pa = nine_vertex_arrangement
-    p = intra_cluster_path(pa, 1, 1, 3)
+    p = pa.cluster_path(1, 1, 3)
     assert p == (1, 2, 3)
     with pytest.raises(ValueError):
-        intra_cluster_path(pa, 1, 1, 5)
+        pa.cluster_path(1, 1, 5)
 
 
 def test_relation_separation_examples():
@@ -135,17 +138,6 @@ def test_count_formula_exhaustive_small():
                 and shared_prefix_length(x, (1, *rest)) == j
             )
             assert actual == count_good_with_prefix(x, j, m)
-
-
-def test_arrangement_serialization_roundtrip(nine_vertex_arrangement):
-    from lsqlab.serialize import arrangement_from_dict, arrangement_to_dict
-
-    g, pa = nine_vertex_arrangement
-    back = arrangement_from_dict(arrangement_to_dict(pa), g)
-    assert back.m == pa.m and back.v_start == pa.v_start
-    assert back.clusters == pa.clusters
-    assert back.inter_paths == pa.inter_paths
-    assert L.verify_arrangement(back, g)
 
 
 def test_sample_separation_instance():
@@ -181,8 +173,8 @@ def test_separation_instance_builds_its_walk_once(monkeypatch):
 
 
 def _intra_cluster_path_reference(pa, i, u, v):
-    """The cluster-local BFS and walk-back that intra_cluster_path ran
-    before it read graphs.bfs_tree."""
+    """The cluster-local BFS and walk-back that cluster paths were found by
+    before they read graphs.bfs_tree."""
     cluster = pa.clusters[i - 1]
     if u == v:
         return (u,)
@@ -206,18 +198,66 @@ def _intra_cluster_path_reference(pa, i, u, v):
     return tuple(path)
 
 
+def _stored_grid_arrangement(side):
+    """The grid arrangement as grid_path_arrangement built it when it
+    stored all side^3 row paths."""
+    g = L.grid_graph(side)
+
+    def cell(row, col):  # 1-based row/col -> row-major vertex id
+        return (row - 1) * side + col
+
+    clusters = tuple(
+        frozenset(cell(r, c) for r in range(1, side + 1))
+        for c in range(1, side + 1)
+    )
+    inter = {}
+    for k in range(1, side + 1):
+        for i in range(1, side + 1):
+            for j in range(1, side + 1):
+                if i == j:
+                    inter[(k, i, j)] = (cell(k, i),)
+                else:
+                    step = 1 if j > i else -1
+                    inter[(k, i, j)] = tuple(
+                        cell(k, c) for c in range(i, j + step, step)
+                    )
+    return L.PathArrangement(g, side, clusters, inter, v_start=1)
+
+
+def _cluster_paths_match_reference(pa):
+    for i, cluster in enumerate(pa.clusters, start=1):
+        for u, v in itertools.product(sorted(cluster), repeat=2):
+            assert (pa.cluster_path(i, u, v)
+                    == _intra_cluster_path_reference(pa, i, u, v))
+
+
 def test_intra_cluster_path_matches_reference(nine_vertex_arrangement):
-    arrangements = [L.grid_path_arrangement(side) for side in range(2, 7)]
-    arrangements.append(nine_vertex_arrangement[1])
-    for pa in arrangements:
-        for i, cluster in enumerate(pa.clusters, start=1):
-            for u, v in itertools.product(sorted(cluster), repeat=2):
-                assert (intra_cluster_path(pa, i, u, v)
-                        == _intra_cluster_path_reference(pa, i, u, v))
+    for side in range(2, 7):
+        _cluster_paths_match_reference(_stored_grid_arrangement(side))
+    _cluster_paths_match_reference(nine_vertex_arrangement[1])
     g = nine_vertex_arrangement[0]
     split = L.PathArrangement(g, 1, (frozenset({1, 3}),), {}, v_start=1)
     with pytest.raises(ValueError, match="does not connect 1 and 3"):
-        intra_cluster_path(split, 1, 1, 3)
+        split.cluster_path(1, 1, 3)
+
+
+def test_grid_arrangement_matches_stored_paths():
+    for side in range(2, 7):
+        pa = L.grid_path_arrangement(side)
+        stored = _stored_grid_arrangement(side)
+        assert isinstance(pa, L.GridArrangement)
+        assert (pa.graph, pa.m, pa.clusters, pa.v_start) == (
+            stored.graph, stored.m, stored.clusters, stored.v_start)
+        for key in itertools.product(range(1, side + 1), repeat=3):
+            assert pa.path(*key) == stored.path(*key)
+        _cluster_paths_match_reference(pa)
+        for key in ((0, 1, 1), (1, side + 1, 1), (1, 1, 0)):
+            with pytest.raises(KeyError):
+                pa.path(*key)
+        for i, u, v in ((1, 1, 2), (2, 1, 2), (1, 1, side * side + 1),
+                        (side + 1, side, side)):
+            with pytest.raises(ValueError, match="not inside cluster"):
+                pa.cluster_path(i, u, v)
 
 
 def _cluster_staircase_reference(x, pa):
@@ -230,13 +270,15 @@ def _cluster_staircase_reference(x, pa):
     for i in range(1, 2 * c + 1):
         if i == 1:
             nxt = pa.path(x[1], 1, x[2])
-            segments.append(intra_cluster_path(pa, 1, pa.v_start, nxt[0]))
+            segments.append(
+                _intra_cluster_path_reference(pa, 1, pa.v_start, nxt[0]))
         elif i % 2 == 0:
             segments.append(pa.path(x[i - 1], x[i - 2], x[i]))
         else:
             prev = pa.path(x[i - 2], x[i - 3], x[i - 1])
             nxt = pa.path(x[i], x[i - 1], x[i + 1])
-            segments.append(intra_cluster_path(pa, x[i - 1], prev[-1], nxt[0]))
+            segments.append(
+                _intra_cluster_path_reference(pa, x[i - 1], prev[-1], nxt[0]))
     walk = list(segments[0])
     starts = [0]
     for seg in segments[1:]:
@@ -251,14 +293,14 @@ def test_cluster_staircase_matches_reference(nine_vertex_arrangement,
     arrangements = [L.grid_path_arrangement(side) for side in range(2, 6)]
     arrangements.append(nine_vertex_arrangement[1])
     reads = []
-    path = L.PathArrangement.path
     for pa in arrangements:
+        path = type(pa).path
         for c in (0, 1, 2):
             for rest in itertools.product(range(1, pa.m + 1), repeat=2 * c):
                 x = (1, *rest)
                 want = _cluster_staircase_reference(x, pa)
                 with monkeypatch.context() as m:
-                    m.setattr(L.PathArrangement, "path",
+                    m.setattr(type(pa), "path",
                               lambda self, *key: reads.append(key)
                               or path(self, *key))
                     assert cluster_staircase(x, pa) == want
@@ -266,3 +308,32 @@ def test_cluster_staircase_matches_reference(nine_vertex_arrangement,
                 assert reads == [(x[2 * leg + 1], x[2 * leg], x[2 * leg + 2])
                                  for leg in range(c)]
                 reads.clear()
+
+
+SCALE_SCRIPT = """
+import json
+import lsqlab as L
+pa = L.grid_path_arrangement(256)
+print(json.dumps([[inst.milestones, inst.staircase.walk]
+                  for inst in (L.sample_separation_instance(pa, 64, seed)
+                               for seed in (1, 2, 3))]))
+"""
+
+
+def test_grid_side256_needs_no_path_table():
+    # 256^3 stored row paths would blow the 1 GiB address-space limit or
+    # the time limit instead of hanging the suite; the run takes about a
+    # second.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run([sys.executable, "-c", SCALE_SCRIPT], capture_output=True,
+                       text=True, timeout=60, preexec_fn=limit_memory)
+    assert r.returncode == 0, r.stderr
+    side = 256
+    for x, walk in json.loads(r.stdout):
+        assert len(x) == 129 and x[0] == 1 and len(set(x)) == 129
+        assert walk[0] == 1 and all(1 <= v <= side * side for v in walk)
+        for a, b in zip(walk, walk[1:]):
+            lo, hi = min(a, b), max(a, b)
+            assert hi - lo == side or (hi - lo == 1 and lo % side), (a, b)
