@@ -121,57 +121,54 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation,
     """Exact min of M(Z)/q(Z) over all subsets with q(Z) > 0, and /100.
 
     Iterates subsets in Gray-code order, maintaining M and the per-point
-    distinguishing sums incrementally.
+    distinguishing sums incrementally.  Z is a bitmask of function indices;
+    toggling function i walks its precomputed list of related functions
+    (bit of j, 2 r(i, j), points where i and j differ) and updates the sums
+    of the points of each j in Z.  The best ratio is kept as an integer
+    pair (best_m, best_q) and a subset replaces it only when
+    m_z * best_q < best_m * q, i.e. M(Z)/q(Z) is strictly smaller, so
+    argmin is the first minimizer in Gray-code order; one Fraction is built
+    at the end.
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size, cap, SUBSET_CAP_DEFAULT)
     npoints = len(fam.domain)
     row_mass = [sum(rel.weights[i]) for i in range(size)]
-    # Differing points per related pair; pairs with zero weight never matter.
-    diff = {}
+    # Per function, the related functions and the points where they differ;
+    # pairs with zero weight or no differing point never change a sum.
+    related = [[] for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            if rel.weights[i][j]:
-                pts = [a for a in range(npoints)
-                       if fam.functions[i][a] != fam.functions[j][a]]
-                diff[(i, j)] = pts
+            w = rel.weights[i][j]
+            pts = [a for a in range(npoints)
+                   if w and fam.functions[i][a] != fam.functions[j][a]]
+            if pts:
+                related[i].append((1 << j, 2 * w, pts))
+                related[j].append((1 << i, 2 * w, pts))
 
     members = 0
-    in_z = [False] * size
     m_z = 0
     d = [0] * npoints  # ordered distinguishing sum per point
-    best = None
+    best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
     argmin = None
-
-    def toggle(i: int, sign: int) -> None:
-        nonlocal m_z
-        w = rel.weights[i]
-        for j in range(size):
-            if in_z[j] and j != i and w[j]:
-                pts = diff.get((min(i, j), max(i, j)), ())
-                delta = 2 * sign * w[j]
+    for step in range(1, 1 << size):
+        i = (step & -step).bit_length() - 1
+        members ^= 1 << i
+        sign = 1 if members >> i & 1 else -1
+        for bit, w2, pts in related[i]:
+            if members & bit:
+                delta = sign * w2
                 for a in pts:
                     d[a] += delta
         m_z += sign * row_mass[i]
-
-    for step in range(1, 1 << size):
-        i = (step & -step).bit_length() - 1
-        if in_z[i]:
-            in_z[i] = False
-            toggle(i, -1)
-            members ^= 1 << i
-        else:
-            toggle(i, +1)
-            in_z[i] = True
-            members ^= 1 << i
         q = max(d) if d else 0
-        if q > 0:
-            ratio = Fraction(m_z, q)
-            if best is None or ratio < best:
-                best = ratio
-                argmin = members
-    if best is None:
+        # q = 0 never passes: m_z * best_q >= 0 = best_m * q.
+        if m_z * best_q < best_m * q:
+            best_m, best_q = m_z, q
+            argmin = members
+    if argmin is None:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")
+    best = Fraction(best_m, best_q)
     subset = tuple(i for i in range(size) if (argmin >> i) & 1)
     return VariantBound(best, best / 100, subset)
 

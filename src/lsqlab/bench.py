@@ -170,7 +170,8 @@ def run_bench(cfg: BenchConfig, table=None) -> BenchReport:
         # imported per call, so a replaced module attribute is the one used
         from .separation import grid_path_arrangement, sample_separation_instance
 
-        pa = grid_path_arrangement(math.isqrt(cfg.graph.n))
+        # BenchConfig checked that cfg.graph is this grid: do not build another
+        pa = grid_path_arrangement(math.isqrt(cfg.graph.n), cfg.graph)
         g_cong = 0
         sampler = lambda seed: sample_separation_instance(pa, cfg.c, seed)
     else:

@@ -392,7 +392,10 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
     """Exact expansion: min over nonempty S, |S| <= n/2, of cut(S)/|S|.
 
     Enumerates all subsets with a Gray-code incremental cut count, so the
-    vertex count is capped (default 20).
+    vertex count is capped (default 20).  The best ratio is kept as an
+    integer pair (best_cut, best_size) and a candidate replaces it when
+    cut * best_size < best_cut * size, which is cut/size < best_cut/best_size
+    since both sizes are positive; one Fraction is built at the end.
     """
     check_cap("edge_expansion_exact", g.n, cap, EXPANSION_CAP_DEFAULT)
     n = g.n
@@ -403,7 +406,8 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
         adj_mask[u] |= 1 << (v - 1)
         adj_mask[v] |= 1 << (u - 1)
     deg = [0] + [g.degree(v) for v in g.vertices()]
-    best = None
+    best_cut, best_size = 1, 0  # 1/0 is +infinity: any candidate beats it
+    half = n // 2
     members = 0
     size = 0
     cut = 0
@@ -419,11 +423,9 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
             cut += deg[v] - 2 * (adj_mask[v] & members).bit_count()
             members ^= bit
             size += 1
-        if size >= 1 and 2 * size <= n:
-            ratio = Fraction(cut, size)
-            if best is None or ratio < best:
-                best = ratio
-    return best
+        if 1 <= size <= half and cut * best_size < best_cut * size:
+            best_cut, best_size = cut, size
+    return Fraction(best_cut, best_size)
 
 
 def _delta_size(adj_mask, members_a, members_h) -> int:

@@ -342,6 +342,19 @@ def min_congestion_oracle(g: Graph, cap: int | None = None):
     are processed fewest-alternatives-first and path choices
     shortest-first, so the all-shortest assignment is reached early and
     prunes aggressively.
+
+    Once a best congestion is known, two bounds prune a branch.  One is
+    the running maximum count.  The other is a load sum per vertex set S:
+    every completion adds to the total count of S at least need_S[idx],
+    the sum over the remaining pairs of the fewest interior vertices in S
+    that one of their options has, and some vertex of S carries at least
+    the average, so a branch with ceil((load(S) + need_S[idx]) / |S|)
+    >= best holds no leaf below the best.  S = all vertices bounds by the
+    total load; S = {w} counts the pairs that must pass through a cut
+    vertex w.  Only sets with a positive need_S[0] are kept.  Both bounds
+    remove only branches without an improving leaf, so the search meets
+    the same improving leaves in the same order and returns the same
+    system as a search without them.
     """
     check_cap("min_congestion_oracle", g.n, cap, ORACLE_CAP_DEFAULT)
     n = g.n
@@ -354,16 +367,40 @@ def min_congestion_oracle(g: Graph, cap: int | None = None):
                 pairs.append(((u, v), options))
     pairs.sort(key=lambda item: (len(item[1]), item[0]))
 
+    # Interior vertices of each option as a bitmask, bit w for vertex w.
+    interiors = [[sum(1 << w for w in p[1:-1]) for p in options]
+                 for _, options in pairs]
+    load_bounds = []  # (vertices of S, |S|, need_S) for each useful S
+    for s in range(2, 1 << (n + 1), 2):
+        need = [0] * (len(pairs) + 1)
+        for idx in range(len(pairs) - 1, -1, -1):
+            need[idx] = need[idx + 1] + min((m & s).bit_count()
+                                            for m in interiors[idx])
+        if need[0]:
+            members = [w for w in g.vertices() if s >> w & 1]
+            load_bounds.append((members, len(members), need))
+
     # Endpoint and trivial-path memberships are forced: 2(n-1) + 1 each.
     base = 2 * n - 1
     counts = [base] * (n + 1)
     counts[0] = 0
-    best = [None, None]  # best congestion, chosen interior tuples
+    best = [None, None]  # best congestion, chosen paths
 
     choice = [None] * len(pairs)
 
+    def pruned(idx: int, cur_max: int) -> bool:
+        if best[0] is None:
+            return False
+        if cur_max >= best[0]:
+            return True
+        for members, size, need in load_bounds:
+            load = sum(counts[w] for w in members) + need[idx]
+            if -(-load // size) >= best[0]:  # ceil
+                return True
+        return False
+
     def search(idx: int, cur_max: int) -> None:
-        if best[0] is not None and cur_max >= best[0]:
+        if pruned(idx, cur_max):
             return
         if idx == len(pairs):
             best[0] = cur_max

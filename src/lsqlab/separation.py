@@ -116,16 +116,24 @@ class GridArrangement(Arrangement):
         return tuple(range(u, v + step, step))
 
 
-def grid_path_arrangement(side: int) -> GridArrangement:
+def grid_path_arrangement(side: int,
+                          g: Graph | None = None) -> GridArrangement:
     """Columns of a side x side grid as clusters, rows as inter-cluster paths.
 
     P_k(i, j) runs along row k from column i to column j; P_k(i, i) is the
     single k-th vertex of column i.  v_start is vertex 1.  No path is
-    stored: both path reads are computed when called.
+    stored: both path reads are computed when called.  A caller that
+    already holds the grid passes it as g, which must have the edges
+    graphs.grid_edges(side) (only its vertex count is checked here);
+    otherwise the grid is built.
     """
     if side < 2:
         raise ValueError("grid side must be >= 2")
-    g = graphs.grid_graph(side)  # through the module: a replaced builder is seen
+    if g is None:
+        # through the module: a replaced builder is seen
+        g = graphs.grid_graph(side)
+    elif g.n != side * side:
+        raise ValueError(f"graph has {g.n} vertices, not {side * side}")
     clusters = tuple(frozenset(range(c, side * side + 1, side))
                      for c in range(1, side + 1))
     return GridArrangement(g, side, clusters)

@@ -1,5 +1,6 @@
 """Exact adversary quantities on the matrix game and staircase families."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,26 +59,59 @@ def test_variant_bound_matrix_closed_form():
     assert vb3.argmin == tuple(range(6))  # attained at the whole family
 
 
-def test_variant_bound_matches_direct_subset_sweep():
-    # independent recomputation of min M/q via big_m/big_q per subset
-    cases = [L.family_matrix_game(2)]
-    g = L.clique_graph(4)
-    ps = L.shortest_path_system(g)
-    fam, rel, _ = L.family_staircase(g, ps, 1)
-    cases.append((fam, rel))
-    from fractions import Fraction as F
+def _variant_bound_reference(fam, rel):
+    """(min M/q, argmin) by an independent Gray-code sweep that evaluates
+    big_m and big_q on each subset and keeps the first strict minimum;
+    None if no subset has q > 0."""
+    best = argmin = None
+    members = 0
+    for step in range(1, 1 << fam.size):
+        members ^= step & -step
+        z = [i for i in range(fam.size) if (members >> i) & 1]
+        q = L.big_q(fam, rel, z)
+        ratio = Fraction(L.big_m(fam, rel, z), q) if q else None
+        if ratio is not None and (best is None or ratio < best):
+            best, argmin = ratio, tuple(z)
+    return None if best is None else (best, argmin)
 
+
+def _random_family(rng):
+    """2-10 functions over 1-4 points with values 0-2, both labels present,
+    and small random weights across labels (ties are common)."""
+    size = rng.randint(2, 10)
+    npoints = rng.randint(1, 4)
+    labels = [0, 1] + [rng.randint(0, 1) for _ in range(size - 2)]
+    rng.shuffle(labels)
+    functions = tuple(tuple(rng.randint(0, 2) for _ in range(npoints))
+                      for _ in range(size))
+    fam = FunctionFamily("random", tuple(range(npoints)), functions,
+                         tuple(labels))
+    weights = {(i, j): rng.randint(0, 3) for i in range(size)
+               for j in range(i + 1, size) if labels[i] != labels[j]}
+    first_pair = min(weights)
+    weights[first_pair] = weights[first_pair] or 1
+    return fam, Relation.build(fam, lambda i, j: weights.get((i, j), 0))
+
+
+def test_variant_bound_matches_direct_subset_sweep():
+    # min_ratio and argmin against big_m/big_q evaluated on every subset
+    g = L.clique_graph(4)
+    fam, rel, _ = L.family_staircase(g, L.shortest_path_system(g), 1)
+    cases = [L.family_matrix_game(2), L.family_matrix_game(3), (fam, rel)]
+    rng = random.Random(8)
+    cases += [_random_family(rng) for _ in range(150)]
+    degenerate = 0
     for fam, rel in cases:
-        best = None
-        for mask in range(1, 1 << fam.size):
-            z = [i for i in range(fam.size) if (mask >> i) & 1]
-            q = L.big_q(fam, rel, z)
-            if q == 0:
-                continue
-            ratio = F(L.big_m(fam, rel, z), q)
-            if best is None or ratio < best:
-                best = ratio
-        assert L.variant_bound_exhaustive(fam, rel).min_ratio == best
+        ref = _variant_bound_reference(fam, rel)
+        if ref is None:
+            degenerate += 1
+            with pytest.raises(ValueError):
+                L.variant_bound_exhaustive(fam, rel)
+            continue
+        vb = L.variant_bound_exhaustive(fam, rel)
+        assert (vb.min_ratio, vb.argmin) == ref
+        assert vb.bound == ref[0] / 100
+    assert 0 < degenerate < len(cases) // 2
 
 
 def test_variant_bound_two_point_family():

@@ -84,6 +84,24 @@ def test_bench_arrangement_mode():
                     (SolverSpec("descent"),), trials=1, master_seed=0, c=1)
 
 
+def test_bench_arrangement_mode_builds_no_second_grid(monkeypatch):
+    g = L.grid_graph(5)
+    cfg = BenchConfig("grid", g, "bfs", 0, (SolverSpec("descent"),),
+                      trials=4, master_seed=3, c=1)
+    expected = report_to_csv(run_bench(cfg))
+    built = []
+    grid_graph = L.graphs.grid_graph
+    monkeypatch.setattr(L.graphs, "grid_graph",
+                        lambda side: built.append(side) or grid_graph(side))
+    assert report_to_csv(run_bench(cfg)) == expected
+    assert built == []
+    assert L.grid_path_arrangement(5, g).graph is g
+    assert L.grid_path_arrangement(5) == L.grid_path_arrangement(5, g)
+    assert built == [5]
+    with pytest.raises(ValueError, match="16 vertices, not 25"):
+        L.grid_path_arrangement(5, L.grid_graph(4))
+
+
 def test_bench_arrangement_mode_needs_the_grid_graph(tmp_path):
     grid = L.grid_graph(4)
     swapped = L.graphs.relabel(grid, {v: {1: 2, 2: 1}.get(v, v)

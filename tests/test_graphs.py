@@ -119,18 +119,19 @@ def test_cayley_ring():
     assert g.n == 5
 
 
-def _naive_expansion(g):
+def _naive_expansion_by_size(g):
+    """{|S|: min cut(S)/|S| over the subsets of that size}, |S| <= n/2."""
     from itertools import combinations
 
-    best = None
+    best = {}
     verts = list(g.vertices())
     for size in range(1, g.n // 2 + 1):
         for s in combinations(verts, size):
             s_set = set(s)
             cut = sum(1 for u, v in g.edges if (u in s_set) != (v in s_set))
             ratio = Fraction(cut, size)
-            if best is None or ratio < best:
-                best = ratio
+            if size not in best or ratio < best[size]:
+                best[size] = ratio
     return best
 
 
@@ -159,13 +160,29 @@ def _naive_separation(g):
     return best
 
 
+def _random_connected_graph(n, rng):
+    """A random spanning tree on 1..n plus up to n random extra edges."""
+    edges = {(v, rng.randint(1, v - 1)) for v in range(2, n + 1)}
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((u, v))
+    return L.from_edges(n, edges)
+
+
 def test_expansion_matches_naive_enumeration():
     rng = random.Random(5)
     graphs_under_test = [L.grid_graph(2), L.barbell_graph(6),
                          L.random_regular_graph(8, 3, seed=1)]
+    graphs_under_test += [_random_connected_graph(rng.randint(6, 10), rng)
+                          for _ in range(30)]
+    tied = 0
     for g in graphs_under_test:
-        assert L.edge_expansion_exact(g) == _naive_expansion(g)
-    del rng
+        by_size = _naive_expansion_by_size(g)
+        best = min(by_size.values())
+        assert L.edge_expansion_exact(g) == best
+        tied += list(by_size.values()).count(best) > 1
+    # the integer comparison must also meet equal ratios of unequal sizes
+    assert tied >= 3
 
 
 def test_separation_matches_naive_enumeration():

@@ -2,17 +2,22 @@
 brute-force congestion oracle."""
 
 import json
+import random
 import resource
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
 from lsqlab.graphs import bfs_tree, tree_path
-from lsqlab.pathsystems import PathTable
+from lsqlab.pathsystems import (
+    ORACLE_PATHS_PER_PAIR_CAP,
+    PathTable,
+    _all_simple_paths,
+)
 from lsqlab.serialize import path_system_from_dict, path_system_to_dict
 
 
@@ -265,9 +270,9 @@ def test_serialization_roundtrip():
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, min_n=1, max_n=10):
     """A random connected graph: a random spanning tree plus random edges."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(min_n, max_n))
     labels = draw(st.permutations(range(1, n + 1)))
     edges = {(labels[v], labels[draw(st.integers(0, v - 1))]) for v in range(1, n)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
@@ -293,6 +298,94 @@ def test_source_trees_match_a_table_of_their_paths(g):
     ref = PathTable(g.n, {(u, v): tree_path(bfs_tree(g, u)[1], u, v)
                           for u in vs for v in vs})
     assert_same_system(L.shortest_path_system(g), ref)
+
+
+def _all_connected_graphs(n):
+    """Every connected labelled graph on 1..n."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    for mask in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        try:
+            yield L.from_edges(n, edges)
+        except ValueError:  # disconnected
+            continue
+
+
+def assert_oracle_matches_reference(g, budget=None):
+    ref_star, ref = _min_congestion_oracle_reference(g, budget)
+    g_star, ps = L.min_congestion_oracle(g)
+    assert g_star == ref_star
+    assert ps.table() == ref.table()
+
+
+def test_oracle_matches_unpruned_search_up_to_four_vertices():
+    graphs = [g for n in range(1, 5) for g in _all_connected_graphs(n)]
+    assert len(graphs) == 1 + 1 + 4 + 38
+    for g in graphs + [L.ring_graph(5)]:
+        assert_oracle_matches_reference(g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(connected_graphs(min_n=5, max_n=5))
+def test_oracle_matches_unpruned_search_on_five_vertices(g):
+    # Of the 728 connected graphs on five vertices, the reference makes
+    # more than 20 000 search calls on 208 and more than 200 000 (seconds
+    # to minutes) on 137; examples over the budget are rejected.
+    try:
+        assert_oracle_matches_reference(g, budget=20_000)
+    except _OverBudget:
+        reject()
+
+
+def _two_cycle_graph(n, rng):
+    """Union of two random Hamiltonian cycles on 1..n, drawn as
+    benchmarks/run.py's two_cycle_graph draws it."""
+    edges = set()
+    for _ in range(2):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        edges |= set(zip(order, order[1:] + order[:1]))
+    return L.from_edges(n, edges)
+
+
+def test_oracle_two_cycle_graph_seed3():
+    # The search without the load-sum prune also finds 14, in about 77 s.
+    g = _two_cycle_graph(6, random.Random(3))
+    g_star, ps = L.min_congestion_oracle(g)
+    assert g_star == 14
+    assert L.congestion(ps).max_vertex == 14
+    ps.check_graph(g)
+
+
+def _set_load_lower_bound(g):
+    """max over vertex sets S of ceil((|S| (2n - 1) + sum over ordered pairs
+    of the fewest interior vertices in S on a simple path) / |S|): some
+    vertex of S carries at least that much in every all-pairs system."""
+    n = g.n
+    interiors = [[set(p[1:-1]) for p in _all_simple_paths(g, u, v, 512)]
+                 for u in g.vertices() for v in g.vertices() if u != v]
+    bound = 0
+    for mask in range(1, 1 << n):
+        s = {v for v in g.vertices() if mask >> (v - 1) & 1}
+        load = (2 * n - 1) * len(s) + sum(min(len(i & s) for i in options)
+                                          for options in interiors)
+        bound = max(bound, -(-load // len(s)))
+    return bound
+
+
+def test_oracle_meets_the_set_load_lower_bound_on_two_cycle_graphs():
+    # Without the per-set bounds the search runs for more than 10 minutes
+    # on seed 7.  The returned system's congestion meets a lower bound that
+    # holds for every system, which certifies g*.
+    stars = []
+    for seed in range(1, 11):
+        g = _two_cycle_graph(6, random.Random(seed))
+        g_star, ps = L.min_congestion_oracle(g)
+        ps.check_graph(g)
+        assert L.congestion(ps).max_vertex == g_star
+        assert g_star == _set_load_lower_bound(g)
+        stars.append(g_star)
+    assert stars == [13, 12, 14, 13, 14, 13, 15, 15, 13, 13]
 
 
 def test_translate_systems_match_a_table_of_their_paths():
@@ -343,3 +436,74 @@ def test_hypercube_dim14_needs_no_path_table():
     assert out["g"] == 131072  # N * (1 + dim/2) = 2^14 * 8
     for u, v, p in out["paths"]:
         assert tuple(p) == bit_fixing_path(u, v, 14)
+
+
+class _OverBudget(Exception):
+    """The reference search made more calls than its budget allows."""
+
+
+def _min_congestion_oracle_reference(g, budget=None):
+    """min_congestion_oracle as it was before the load-sum prune, copied
+    verbatim apart from the budget: past `budget` search calls it raises
+    _OverBudget.
+
+    Exhaustive branch-and-bound for the graph's true vertex congestion.
+
+    Returns (g_star, PathTable) where g_star is the minimum achievable
+    vertex congestion over all all-pairs systems of simple paths.  Pairs
+    are processed fewest-alternatives-first and path choices
+    shortest-first, so the all-shortest assignment is reached early and
+    prunes aggressively.
+    """
+    n = g.n
+    pairs = []
+    for u in g.vertices():
+        for v in g.vertices():
+            if u != v:
+                options = _all_simple_paths(g, u, v, ORACLE_PATHS_PER_PAIR_CAP)
+                options.sort(key=lambda p: (len(p), p))
+                pairs.append(((u, v), options))
+    pairs.sort(key=lambda item: (len(item[1]), item[0]))
+
+    # Endpoint and trivial-path memberships are forced: 2(n-1) + 1 each.
+    base = 2 * n - 1
+    counts = [base] * (n + 1)
+    counts[0] = 0
+    best = [None, None]  # best congestion, chosen interior tuples
+
+    choice = [None] * len(pairs)
+    calls = [0]
+
+    def search(idx: int, cur_max: int) -> None:
+        calls[0] += 1
+        if budget is not None and calls[0] > budget:
+            raise _OverBudget
+        if best[0] is not None and cur_max >= best[0]:
+            return
+        if idx == len(pairs):
+            best[0] = cur_max
+            best[1] = list(choice)
+            return
+        _, options = pairs[idx]
+        for p in options:
+            interior = p[1:-1]
+            new_max = cur_max
+            ok = True
+            for w in interior:
+                counts[w] += 1
+                if counts[w] > new_max:
+                    new_max = counts[w]
+                if best[0] is not None and new_max >= best[0]:
+                    ok = False
+            if ok:
+                choice[idx] = p
+                search(idx + 1, new_max)
+            for w in interior:
+                counts[w] -= 1
+        choice[idx] = None
+
+    search(0, base)
+    paths = {(u, u): (u,) for u in g.vertices()}
+    for ((u, v), _), p in zip(pairs, best[1]):
+        paths[(u, v)] = p
+    return best[0], PathTable(n, paths)
