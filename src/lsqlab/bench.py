@@ -64,6 +64,11 @@ class SolverSpec:
     name: str
     t: object = "auto"  # warm-start sample budget
 
+    def __post_init__(self):
+        if self.name == "warm-start" and self.t != "auto" and not (
+                isinstance(self.t, int) and self.t >= 1):
+            raise ValueError("warm start needs t >= 1")
+
     def run(self, g: Graph, oracle: QueryOracle, seed: int):
         if self.name == "descent":
             return steepest_descent(g, oracle, 1)

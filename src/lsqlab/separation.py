@@ -247,7 +247,7 @@ def make_separation_instance(x, bit: int, pa: Arrangement,
     """The hidden-bit instance of a cluster sequence: off the walk
     dist(v, v_start), on it -(last position of v)."""
     s = cluster_staircase(x, pa)
-    walk_values = {v: -pos for pos, v in enumerate(s.walk, start=1)}
+    walk_values = dict(zip(s.walk, range(-1, -len(s.walk) - 1, -1)))
     return hide_bit(x, bit, s, walk_values, g)
 
 

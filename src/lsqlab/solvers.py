@@ -2,8 +2,9 @@
 
 The oracle counts distinct first-time queries (the information-theoretic
 metric); repeats are served from a memo and also tallied separately as raw
-calls.  Answers may be plain numbers or (value, flag) pairs; solvers
-compare on the value component.
+calls; a batched read counts each of its elements.  Answers may be plain
+numbers or (value, flag) pairs; solvers compare on the value component and
+pick the least (value, vertex id).
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph
 from .staircase import local_minima
+
+
+_UNREAD = object()  # memo miss marker: answers such as 0 are memoized too
 
 
 class QueryOracle:
@@ -35,15 +39,30 @@ class QueryOracle:
 
     def query(self, v: int):
         self.raw_calls += 1
-        if v in self.memo:
-            return self.memo[v]
-        ans = self._fn(v)
-        self.memo[v] = ans
+        ans = self.memo.get(v, _UNREAD)
+        if ans is _UNREAD:
+            ans = self.memo[v] = self._fn(v)
         return ans
 
     def value(self, v: int):
         ans = self.query(v)
         return ans[0] if isinstance(ans, tuple) else ans
+
+    def best(self, vs) -> tuple:
+        """Read the vertices of vs in order, each counted as a raw call, and
+        return the (vertex, value) with the least (value, vertex id), or
+        (None, None) when vs is empty."""
+        memo, fn = self.memo, self._fn
+        self.raw_calls += len(vs)
+        best_v = best_val = None
+        for v in vs:
+            ans = memo.get(v, _UNREAD)
+            if ans is _UNREAD:
+                ans = memo[v] = fn(v)
+            val = ans[0] if isinstance(ans, tuple) else ans
+            if best_v is None or val < best_val or (val == best_val and v < best_v):
+                best_v, best_val = v, val
+        return best_v, best_val
 
 
 @dataclass(frozen=True)
@@ -64,14 +83,10 @@ def steepest_descent(g: Graph, oracle: QueryOracle, start: int) -> SolverResult:
     cur = start
     cur_val = oracle.value(cur)
     moves = [cur]
+    adjacency = g.adjacency
     while True:
-        best_v = None
-        best_val = None
-        for u in g.neighbors(cur):  # ascending: strict < keeps lowest id
-            val = oracle.value(u)
-            if best_val is None or val < best_val:
-                best_v, best_val = u, val
-        if best_val is not None and best_val < cur_val:
+        best_v, best_val = oracle.best(adjacency[cur])
+        if best_v is not None and best_val < cur_val:
             cur, cur_val = best_v, best_val
             moves.append(cur)
         else:
@@ -87,20 +102,15 @@ def auto_warm_start_size(g: Graph) -> int:
 def warm_start_descent(g: Graph, oracle: QueryOracle, t="auto",
                        seed=0) -> SolverResult:
     """Sample t random vertices (with replacement, memoized), then descend
-    from the best of them.  Deterministic for a fixed seed."""
+    from the one with the least (value, vertex id).  Deterministic for a
+    fixed seed."""
     if t == "auto":
         t = auto_warm_start_size(g)
     if t < 1:
         raise ValueError("warm start needs t >= 1")
     rng = random.Random(seed)
-    best_v = None
-    best_val = None
-    for _ in range(t):
-        v = rng.randrange(1, g.n + 1)
-        val = oracle.value(v)
-        if best_val is None or val < best_val or (val == best_val and v < best_v):
-            best_v, best_val = v, val
-    return steepest_descent(g, oracle, best_v)
+    draws = [rng.randrange(1, g.n + 1) for _ in range(t)]
+    return steepest_descent(g, oracle, oracle.best(draws)[0])
 
 
 def solve_decision(g: Graph, oracle: QueryOracle, inner) -> SolverResult:

@@ -95,10 +95,10 @@ class HiddenBitInstance:
 
     walk_values holds the value of each walk vertex; every other vertex
     takes its hop distance to the walk's start, read from dist (index 0
-    unused).  The hidden bit sits at the walk's last vertex, -1 everywhere
-    else.  oracle() answers from these alone and is the point of entry for
-    solvers and the adversary machinery; values and flags are the full
-    vertex maps, derived on first access.
+    unused).  The hidden bit sits at minimum, the walk's last vertex, and
+    -1 everywhere else.  oracle() answers from these alone and is the
+    point of entry for solvers and the adversary machinery; values and
+    flags are the full vertex maps, derived on first access.
     """
 
     milestones: tuple
@@ -106,10 +106,14 @@ class HiddenBitInstance:
     staircase: Staircase
     walk_values: dict = field(repr=False)
     dist: tuple = field(repr=False)
+    minimum: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "minimum", self.staircase.end)
 
     def oracle(self, v: int):
         return (self.walk_values.get(v, self.dist[v]),
-                self.bit if v == self.staircase.end else -1)
+                self.bit if v == self.minimum else -1)
 
     @cached_property
     def values(self) -> dict:
@@ -120,12 +124,8 @@ class HiddenBitInstance:
     @cached_property
     def flags(self) -> dict:
         flags = dict.fromkeys(range(1, len(self.dist)), -1)
-        flags[self.staircase.end] = self.bit
+        flags[self.minimum] = self.bit
         return flags
-
-    @property
-    def minimum(self) -> int:
-        return self.staircase.end
 
 
 def hide_bit(x, bit: int, staircase: Staircase, walk_values: dict,
@@ -149,16 +149,17 @@ def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
 
     On the walk the value is -(i*n + j), where i is the largest
     quasi-segment index whose path contains v and j is v's position
-    within that path.
+    within that path.  Each path is read once, for the walk and the values.
     """
-    s = build_staircase(x, ps)
+    check_milestones(x, ps.n)
     n = g.n
     walk_values = {}
-    ends = (*s.segment_starts[1:], len(s.walk) - 1)
-    for i, (lo, hi) in enumerate(zip(s.segment_starts, ends), start=1):
-        for pos, v in enumerate(s.walk[lo:hi + 1], start=1):
-            walk_values[v] = -(i * n + pos)
-    return hide_bit(x, bit, s, walk_values, g)
+    paths = []
+    for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
+        p = ps.path(a, b)
+        paths.append(p)
+        walk_values.update(zip(p, range(-i * n - 1, -i * n - len(p) - 1, -1)))
+    return hide_bit(x, bit, chain(x[0], paths), walk_values, g)
 
 
 def value_function(x, ps: PathSystem, g: Graph) -> dict:

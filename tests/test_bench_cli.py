@@ -1,5 +1,6 @@
 """Bench harness determinism and the CLI surface end to end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import lsqlab as L
+from lsqlab import bench
 from lsqlab.bench import (
     BenchConfig,
     SolverSpec,
@@ -17,6 +19,7 @@ from lsqlab.bench import (
     splitmix64,
     trial_seed,
 )
+from lsqlab.cli import main as cli_main
 from lsqlab.verify import unique_minimum_violation
 
 
@@ -442,3 +445,58 @@ def test_cli_solves_instance_from_a_sibling_directory(tmp_path):
     r = cli(tmp_path / "b", "solve", "--instance", "../c/i.json")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["correct"] is True
+
+
+BOTH_SOLVERS = (SolverSpec("descent"), SolverSpec("warm-start"))
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (BenchConfig("hypercube", L.hypercube_graph(8), "hypercube", 15,
+                 BOTH_SOLVERS, trials=200, master_seed=1),
+     "b1d0274759108054fb01af159ef134632fe3e660865e2344966b85534120750b"),
+    (BenchConfig("regular", L.random_regular_graph(128, 3, 5), "bfs", 6,
+                 BOTH_SOLVERS, trials=200, master_seed=1),
+     "b52306700e2626cb63880d296c7dd9f8905e730341afc50ddb698a6d40acd146"),
+    (BenchConfig("grid", L.grid_graph(12), "bfs", 0, BOTH_SOLVERS,
+                 trials=200, master_seed=1, c=3),
+     "c9a7d25e8f29eb9b3ee0d0ac37d190c1cd17d8ad06f7a5a4d3a587e1fb5293d5"),
+    (BenchConfig("hypercube", L.hypercube_graph(6), "hypercube", 9,
+                 (SolverSpec("warm-start", t=7),), trials=200, master_seed=3),
+     "6c3ee8cc043b20b6720437c6815a4762873f3583c4f236d46e7502c9146fac1b"),
+], ids=["hypercube-d8", "regular-3", "grid-12", "warm-start-t7"])
+def test_bench_csv_digests_pinned(cfg, digest):
+    # query counts are the paper's metric: a speed-up must keep these bytes
+    csv = report_to_csv(run_bench(cfg))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_bench_rejects_bad_warm_start_t_before_any_work(monkeypatch, capsys):
+    for t in (0, -3, 2.5, "many", None):
+        with pytest.raises(ValueError, match="warm start needs t >= 1"):
+            SolverSpec("warm-start", t=t)
+    monkeypatch.setattr(bench, "build_path_system",
+                        lambda *a, **k: pytest.fail("path system built"))
+    for t in ("0", "-2"):
+        assert cli_main(["bench", "--kind", "hypercube", "--dim", "3",
+                         "--strategy", "hypercube", "--L", "2",
+                         "--solver", "warm-start", "--t", t]) == 1
+        assert "warm start needs t >= 1" in capsys.readouterr().err
+
+
+def test_python_dash_m_lsqlab(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(L.__file__)))
+    args = ("bench", "--kind", "hypercube", "--dim", "3", "--strategy",
+            "hypercube", "--L", "2", "--solver", "descent", "--trials", "3")
+
+    def lsqlab(*extra):
+        return subprocess.run([sys.executable, "-m", "lsqlab", *args, *extra],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=env)
+
+    r = lsqlab()
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli(*args).stdout
+    assert len(r.stdout.splitlines()) == 4
+    bad = lsqlab("--solver", "warm-start", "--t", "0")
+    assert bad.returncode == 1 and "Traceback" not in bad.stderr

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsqlab as L
 from lsqlab.solvers import QueryOracle
@@ -153,3 +154,161 @@ def test_query_accounting_bounds():
         assert res.answer == inst.minimum
         assert res.queries <= g.n
         assert res.queries <= 1 + len(res.trace) * delta
+
+
+def test_oracle_memoizes_falsy_answers():
+    for answer in (0, (0, -1)):
+        calls = []
+
+        def target(v):
+            calls.append(v)
+            return answer
+
+        oracle = QueryOracle(target)
+        assert oracle.query(1) == answer
+        assert oracle.value(1) == 0
+        assert oracle.best([1, 2]) == (1, 0)
+        assert oracle.query(2) == answer
+        assert calls == [1, 2]
+        assert (oracle.count, oracle.raw_calls) == (2, 5)
+
+
+def test_oracle_batch_edge_cases():
+    calls = []
+
+    def target(v):
+        calls.append(v)
+        return {1: 3, 2: 1, 3: 1}[v]
+
+    oracle = QueryOracle(target)
+    assert oracle.best([]) == (None, None)
+    assert (oracle.count, oracle.raw_calls) == (0, 0)
+    assert oracle.best([3, 2, 3, 2]) == (2, 1)  # tie: least vertex id
+    assert calls == [3, 2]
+    assert (oracle.count, oracle.raw_calls) == (2, 4)
+    assert oracle.transcript == [(3, 1), (2, 1)]
+
+
+def test_oracle_dict_target():
+    oracle = QueryOracle({1: 5, 2: 0, 3: 5})
+    assert oracle.best([3, 1]) == (1, 5)
+    assert oracle.value(2) == 0
+    assert oracle.transcript == [(3, 5), (1, 5), (2, 0)]
+    assert (oracle.count, oracle.raw_calls) == (3, 3)
+    with pytest.raises(KeyError):
+        oracle.query(4)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the per-vertex solver loops
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceOracle:
+    """QueryOracle as it was before batched reads."""
+
+    def __init__(self, target):
+        self._fn = target if callable(target) else target.__getitem__
+        self.memo = {}
+        self.raw_calls = 0
+
+    @property
+    def count(self) -> int:
+        return len(self.memo)
+
+    @property
+    def transcript(self) -> list:
+        return list(self.memo.items())
+
+    def query(self, v: int):
+        self.raw_calls += 1
+        if v in self.memo:
+            return self.memo[v]
+        ans = self._fn(v)
+        self.memo[v] = ans
+        return ans
+
+    def value(self, v: int):
+        ans = self.query(v)
+        return ans[0] if isinstance(ans, tuple) else ans
+
+
+def _reference_descent(g, oracle, start):
+    if not (1 <= start <= g.n):
+        raise ValueError(f"start vertex {start} outside 1..{g.n}")
+    cur = start
+    cur_val = oracle.value(cur)
+    moves = [cur]
+    while True:
+        best_v = None
+        best_val = None
+        for u in g.neighbors(cur):  # ascending: strict < keeps lowest id
+            val = oracle.value(u)
+            if best_val is None or val < best_val:
+                best_v, best_val = u, val
+        if best_val is not None and best_val < cur_val:
+            cur, cur_val = best_v, best_val
+            moves.append(cur)
+        else:
+            return L.SolverResult(cur, oracle.count, tuple(moves))
+
+
+def _reference_warm_start(g, oracle, t="auto", seed=0):
+    if t == "auto":
+        t = L.solvers.auto_warm_start_size(g)
+    if t < 1:
+        raise ValueError("warm start needs t >= 1")
+    rng = random.Random(seed)
+    best_v = None
+    best_val = None
+    for _ in range(t):
+        v = rng.randrange(1, g.n + 1)
+        val = oracle.value(v)
+        if best_val is None or val < best_val or (val == best_val and v < best_v):
+            best_v, best_val = v, val
+    return _reference_descent(g, oracle, best_v)
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random connected graph: a random spanning tree plus random edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return L.from_edges(n, edges)
+
+
+@st.composite
+def solver_cases(draw):
+    """(graph, target, start, t, seed): small integer values, so ties are
+    common, or a hidden-bit instance over the graph's BFS path system."""
+    g = draw(connected_graphs())
+    if g.n >= 2 and draw(st.booleans()):
+        x = (1, *draw(st.lists(st.integers(2, g.n), min_size=1, max_size=4)))
+        target = make_instance(x, draw(st.integers(0, 1)),
+                               L.shortest_path_system(g), g).oracle
+    else:
+        values = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        target = dict(zip(g.vertices(), values))
+    t = draw(st.one_of(st.just("auto"), st.integers(1, 3 * g.n)))
+    return (g, target, draw(st.integers(1, g.n)), t,
+            draw(st.integers(0, 2 ** 32)))
+
+
+def _run_both(solve, reference, target):
+    new, ref = QueryOracle(target), _ReferenceOracle(target)
+    assert solve(new) == reference(ref)
+    assert new.transcript == ref.transcript
+    assert new.raw_calls == ref.raw_calls
+
+
+@settings(deadline=None, max_examples=300)
+@given(solver_cases())
+def test_batched_solvers_match_per_vertex_loops(case):
+    g, target, start, t, seed = case
+    _run_both(lambda o: L.steepest_descent(g, o, start),
+              lambda o: _reference_descent(g, o, start), target)
+    _run_both(lambda o: L.warm_start_descent(g, o, t=t, seed=seed),
+              lambda o: _reference_warm_start(g, o, t=t, seed=seed), target)
