@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import check_cap
 from .graphs import Graph
 from .pathsystems import PathSystem
-from .staircase import make_instance, relation_congestion
+from .staircase import all_sequences, make_instance, relation_congestion
 
 SUBSET_CAP_DEFAULT = 16
 FAMILY_CAP_DEFAULT = 10_000
@@ -271,14 +271,11 @@ def family_staircase(g: Graph, ps: PathSystem, L: int, cap: int | None = None):
     n = g.n
     size = 2 * n ** L
     check_cap("family_staircase", size, cap, FAMILY_CAP_DEFAULT)
-    sequences = [(1,)]
-    for _ in range(L):
-        sequences = [s + (v,) for s in sequences for v in range(1, n + 1)]
     domain = tuple(g.vertices())
     instances = []
     functions = []
     labels = []
-    for x in sequences:
+    for x in all_sequences(n, L):
         for bit in (0, 1):
             inst = make_instance(x, bit, ps, g)
             instances.append(inst)

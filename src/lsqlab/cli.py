@@ -21,9 +21,12 @@ from .errors import CapabilityError
 
 def _load_or_build_graph(args) -> tuple:
     """Returns (kind, Graph, group table or None)."""
-    table = generators = None
+    params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
+              if getattr(args, name, None) is not None}
+    table = None
     if getattr(args, "group", None):
-        table, generators = serialize.load_group(args.group)
+        params["group"] = serialize.load_group(args.group)
+        table = params["group"][0]
     elif getattr(args, "kind", None) == "ring" and getattr(args, "n", None):
         table = graphs.cyclic_group(args.n)
     if getattr(args, "graph", None):
@@ -31,14 +34,7 @@ def _load_or_build_graph(args) -> tuple:
     kind = getattr(args, "kind", None)
     if kind is None:
         raise ValueError("provide --graph FILE or --kind KIND")
-    if kind == "cayley" and table is None:
-        raise ValueError("--kind cayley needs --group FILE")
-    if kind == "cayley" and generators is None:
-        raise ValueError("group file must carry a generators list")
-    params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
-              if getattr(args, name, None) is not None}
-    spec = graphs.GraphSpec(kind, params, table, generators)
-    return kind, graphs.build_graph(spec), table
+    return kind, graphs.build_graph(graphs.GraphSpec(kind, params)), table
 
 
 def _emit(args, data) -> None:
@@ -132,8 +128,7 @@ def cmd_solve(args):
     if args.solver == "descent":
         result = solvers.steepest_descent(g, oracle, args.start)
     else:
-        t = "auto" if args.t in (None, "auto") else int(args.t)
-        result = solvers.warm_start_descent(g, oracle, t=t, seed=args.seed)
+        result = solvers.warm_start_descent(g, oracle, t=args.t, seed=args.seed)
     out = {
         "answer": result.answer,
         "queries": result.queries,
@@ -151,14 +146,9 @@ def cmd_solve(args):
 
 def cmd_bench(args):
     kind, g, table = _load_or_build_graph(args)
-    specs = []
-    for name in args.solver:
-        if name == "warm-start":
-            t = "auto" if args.t in (None, "auto") else int(args.t)
-            specs.append(bench.SolverSpec(name, t=t))
-        else:
-            specs.append(bench.SolverSpec(name))
-    cfg = bench.BenchConfig(kind, g, args.strategy, args.L or 0, tuple(specs),
+    specs = tuple(bench.SolverSpec(name, t=args.t) if name == "warm-start"
+                  else bench.SolverSpec(name) for name in args.solver)
+    cfg = bench.BenchConfig(kind, g, args.strategy, args.L or 0, specs,
                             trials=args.trials, master_seed=args.seed,
                             workers=args.workers, c=args.c or 0)
     report = bench.run_bench(cfg, table=table)
@@ -221,10 +211,20 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+def _warm_start_t(text: str):
+    """--t: "auto" or an integer; the solver checks that it is >= 1."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or an integer, got {text!r}") from None
+
+
 def _add_graph_args(p, with_strategy=False):
     p.add_argument("--graph", help="graph JSON file")
-    p.add_argument("--kind", choices=["hypercube", "grid", "clique", "ring",
-                                      "barbell", "cayley", "random_regular"])
+    p.add_argument("--kind", choices=list(graphs.FAMILIES))
     p.add_argument("--dim", type=int)
     p.add_argument("--side", type=int)
     p.add_argument("--n", type=int)
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     p.add_argument("--solver", default="descent",
                    choices=["descent", "warm-start"])
     p.add_argument("--start", type=int, default=1)
-    p.add_argument("--t", default="auto")
+    p.add_argument("--t", default="auto", type=_warm_start_t)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--transcript", help="dump the query transcript here")
     p.add_argument("--out")
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
                    help="cluster staircase legs (grid arrangement mode)")
     p.add_argument("--solver", action="append", required=True,
                    choices=["descent", "warm-start"])
-    p.add_argument("--t", default="auto")
+    p.add_argument("--t", default="auto", type=_warm_start_t)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

@@ -165,6 +165,8 @@ def cayley_edges(table, generators) -> set:
     The generating set must exclude the identity and be closed under
     inverse so that the graph is undirected.
     """
+    if generators is None:
+        raise ValueError("a Cayley graph needs a generators list")
     n = len(table)
     gens = sorted(set(generators))
     if not gens:
@@ -192,18 +194,11 @@ def cayley_edges(table, generators) -> set:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Recipe for one of the built-in graph families.
-
-    kind is one of hypercube, grid, clique, ring, barbell, cayley,
-    random_regular; params holds the kind-specific integers (dim, side,
-    n, d, seed); cayley additionally carries a multiplication table and
-    generator set.
-    """
+    """Recipe for one of the built-in graph families: kind names a FAMILIES
+    entry and params holds its parameters."""
 
     kind: str
     params: dict = field(default_factory=dict)
-    table: tuple | None = None
-    generators: tuple | None = None
 
 
 def hypercube_edges(dim: int) -> frozenset:
@@ -303,13 +298,15 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
 
 
 # kind -> (required params, builder); random_regular also reads an
-# optional seed.  Builders are looked up by name at call time.
-_BUILDERS = {
+# optional seed, and cayley's group is a (table, generators) pair.
+# Builders are looked up by name at call time.
+FAMILIES = {
     "hypercube": (("dim",), lambda p: hypercube_graph(p["dim"])),
     "grid": (("side",), lambda p: grid_graph(p["side"])),
     "clique": (("n",), lambda p: clique_graph(p["n"])),
     "ring": (("n",), lambda p: ring_graph(p["n"])),
     "barbell": (("n",), lambda p: barbell_graph(p["n"])),
+    "cayley": (("group",), lambda p: cayley_graph(*p["group"])),
     "random_regular": (("n", "d"), lambda p: random_regular_graph(
         p["n"], p["d"], p.get("seed", 0))),
 }
@@ -317,12 +314,8 @@ _BUILDERS = {
 
 def build_graph(spec: GraphSpec) -> Graph:
     """Construct the canonical graph of a family; deterministic per spec."""
-    if spec.kind == "cayley":
-        if spec.table is None or spec.generators is None:
-            raise ValueError("cayley spec needs a multiplication table and generators")
-        return cayley_graph(spec.table, spec.generators)
     try:
-        required, builder = _BUILDERS[spec.kind]
+        required, builder = FAMILIES[spec.kind]
     except KeyError:
         raise ValueError(f"unknown graph kind {spec.kind!r}") from None
     if any(name not in spec.params for name in required):

@@ -33,10 +33,10 @@ def _field(data, name: str, where: str):
 
 
 def _int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """A JSON integer: no float, string or boolean is coerced to one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _list(value, name: str) -> list:

@@ -9,6 +9,7 @@ sits at the end of the walk; an extra per-vertex flag hides one bit there.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,6 +72,19 @@ def build_staircase(x, ps: PathSystem) -> Staircase:
 def is_good(x) -> bool:
     """True iff all milestones are pairwise distinct."""
     return len(set(x)) == len(x)
+
+
+def all_sequences(n: int, L: int):
+    """All milestone sequences (1, x_2, ..., x_{L+1}) over [n], in
+    lexicographic order."""
+    for rest in itertools.product(range(1, n + 1), repeat=L):
+        yield (1, *rest)
+
+
+def good_sequences(n: int, L: int):
+    """All good milestone sequences (1, x_2, ..., x_{L+1}) over [n]."""
+    for rest in itertools.permutations(range(2, n + 1), L):
+        yield (1, *rest)
 
 
 def multiplicity(q, u: int) -> int:

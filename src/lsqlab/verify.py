@@ -1,20 +1,24 @@
 """Invariant verification suites for every module, runnable by scope.
 
-Each check returns a CheckResult with a counterexample description on
-failure; run_verify aggregates them.  Sampled checks draw from seeded
-generators, so a given budget always examines the same cases.  A check
-whose cases are all sampled is skipped, neither passed nor failed, when the
-budget is 0.
+Each check is registered once, by @check(scope, name, ...), which appends
+it to SUITES in definition order.  A check raises Violation with a
+counterexample description on failure, and returns None or a detail when
+it passes; the registered function returns a CheckResult either way, and
+run_verify aggregates them.  Sampled checks draw from seeded generators,
+so a given budget always examines the same cases.  A check whose cases are
+all sampled is skipped, neither passed nor failed, when the budget is 0.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import adversary, bench, graphs, pathsystems, separation, staircase
+from . import adversary, bench, graphs, pathsystems, separation, solvers, \
+    staircase
 from .serialize import (
     graph_from_dict,
     graph_to_dict,
@@ -32,27 +36,42 @@ class CheckResult:
     skipped: bool = False
 
 
-def _ok(scope, name, detail=""):
-    return CheckResult(scope, name, True, detail)
+class Violation(Exception):
+    """A counterexample found by a check; its text is the check's detail."""
 
 
-def _fail(scope, name, detail):
-    return CheckResult(scope, name, False, detail)
+SUITES: dict = {}  # scope -> registered checks, in definition order
 
 
-def _skip(scope, name):
-    return CheckResult(scope, name, False, "no case examined", skipped=True)
+def check(scope: str, name: str, samples: int | None = None,
+          sampled: bool = False):
+    """Register a check as scope/name.
 
+    A check with a default samples budget is called as body(samples, seed),
+    one without as body().  sampled=True skips the check at budget 0, where
+    it would examine no case.  The registered function keeps the
+    (samples=None, seed=0) call form, None meaning the default budget, and
+    returns a CheckResult.  Only Violation is caught.
+    """
+    default = samples
 
-def good_sequences(n: int, L: int):
-    """All good milestone sequences (1, x_2, ..., x_{L+1}) over [n]."""
-    for rest in itertools.permutations(range(2, n + 1), L):
-        yield (1, *rest)
+    def register(body):
+        def run(samples=None, seed=0):
+            budget = default if samples is None else samples
+            if sampled and not budget:
+                return CheckResult(scope, name, False, "no case examined",
+                                   skipped=True)
+            try:
+                detail = body() if default is None else body(budget, seed)
+            except Violation as v:
+                return CheckResult(scope, name, False, str(v))
+            return CheckResult(scope, name, True, detail or "")
 
-
-def all_sequences(n: int, L: int):
-    for rest in itertools.product(range(1, n + 1), repeat=L):
-        yield (1, *rest)
+        run.__name__, run.__qualname__, run.__doc__ = \
+            body.__name__, body.__qualname__, body.__doc__
+        SUITES.setdefault(scope, []).append(run)
+        return run
+    return register
 
 
 def _small_graph_zoo():
@@ -69,59 +88,56 @@ def _small_graph_zoo():
 # ---------------------------------------------------------------------------
 
 
-def check_graph_determinism(samples=0, seed=0):
+@check("graph", "build_determinism")
+def check_graph_determinism():
     specs = [
         graphs.GraphSpec("hypercube", {"dim": 3}),
         graphs.GraphSpec("grid", {"side": 3}),
         graphs.GraphSpec("barbell", {"n": 8}),
         graphs.GraphSpec("random_regular", {"n": 10, "d": 3, "seed": 7}),
     ]
-    import json
-
     for spec in specs:
         g1, g2 = graphs.build_graph(spec), graphs.build_graph(spec)
         s1 = json.dumps(graph_to_dict(g1), sort_keys=True)
         s2 = json.dumps(graph_to_dict(g2), sort_keys=True)
         if s1 != s2:
-            return _fail("graph", "build_determinism", f"{spec.kind} differs")
-    return _ok("graph", "build_determinism")
+            raise Violation(f"{spec.kind} differs")
 
 
-def check_bfs_metric_properties(samples=0, seed=0):
+@check("graph", "bfs_triangle")
+def check_bfs_metric_properties():
     for name, g in _small_graph_zoo():
         dists = {v: graphs.bfs_distances(g, v) for v in g.vertices()}
         for u in g.vertices():
             for v in g.vertices():
                 for x in g.vertices():
                     if dists[u][v] > dists[u][x] + dists[x][v]:
-                        return _fail("graph", "bfs_triangle",
-                                     f"{name}: d({u},{v}) > d({u},{x})+d({x},{v})")
+                        raise Violation(
+                            f"{name}: d({u},{v}) > d({u},{x})+d({x},{v})")
         for u, v in g.edges:
             for x in g.vertices():
                 if abs(dists[u][x] - dists[v][x]) > 1:
-                    return _fail("graph", "bfs_triangle",
-                                 f"{name}: edge ({u},{v}) jumps at {x}")
-    return _ok("graph", "bfs_triangle")
+                    raise Violation(f"{name}: edge ({u},{v}) jumps at {x}")
 
 
-def check_expansion_invariance(samples=20, seed=0):
+@check("graph", "expansion_positive", samples=20)
+def check_expansion_invariance(samples, seed):
     rng = random.Random(seed)
     for name, g in [("K4", graphs.clique_graph(4)), ("C6", graphs.ring_graph(6)),
                     ("grid3", graphs.grid_graph(3))]:
         beta = graphs.edge_expansion_exact(g)
         if beta <= 0:
-            return _fail("graph", "expansion_positive", f"{name}: beta={beta}")
+            raise Violation(f"{name}: beta={beta}")
         for _ in range(max(2, samples // 10)):
             perm = list(g.vertices())
             rng.shuffle(perm)
             relabeled = graphs.relabel(g, {v: perm[v - 1] for v in g.vertices()})
             if graphs.edge_expansion_exact(relabeled) != beta:
-                return _fail("graph", "expansion_positive",
-                             f"{name}: changed under relabeling")
-    return _ok("graph", "expansion_positive")
+                raise Violation(f"{name}: changed under relabeling")
 
 
-def check_separation_invariance(samples=20, seed=0):
+@check("graph", "separation_invariance", samples=20)
+def check_separation_invariance(samples, seed):
     rng = random.Random(seed)
     for name, g in [("barbell8", graphs.barbell_graph(8)),
                     ("grid3", graphs.grid_graph(3))]:
@@ -131,9 +147,7 @@ def check_separation_invariance(samples=20, seed=0):
             rng.shuffle(perm)
             relabeled = graphs.relabel(g, {v: perm[v - 1] for v in g.vertices()})
             if graphs.separation_number_exact(relabeled) != s:
-                return _fail("graph", "separation_invariance",
-                             f"{name}: changed under relabeling")
-    return _ok("graph", "separation_invariance")
+                raise Violation(f"{name}: changed under relabeling")
 
 
 # ---------------------------------------------------------------------------
@@ -141,83 +155,74 @@ def check_separation_invariance(samples=20, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_congestion_range(samples=0, seed=0):
+@check("paths", "congestion_range")
+def check_congestion_range():
     for name, g in _small_graph_zoo():
         if g.n > 8:
             continue
         ps = pathsystems.shortest_path_system(g)
         prof = pathsystems.congestion(ps)
         if not (g.n <= prof.max_vertex <= g.n * g.n):
-            return _fail("paths", "congestion_range",
-                         f"{name}: g={prof.max_vertex} outside [n, n^2]")
-    return _ok("paths", "congestion_range")
+            raise Violation(f"{name}: g={prof.max_vertex} outside [n, n^2]")
 
 
-def check_oracle_lower_bounds(samples=0, seed=0):
+@check("paths", "oracle_lower_bound")
+def check_oracle_lower_bounds():
     for name, g in [("path3", graphs.from_edges(3, [(1, 2), (2, 3)])),
                     ("K4", graphs.clique_graph(4)), ("C4", graphs.ring_graph(4))]:
         g_star, opt_ps = pathsystems.min_congestion_oracle(g)
         lex = pathsystems.congestion(pathsystems.shortest_path_system(g)).max_vertex
         if pathsystems.congestion(opt_ps).max_vertex != g_star:
-            return _fail("paths", "oracle_lower_bound",
-                         f"{name}: oracle system does not attain g*")
+            raise Violation(f"{name}: oracle system does not attain g*")
         if lex < g_star:
-            return _fail("paths", "oracle_lower_bound",
-                         f"{name}: shortest system beats the oracle")
-    return _ok("paths", "oracle_lower_bound")
+            raise Violation(f"{name}: shortest system beats the oracle")
 
 
-def check_cayley_uniform(samples=0, seed=0):
+@check("paths", "cayley_uniform")
+def check_cayley_uniform():
     cases = [
-        ("C5", graphs.cyclic_group(5)),
-        ("C6", graphs.cyclic_group(6)),
+        ("C5", graphs.cyclic_group(5), {2, 5}),
+        ("C6", graphs.cyclic_group(6), {2, 6}),
         ("Z2xZ2", graphs.direct_product_group(graphs.cyclic_group(2),
-                                              graphs.cyclic_group(2))),
+                                              graphs.cyclic_group(2)), {2, 3}),
     ]
-    for name, table in cases:
-        if name.startswith("C"):
-            k = len(table)
-            gen_set = {2, k} if k > 2 else {2}
-        else:
-            gen_set = {2, 3}
+    for name, table, gen_set in cases:
         g = graphs.cayley_graph(table, gen_set)
         ps = pathsystems.cayley_path_system(g, table)
         prof = pathsystems.congestion(ps)
         per = set(prof.per_vertex.values())
         if len(per) != 1:
-            return _fail("paths", "cayley_uniform", f"{name}: non-uniform {per}")
+            raise Violation(f"{name}: non-uniform {per}")
         diam = graphs.graph_metrics(g)["diameter"]
         if prof.max_vertex > (diam + 1) * g.n:
-            return _fail("paths", "cayley_uniform",
-                         f"{name}: {prof.max_vertex} > (d+1)n")
-    return _ok("paths", "cayley_uniform")
+            raise Violation(f"{name}: {prof.max_vertex} > (d+1)n")
 
 
-def check_hypercube_congestion(samples=0, seed=0):
+@check("paths", "hypercube_congestion")
+def check_hypercube_congestion():
     for b in (1, 2, 3, 4):
         g = graphs.hypercube_graph(b)
         ps = pathsystems.hypercube_path_system(g)
         expected = Fraction(g.n) * (1 + Fraction(b, 2))
         got = pathsystems.congestion(ps).max_vertex
         if got != expected:
-            return _fail("paths", "hypercube_congestion",
-                         f"dim {b}: {got} != {expected}")
-    return _ok("paths", "hypercube_congestion")
+            raise Violation(f"dim {b}: {got} != {expected}")
 
 
-def check_pathsystem_roundtrip(samples=0, seed=0):
+@check("paths", "roundtrip")
+def check_pathsystem_roundtrip():
     for name, g in [("C5", graphs.ring_graph(5)), ("K4", graphs.clique_graph(4))]:
         ps = pathsystems.shortest_path_system(g)
         back = path_system_from_dict(path_system_to_dict(ps))
         if back.table() != ps.table():
-            return _fail("paths", "roundtrip", f"{name}: path table changed")
+            raise Violation(f"{name}: path table changed")
         g2 = graph_from_dict(graph_to_dict(g))
         if g2.edges != g.edges or g2.n != g.n:
-            return _fail("paths", "roundtrip", f"{name}: graph changed")
-    return _ok("paths", "roundtrip")
+            raise Violation(f"{name}: graph changed")
 
 
-def check_psi_identity(samples=0, seed=0):
+@check("paths", "psi_identity")
+def check_psi_identity():
     for name, g in [("path3", graphs.from_edges(3, [(1, 2), (2, 3)])),
                     ("K4", graphs.clique_graph(4)), ("grid2", graphs.grid_graph(2))]:
         ps = pathsystems.shortest_path_system(g)
@@ -225,8 +230,7 @@ def check_psi_identity(samples=0, seed=0):
         for v in g.vertices():
             psi = pathsystems.num_paths_through(ps, v)
             if sum(psi.values()) != prof.per_vertex[v]:
-                return _fail("paths", "psi_identity", f"{name}: vertex {v}")
-    return _ok("paths", "psi_identity")
+                raise Violation(f"{name}: vertex {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +246,27 @@ def unique_minimum_violation(g, values, expected_end):
     return None
 
 
-def _instance_violation(g, inst, start):
-    """Counterexample text unless inst's walk runs along edges of g from
-    start, its values are valid for that walk, and the walk's end is its
-    only local minimum."""
-    walk = inst.staircase.walk
-    if walk[0] != start:
-        return "wrong start"
-    for a, b in zip(walk, walk[1:]):
-        if not g.has_edge(a, b):
-            return f"non-edge ({a},{b})"
-    if not staircase.validate_function(inst.values, walk, g):
-        return "function not valid"
-    return unique_minimum_violation(g, inst.values, inst.minimum)
-
-
-def _check_instances(scope, name, cases):
-    """_instance_violation over (label, graph, start, instance) cases."""
+def _check_instances(cases):
+    """For each (label, graph, start, instance) case: the instance's walk
+    runs along edges of the graph from start, its values are valid for that
+    walk, and the walk's end is its only local minimum."""
     for label, g, start, inst in cases:
-        bad = _instance_violation(g, inst, start)
+        walk = inst.staircase.walk
+        where = f"{label} x={inst.milestones}"
+        if walk[0] != start:
+            raise Violation(f"{where}: wrong start")
+        for a, b in zip(walk, walk[1:]):
+            if not g.has_edge(a, b):
+                raise Violation(f"{where}: non-edge ({a},{b})")
+        if not staircase.validate_function(inst.values, walk, g):
+            raise Violation(f"{where}: function not valid")
+        bad = unique_minimum_violation(g, inst.values, inst.minimum)
         if bad:
-            return _fail(scope, name, f"{label} x={inst.milestones}: {bad}")
-    return _ok(scope, name)
+            raise Violation(f"{where}: {bad}")
 
 
-def check_unique_local_minimum(samples=200, seed=0):
+@check("staircase", "unique_local_minimum", samples=200)
+def check_unique_local_minimum(samples, seed):
     def cases():
         zoo = []
         for n in (3, 4, 5):
@@ -275,7 +275,7 @@ def check_unique_local_minimum(samples=200, seed=0):
         for name, g in zoo:
             ps = pathsystems.shortest_path_system(g)
             for L in (1, 2, 3):
-                for x in all_sequences(g.n, L):
+                for x in staircase.all_sequences(g.n, L):
                     yield name, g, 1, staircase.make_instance(x, 0, ps, g)
         rng = random.Random(seed)
         for dim in (4, 6, 8):
@@ -285,12 +285,12 @@ def check_unique_local_minimum(samples=200, seed=0):
             for _ in range(max(1, samples // 3)):
                 inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))
                 yield f"hypercube{dim}", g, 1, inst
-    return _check_instances("staircase", "unique_local_minimum", cases())
+    _check_instances(cases())
 
 
 def _good_instances(g, ps, L):
     return [staircase.make_instance(x, b, ps, g)
-            for x in good_sequences(g.n, L) for b in (0, 1)]
+            for x in staircase.good_sequences(g.n, L) for b in (0, 1)]
 
 
 def _pair_weight_tables(insts, n):
@@ -311,7 +311,8 @@ def _pair_weight_tables(insts, n):
     return r_v, r_tilde_v
 
 
-def check_rv_twice_rtilde(samples=1000, seed=0):
+@check("staircase", "rv_twice_rtilde", samples=1000)
+def check_rv_twice_rtilde(samples, seed):
     """sum r_v <= 2 sum r~_v over subsets of good functions."""
     for n, L, exhaustive in ((4, 1, True), (4, 2, True), (5, 1, True), (5, 2, False)):
         g = graphs.clique_graph(n)
@@ -332,60 +333,60 @@ def check_rv_twice_rtilde(samples=1000, seed=0):
                 rhs = sum(r_tilde_v.get((i, j, v), 0)
                           for i in members for j in members)
                 if lhs > 2 * rhs:
-                    return _fail("staircase", "rv_twice_rtilde",
-                                 f"n={n} L={L} v={v} Z={members}: {lhs} > 2*{rhs}")
-    return _ok("staircase", "rv_twice_rtilde")
+                    raise Violation(
+                        f"n={n} L={L} v={v} Z={members}: {lhs} > 2*{rhs}")
 
 
-def _m_large_violation(relation, cases):
-    """(counterexample or None, good sequences checked): M({F}) summed over
-    all sequences y against the (1/2e) lower bound, and the exact value
-    where one is given, for every good x of each (label, n, L, lower,
-    exact) case."""
+def _check_m_large(relation, cases):
+    """M({F}) summed over all sequences y against the (1/2e) lower bound,
+    and the exact value where one is given, for every good x of each
+    (label, n, L, lower, exact) case; returns the good sequences checked."""
     checked = 0
     for label, n, L, lower, exact in cases:
-        for x in good_sequences(n, L):
-            total = sum(relation(x, 0, y, 1, n) for y in all_sequences(n, L))
+        for x in staircase.good_sequences(n, L):
+            total = sum(relation(x, 0, y, 1, n)
+                        for y in staircase.all_sequences(n, L))
             if total < lower:
-                return f"{label} x={x}: M={total} < {lower}", checked
+                raise Violation(f"{label} x={x}: M={total} < {lower}")
             if exact is not None and total != exact:
-                return f"{label} x={x}: M={total} != {exact}", checked
+                raise Violation(f"{label} x={x}: M={total} != {exact}")
             checked += 1
-    return None, checked
+    return checked
 
 
-def check_m_large(samples=0, seed=0):
-    bad, _ = _m_large_violation(staircase.relation_congestion, [
+@check("staircase", "m_large")
+def check_m_large():
+    _check_m_large(staircase.relation_congestion, [
         (f"n={n} L={L}", n, L, staircase.ONE_OVER_2E_UPPER * (L + 1) * n ** (L + 1),
          24 if (n, L) == (4, 1) else None)
         for n in (4, 5) for L in (1, 2)])
-    return _fail("staircase", "m_large", bad) if bad else _ok("staircase", "m_large")
 
 
-def _check_prefix_counts(scope, name, cases):
+def _check_prefix_counts(cases):
     """count_good_with_prefix against enumeration for every good x and
     prefix length j of each (label, n, L) case."""
     for label, n, L in cases:
-        for x in good_sequences(n, L):
+        for x in staircase.good_sequences(n, L):
             for j in range(1, L + 1):
                 actual = sum(
-                    1 for y in all_sequences(n, L)
+                    1 for y in staircase.all_sequences(n, L)
                     if staircase.is_good(y)
                     and staircase.shared_prefix_length(x, y) == j
                 )
                 expected = staircase.count_good_with_prefix(x, j, n)
                 if actual != expected:
-                    return _fail(scope, name, f"{label} x={x} j={j}: "
-                                              f"{actual} != {expected}")
-    return _ok(scope, name)
+                    raise Violation(f"{label} x={x} j={j}: "
+                                    f"{actual} != {expected}")
 
 
-def check_count_denominator(samples=0, seed=0):
-    return _check_prefix_counts("staircase", "count_denominator", [
-        (f"n={n} L={L}", n, L) for n in (4, 5, 6) for L in (1, 2, 3) if L + 1 <= n])
+@check("staircase", "count_denominator")
+def check_count_denominator():
+    _check_prefix_counts([(f"n={n} L={L}", n, L) for n in (4, 5, 6)
+                          for L in (1, 2, 3) if L + 1 <= n])
 
 
-def check_tail_count_bound(samples=0, seed=0):
+@check("staircase", "tail_count_bound")
+def check_tail_count_bound():
     for n in (4, 5):
         gset = [graphs.clique_graph(n), graphs.ring_graph(n)]
         for g in gset:
@@ -393,8 +394,8 @@ def check_tail_count_bound(samples=0, seed=0):
             g_cong = pathsystems.congestion(ps).max_vertex
             for L in (1, 2):
                 staircases = {y: staircase.build_staircase(y, ps)
-                              for y in all_sequences(n, L)}
-                for x in all_sequences(n, L):
+                              for y in staircase.all_sequences(n, L)}
+                for x in staircase.all_sequences(n, L):
                     for j in range(1, L + 1):
                         for v in g.vertices():
                             actual = sum(
@@ -405,17 +406,13 @@ def check_tail_count_bound(samples=0, seed=0):
                             psi = pathsystems.num_paths_through(ps, v)[x[j - 1]]
                             bound = staircase.tail_count_bound(psi, g_cong, n, L, j)
                             if actual > bound:
-                                return _fail(
-                                    "staircase", "tail_count_bound",
-                                    f"n={n} L={L} x={x} j={j} v={v}: "
-                                    f"{actual} > {bound}")
-    return _ok("staircase", "tail_count_bound")
+                                raise Violation(f"n={n} L={L} x={x} j={j} v={v}: "
+                                                f"{actual} > {bound}")
 
 
-def check_qz_bound(samples=300, seed=0):
+@check("staircase", "qz_bound", samples=300, sampled=True)
+def check_qz_bound(samples, seed):
     """q(Z) <= |Z| * 6 * g * n^L on good-only subsets."""
-    if not samples:
-        return _skip("staircase", "qz_bound")
     rng = random.Random(seed)
     for n, L in ((4, 1), (4, 2), (5, 1), (5, 2)):
         g = graphs.clique_graph(n)
@@ -435,15 +432,12 @@ def check_qz_bound(samples=300, seed=0):
             )
             cap = len(members) * 6 * g_cong * n ** L
             if q > cap:
-                return _fail("staircase", "qz_bound",
-                             f"n={n} L={L} Z={members}: q={q} > {cap}")
-    return _ok("staircase", "qz_bound")
+                raise Violation(f"n={n} L={L} Z={members}: q={q} > {cap}")
 
 
-def check_sampler_marginals(samples=10000, seed=0):
+@check("staircase", "sampler_marginals", samples=10000, sampled=True)
+def check_sampler_marginals(samples, seed):
     """Position-2 milestone marginal is uniform over 2..n (3-sigma test)."""
-    if not samples:
-        return _skip("staircase", "sampler_marginals")
     n, L = 10, 3
     rng = random.Random(seed)
     counts = {v: 0 for v in range(2, n + 1)}
@@ -454,9 +448,7 @@ def check_sampler_marginals(samples=10000, seed=0):
     sigma = (samples * p * (1 - p)) ** 0.5
     for v, c in counts.items():
         if abs(c - samples * p) > 3 * sigma:
-            return _fail("staircase", "sampler_marginals",
-                         f"vertex {v}: count {c} vs mean {samples * p:.1f}")
-    return _ok("staircase", "sampler_marginals")
+            raise Violation(f"vertex {v}: count {c} vs mean {samples * p:.1f}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +456,17 @@ def check_sampler_marginals(samples=10000, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_grid_arrangements(samples=0, seed=0):
+@check("separation", "grid_arrangements")
+def check_grid_arrangements():
     for side in (2, 3, 4):
         pa = separation.grid_path_arrangement(side)
         problems = separation.arrangement_violations(pa, pa.graph)
         if problems:
-            return _fail("separation", "grid_arrangements",
-                         f"side {side}: {problems[0]}")
-    return _ok("separation", "grid_arrangements")
+            raise Violation(f"side {side}: {problems[0]}")
 
 
-def check_separation_validity(samples=50, seed=0):
+@check("separation", "validity", samples=50)
+def check_separation_validity(samples, seed):
     def cases():
         pa3 = separation.grid_path_arrangement(3)
         for x in itertools.product(range(1, 4), repeat=2):
@@ -488,33 +480,31 @@ def check_separation_validity(samples=50, seed=0):
             inst = separation.make_separation_instance(seq, rng.randrange(2),
                                                        pa4, pa4.graph)
             yield "side 4", pa4.graph, pa4.v_start, inst
-    return _check_instances("separation", "validity", cases())
+    _check_instances(cases())
 
 
-def check_separation_m_large(samples=0, seed=0):
-    bad, checked = _m_large_violation(separation.relation_separation, [
+@check("separation", "m_large")
+def check_separation_m_large():
+    checked = _check_m_large(separation.relation_separation, [
         (f"m={m} c={c}", m, 2 * c,
          staircase.ONE_OVER_2E_UPPER * (c + 1) * m ** (2 * c + 1), None)
         for m in (4, 5, 6) for c in (1, 2) if 2 * c + 1 <= m])  # else no good x
-    if bad:
-        return _fail("separation", "m_large", bad)
-    return _ok("separation", "m_large", f"{checked} good sequences")
+    return f"{checked} good sequences"
 
 
-def check_separation_count(samples=0, seed=0):
-    return _check_prefix_counts("separation", "count_formula", [
-        (f"m={m} c={c}", m, 2 * c) for m in (4, 5, 6) for c in (1, 2)
-        if 2 * c + 1 <= m])
+@check("separation", "count_formula")
+def check_separation_count():
+    _check_prefix_counts([(f"m={m} c={c}", m, 2 * c) for m in (4, 5, 6)
+                          for c in (1, 2) if 2 * c + 1 <= m])
 
 
-def check_parameter_bound(samples=0, seed=0):
+@check("separation", "parameter_bound")
+def check_parameter_bound():
     hand = [((162, 1), 9), ((0, 5), 1), ((8, 1), 2), ((7, 1), 1), ((200, 2), 7)]
     for (s, d), want in hand:
         got = separation.arrangement_parameter_bound(s, d)
         if got != want:
-            return _fail("separation", "parameter_bound",
-                         f"({s},{d}): {got} != {want}")
-    return _ok("separation", "parameter_bound")
+            raise Violation(f"({s},{d}): {got} != {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -522,33 +512,30 @@ def check_parameter_bound(samples=0, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_matrix_game_laws(samples=50, seed=0):
+@check("adversary", "matrix_game", samples=50)
+def check_matrix_game_laws(samples, seed):
     rng = random.Random(seed)
     for k in (2, 3, 4):
         fam, rel = adversary.family_matrix_game(k)
         closed_form = Fraction(k * k, 2 * k - 1)
         vb = adversary.variant_bound_exhaustive(fam, rel)
         if vb.min_ratio != closed_form:
-            return _fail("adversary", "matrix_game",
-                         f"k={k}: min M/q {vb.min_ratio} != {closed_form}")
+            raise Violation(f"k={k}: min M/q {vb.min_ratio} != {closed_form}")
         for _ in range(samples):
             mask = rng.getrandbits(fam.size)
             z = [i for i in range(fam.size) if (mask >> i) & 1]
             m = adversary.big_m(fam, rel, z)
             if m != len(z) * k:
-                return _fail("adversary", "matrix_game",
-                             f"k={k} Z={z}: M={m} != |Z|*k")
+                raise Violation(f"k={k} Z={z}: M={m} != |Z|*k")
             if adversary.big_q(fam, rel, z) > m:
-                return _fail("adversary", "matrix_game",
-                             f"k={k} Z={z}: q > M")
+                raise Violation(f"k={k} Z={z}: q > M")
         ab = adversary.aaronson_vmin(fam, rel)
         if ab.v_min != 1 or ab.bound != Fraction(1, 5):
-            return _fail("adversary", "matrix_game",
-                         f"k={k}: aaronson {ab} != (1, 1/5)")
-    return _ok("adversary", "matrix_game")
+            raise Violation(f"k={k}: aaronson {ab} != (1, 1/5)")
 
 
-def check_proposition_stronger(samples=0, seed=0):
+@check("adversary", "proposition_stronger")
+def check_proposition_stronger():
     """min M(Z)/q(Z) >= 1/(2 v_min) on the matrix game and the small
     staircase family."""
     cases = []
@@ -563,12 +550,11 @@ def check_proposition_stronger(samples=0, seed=0):
         vb = adversary.variant_bound_exhaustive(fam, rel)
         ab = adversary.aaronson_vmin(fam, rel)
         if vb.min_ratio < 1 / (2 * ab.v_min):
-            return _fail("adversary", "proposition_stronger",
-                         f"{name}: {vb.min_ratio} < 1/(2*{ab.v_min})")
-    return _ok("adversary", "proposition_stronger")
+            raise Violation(f"{name}: {vb.min_ratio} < 1/(2*{ab.v_min})")
 
 
-def check_diagonal_solver(samples=0, seed=0):
+@check("adversary", "diagonal_solver")
+def check_diagonal_solver():
     for k in range(2, 17):
         fam, _ = adversary.family_matrix_game(k)
         cell_index = {cell: idx for idx, cell in enumerate(fam.domain)}
@@ -576,27 +562,24 @@ def check_diagonal_solver(samples=0, seed=0):
             oracle = lambda cell: fam.functions[fi][cell_index[cell]]
             label, queries = adversary.matrix_game_diagonal_solver(oracle, k)
             if label != fam.labels[fi] or queries > k:
-                return _fail("adversary", "diagonal_solver",
-                             f"k={k} F{fi}: label {label}, {queries} queries")
-    return _ok("adversary", "diagonal_solver")
+                raise Violation(f"k={k} F{fi}: label {label}, {queries} queries")
 
 
-def check_staircase_family(samples=0, seed=0):
+@check("adversary", "staircase_family")
+def check_staircase_family():
     g = graphs.clique_graph(4)
     ps = pathsystems.shortest_path_system(g)
     fam, rel, insts = adversary.family_staircase(g, ps, 1)
     if fam.size != 8:
-        return _fail("adversary", "staircase_family", f"size {fam.size} != 8")
+        raise Violation(f"size {fam.size} != 8")
     for i, inst in enumerate(insts):
         if staircase.is_good(inst.milestones):
             m = adversary.big_m(fam, rel, [i])
             if m != 24:
-                return _fail("adversary", "staircase_family",
-                             f"good F{i}: M={m} != 24")
+                raise Violation(f"good F{i}: M={m} != 24")
     vb = adversary.variant_bound_exhaustive(fam, rel)
     if vb.bound <= 0:
-        return _fail("adversary", "staircase_family", "bound not positive")
-    return _ok("adversary", "staircase_family")
+        raise Violation("bound not positive")
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +587,8 @@ def check_staircase_family(samples=0, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_solver_correctness(samples=100, seed=0):
-    from .solvers import QueryOracle, brute_force_min, solve_decision, \
-        steepest_descent, warm_start_descent
-
+@check("solvers", "correctness", samples=100)
+def check_solver_correctness(samples, seed):
     rng = random.Random(seed)
     cases = [("K6", graphs.clique_graph(6), None),
              ("grid3", graphs.grid_graph(3), None),
@@ -619,46 +600,36 @@ def check_solver_correctness(samples=100, seed=0):
         for _ in range(max(1, samples // 3)):
             L = rng.randrange(1, min(4, g.n))
             inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))
-            truth = brute_force_min(g, inst.oracle)
+            truth = solvers.brute_force_min(g, inst.oracle)
             if truth != {inst.minimum}:
-                return _fail("solvers", "correctness",
-                             f"{name}: brute force minima {truth}")
+                raise Violation(f"{name}: brute force minima {truth}")
 
-            oracle = QueryOracle(inst.oracle)
-            res = steepest_descent(g, oracle, 1)
+            oracle = solvers.QueryOracle(inst.oracle)
+            res = solvers.steepest_descent(g, oracle, 1)
             if res.answer != inst.minimum or res.queries > g.n:
-                return _fail("solvers", "correctness",
-                             f"{name} descent: {res.answer} q={res.queries}")
+                raise Violation(f"{name} descent: {res.answer} q={res.queries}")
             moves = res.trace
             vals = [inst.values[v] for v in moves]
             if any(a <= b for a, b in zip(vals, vals[1:])):
-                return _fail("solvers", "correctness",
-                             f"{name}: descent values not decreasing")
+                raise Violation(f"{name}: descent values not decreasing")
             if res.queries > 1 + len(moves) * delta:
-                return _fail("solvers", "correctness",
-                             f"{name}: query accounting broken")
+                raise Violation(f"{name}: query accounting broken")
 
-            oracle2 = QueryOracle(inst.oracle)
-            res2 = warm_start_descent(g, oracle2, t="auto",
-                                      seed=rng.getrandbits(64))
+            oracle2 = solvers.QueryOracle(inst.oracle)
+            res2 = solvers.warm_start_descent(g, oracle2, t="auto",
+                                              seed=rng.getrandbits(64))
             if res2.answer != inst.minimum or res2.queries > g.n:
-                return _fail("solvers", "correctness",
-                             f"{name} warm-start: {res2.answer}")
+                raise Violation(f"{name} warm-start: {res2.answer}")
 
-            oracle3 = QueryOracle(inst.oracle)
-            dec = solve_decision(g, oracle3,
-                                 lambda gg, oo: steepest_descent(gg, oo, 1))
+            oracle3 = solvers.QueryOracle(inst.oracle)
+            dec = solvers.solve_decision(
+                g, oracle3, lambda gg, oo: solvers.steepest_descent(gg, oo, 1))
             if dec.answer != inst.bit:
-                return _fail("solvers", "correctness",
-                             f"{name} decision: bit {dec.answer} != {inst.bit}")
-    return _ok("solvers", "correctness")
+                raise Violation(f"{name} decision: bit {dec.answer} != {inst.bit}")
 
 
-def check_solver_determinism(samples=20, seed=0):
-    from .solvers import QueryOracle, warm_start_descent
-
-    if not samples:
-        return _skip("solvers", "determinism")
+@check("solvers", "determinism", samples=20, sampled=True)
+def check_solver_determinism(samples, seed):
     g = graphs.hypercube_graph(4)
     ps = pathsystems.hypercube_path_system(g)
     rng = random.Random(seed)
@@ -666,12 +637,11 @@ def check_solver_determinism(samples=20, seed=0):
         inst_seed = rng.getrandbits(64)
         s_seed = rng.getrandbits(64)
         inst = staircase.sample_hard_instance(g, ps, 3, inst_seed)
-        o1, o2 = QueryOracle(inst.oracle), QueryOracle(inst.oracle)
-        r1 = warm_start_descent(g, o1, t=5, seed=s_seed)
-        r2 = warm_start_descent(g, o2, t=5, seed=s_seed)
+        o1, o2 = solvers.QueryOracle(inst.oracle), solvers.QueryOracle(inst.oracle)
+        r1 = solvers.warm_start_descent(g, o1, t=5, seed=s_seed)
+        r2 = solvers.warm_start_descent(g, o2, t=5, seed=s_seed)
         if o1.transcript != o2.transcript or r1 != r2:
-            return _fail("solvers", "determinism", f"seed {s_seed} diverged")
-    return _ok("solvers", "determinism")
+            raise Violation(f"seed {s_seed} diverged")
 
 
 # ---------------------------------------------------------------------------
@@ -679,49 +649,31 @@ def check_solver_determinism(samples=20, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def check_bench_determinism(samples=0, seed=0):
+@check("bench", "determinism")
+def check_bench_determinism():
     g = graphs.hypercube_graph(4)
-    solvers = (bench.SolverSpec("descent"), bench.SolverSpec("warm-start"))
+    specs = (bench.SolverSpec("descent"), bench.SolverSpec("warm-start"))
     reports = []
     for workers in (1, 1, 4):
-        cfg = bench.BenchConfig("hypercube", g, "hypercube", 3, solvers,
+        cfg = bench.BenchConfig("hypercube", g, "hypercube", 3, specs,
                                 trials=20, master_seed=1234, workers=workers)
         reports.append(bench.report_to_csv(bench.run_bench(cfg)))
     if reports[0] != reports[1]:
-        return _fail("bench", "determinism", "re-run differs")
+        raise Violation("re-run differs")
     if reports[0] != reports[2]:
-        return _fail("bench", "determinism", "worker count changes output")
+        raise Violation("worker count changes output")
     if not all(row.endswith(",true") for row in reports[0].splitlines()[1:]):
-        return _fail("bench", "determinism", "incorrect solver row present")
-    return _ok("bench", "determinism")
+        raise Violation("incorrect solver row present")
 
 
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
-SUITES = {
-    "graph": [check_graph_determinism, check_bfs_metric_properties,
-              check_expansion_invariance, check_separation_invariance],
-    "paths": [check_congestion_range, check_oracle_lower_bounds,
-              check_cayley_uniform, check_hypercube_congestion,
-              check_pathsystem_roundtrip, check_psi_identity],
-    "staircase": [check_unique_local_minimum, check_rv_twice_rtilde,
-                  check_m_large, check_count_denominator,
-                  check_tail_count_bound, check_qz_bound,
-                  check_sampler_marginals],
-    "separation": [check_grid_arrangements, check_separation_validity,
-                   check_separation_m_large, check_separation_count,
-                   check_parameter_bound],
-    "adversary": [check_matrix_game_laws, check_proposition_stronger,
-                  check_diagonal_solver, check_staircase_family],
-    "solvers": [check_solver_correctness, check_solver_determinism],
-    "bench": [check_bench_determinism],
-}
-
 
 def run_verify(scope: str = "all", budget: int | None = None, seed: int = 0):
-    """Run a scope's checks (or all); returns the list of CheckResults."""
+    """Run a scope's checks (or all); returns the list of CheckResults.
+    A budget of None runs each check at its registered default."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget: must be >= 0, got {budget}")
     if scope == "all":
@@ -731,11 +683,4 @@ def run_verify(scope: str = "all", budget: int | None = None, seed: int = 0):
     else:
         raise ValueError(f"unknown scope {scope!r}; choose from "
                          f"{['all', *SUITES]}")
-    results = []
-    for sc in scopes:
-        for fn in SUITES[sc]:
-            if budget is None:
-                results.append(fn(seed=seed))
-            else:
-                results.append(fn(samples=budget, seed=seed))
-    return results
+    return [fn(samples=budget, seed=seed) for sc in scopes for fn in SUITES[sc]]

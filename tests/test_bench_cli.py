@@ -379,6 +379,15 @@ def test_run_bench_runs_at_most_one_bfs(monkeypatch):
     ('{"n": 3, "edges": [1, 2]}', "edges[0]"),
     ('[[1, 2], [2, 3]]', "JSON object"),
     ('{"n": 3}', "has no 'edges' field"),
+    ('{"n": 3.9, "edges": [[1, 2.7], [2, 3]]}', "n must be an integer, got 3.9"),
+    ('{"n": 3, "edges": [[1, 2.7], [2, 3]]}',
+     "edges[0] must be an integer, got 2.7"),
+    ('{"n": "3", "edges": [[true, 2], [2, "3"]]}',
+     "n must be an integer, got '3'"),
+    ('{"n": 3, "edges": [[true, 2], [2, 3]]}',
+     "edges[0] must be an integer, got True"),
+    ('{"n": 3, "edges": [[1, 2], [2, "3"]]}',
+     "edges[1] must be an integer, got '3'"),
 ])
 def test_cli_rejects_malformed_graph_json(tmp_path, text, field):
     gfile = tmp_path / "g.json"
@@ -403,6 +412,23 @@ def test_cli_rejects_malformed_graph_json(tmp_path, text, field):
      '{"table": [[1, 2], [2, 1]], "generators": 2}', "generators must be a list"),
     (("gen", "--kind", "cayley", "--group"),
      '{"table": [[1, 2], [2, 1]], "generators": [9]}', "generator 9 outside 1..2"),
+    (("solve", "--instance"),
+     '{"graph": "g.json", "paths": "p.json", "milestones": [1, 2.5], "bit": 0}',
+     "milestones must be an integer, got 2.5"),
+    (("solve", "--instance"),
+     '{"graph": "g.json", "paths": "p.json", "milestones": [1, 2], "bit": 0.9}',
+     "bit must be an integer, got 0.9"),
+    (("solve", "--instance"),
+     '{"graph": "g.json", "paths": "p.json", "milestones": [1, 2], '
+     '"bit": false}', "bit must be an integer, got False"),
+    (("gen", "--kind", "cayley", "--group"),
+     '{"table": [[1, 2], [2, 1.0]], "generators": [2]}',
+     "table[1] must be an integer, got 1.0"),
+    (("gen", "--kind", "cayley", "--group"),
+     '{"table": [[1, 2], [2, 1]], "generators": ["2"]}',
+     "generators must be an integer, got '2'"),
+    (("gen", "--kind", "cayley", "--group"), '{"table": [[1, 2], [2, 1]]}',
+     "a Cayley graph needs a generators list"),
 ])
 def test_cli_rejects_malformed_instance_and_group_json(tmp_path, command, text,
                                                        field):
@@ -500,3 +526,28 @@ def test_python_dash_m_lsqlab(tmp_path):
     assert len(r.stdout.splitlines()) == 4
     bad = lsqlab("--solver", "warm-start", "--t", "0")
     assert bad.returncode == 1 and "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--instance", "missing.json", "--solver", "warm-start"),
+    ("bench", "--kind", "hypercube", "--dim", "3", "--strategy", "hypercube",
+     "--L", "2", "--solver", "warm-start"),
+])
+@pytest.mark.parametrize("t", ["abc", "2.5"])
+def test_cli_rejects_non_integer_t(command, t, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*command, "--t", t])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert f"argument --t: must be 'auto' or an integer, got {t!r}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_kind_choices_are_the_family_registry(capsys):
+    for kind in L.graphs.FAMILIES:
+        assert cli_main(["gen", "--kind", kind]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"lsqlab gen: --kind {kind} needs --")
+    with pytest.raises(SystemExit):
+        cli_main(["gen", "--kind", "petersen"])
+    assert "invalid choice: 'petersen'" in capsys.readouterr().err

@@ -90,6 +90,18 @@ def test_build_graph_determinism_and_serialization():
     assert all(g1.degree(v) == 3 for v in g1.vertices())
 
 
+def test_build_graph_cayley_family():
+    group = (L.cyclic_group(5), (2, 5))
+    g = L.build_graph(GraphSpec("cayley", {"group": group}))
+    assert g.edges == L.cayley_graph(*group).edges
+    with pytest.raises(ValueError, match="--kind cayley needs --group"):
+        L.build_graph(GraphSpec("cayley", {"n": 5}))
+    with pytest.raises(ValueError, match="needs a generators list"):
+        L.build_graph(GraphSpec("cayley", {"group": (L.cyclic_group(5), None)}))
+    with pytest.raises(ValueError, match="unknown graph kind 'petersen'"):
+        L.build_graph(GraphSpec("petersen"))
+
+
 def test_random_regular_parity_error():
     with pytest.raises(ValueError):
         L.random_regular_graph(5, 3, seed=0)

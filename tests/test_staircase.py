@@ -7,8 +7,10 @@ import pytest
 
 import lsqlab as L
 from lsqlab.staircase import (
+    all_sequences,
     chain,
     count_good_with_prefix,
+    good_sequences,
     make_instance,
     sample_milestones,
     shared_prefix_length,
@@ -189,6 +191,16 @@ def test_sampler_position_marginal():
     assert set(counts) == set(range(2, n + 1))
     for c in counts.values():
         assert abs(c - trials * p) <= 3 * sigma
+
+
+def test_sequence_enumeration_order():
+    assert list(all_sequences(3, 2)) == [
+        (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+        (1, 3, 1), (1, 3, 2), (1, 3, 3)]
+    assert list(good_sequences(4, 2)) == [
+        (1, 2, 3), (1, 2, 4), (1, 3, 2), (1, 3, 4), (1, 4, 2), (1, 4, 3)]
+    assert list(all_sequences(5, 0)) == list(good_sequences(5, 0)) == [(1,)]
+    assert list(good_sequences(3, 3)) == []
 
 
 def test_count_good_with_prefix_matches_enumeration():
