@@ -120,22 +120,39 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation,
                              cap: int | None = None) -> VariantBound:
     """Exact min of M(Z)/q(Z) over all subsets with q(Z) > 0, and /100.
 
-    Iterates subsets in Gray-code order, maintaining M and the per-point
-    distinguishing sums incrementally.  Z is a bitmask of function indices;
-    toggling function i walks its precomputed list of related functions
-    (bit of j, 2 r(i, j), points where i and j differ) and updates the sums
-    of the points of each j in Z.  The best ratio is kept as an integer
-    pair (best_m, best_q) and a subset replaces it only when
-    m_z * best_q < best_m * q, i.e. M(Z)/q(Z) is strictly smaller, so
-    argmin is the first minimizer in Gray-code order; one Fraction is built
-    at the end.
+    Iterates subsets in Gray-code order, maintaining M(Z) and the per-point
+    ordered distinguishing sums d[a] incrementally; q(Z) is max over a of
+    d[a].  Every d[a] is at most total, the sum of all row masses, so the
+    sums are packed into one integer d with a field of B = bits(total) + 1
+    bits per point, the top bit of each field always clear.  Z is a
+    bitmask of function indices; toggling function i adds or subtracts,
+    for each related j in Z, the precomputed vector 2 r(i, j) times the
+    field unit of every point where i and j differ.  Fields never carry
+    or borrow, since every sum stays within [0, total].
+
+    The best ratio is kept as an integer pair (best_m, best_q) and a
+    subset replaces it only when m_z * best_q < best_m * q, i.e. M(Z)/q(Z)
+    is strictly smaller, so argmin is the first minimizer in Gray-code
+    order; one Fraction is built at the end.  For integer q that rule is
+    q > t with t = floor(m_z * best_q / best_m).  No sum exceeds total,
+    so nothing can fire when t >= total; otherwise adding 2^(B-1) - 1 - t
+    to every field sets a field's top bit exactly when its sum exceeds t,
+    so "some field exceeds t" is one addition and one AND.  q itself is
+    read from the fields only when that test fires.
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size, cap, SUBSET_CAP_DEFAULT)
     npoints = len(fam.domain)
     row_mass = [sum(rel.weights[i]) for i in range(size)]
-    # Per function, the related functions and the points where they differ;
-    # pairs with zero weight or no differing point never change a sum.
+    total = sum(row_mass)
+    width = total.bit_length() + 1
+    field_mask = (1 << width) - 1
+    ones = sum(1 << (width * a) for a in range(npoints))  # 1 in every field
+    high_bits = ones << (width - 1)
+    fill = (1 << (width - 1)) - 1
+    # Per function, the related functions and the vector of 2 r(i, j) at
+    # the points where they differ; pairs with zero weight or no
+    # differing point never change a sum.
     related = [[] for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
@@ -143,28 +160,33 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation,
             pts = [a for a in range(npoints)
                    if w and fam.functions[i][a] != fam.functions[j][a]]
             if pts:
-                related[i].append((1 << j, 2 * w, pts))
-                related[j].append((1 << i, 2 * w, pts))
+                vec = 2 * w * sum(1 << (width * a) for a in pts)
+                related[i].append((1 << j, vec))
+                related[j].append((1 << i, vec))
 
     members = 0
     m_z = 0
-    d = [0] * npoints  # ordered distinguishing sum per point
+    d = 0  # packed ordered distinguishing sums, one field per point
     best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
     argmin = None
     for step in range(1, 1 << size):
         i = (step & -step).bit_length() - 1
         members ^= 1 << i
-        sign = 1 if members >> i & 1 else -1
-        for bit, w2, pts in related[i]:
-            if members & bit:
-                delta = sign * w2
-                for a in pts:
-                    d[a] += delta
-        m_z += sign * row_mass[i]
-        q = max(d) if d else 0
-        # q = 0 never passes: m_z * best_q >= 0 = best_m * q.
-        if m_z * best_q < best_m * q:
-            best_m, best_q = m_z, q
+        if members >> i & 1:
+            m_z += row_mass[i]
+            for bit, vec in related[i]:
+                if members & bit:
+                    d += vec
+        else:
+            m_z -= row_mass[i]
+            for bit, vec in related[i]:
+                if members & bit:
+                    d -= vec
+        t = m_z * best_q // best_m
+        if t < total and (d + (fill - t) * ones) & high_bits:
+            best_q = max((d >> (width * a)) & field_mask
+                         for a in range(npoints))
+            best_m = m_z
             argmin = members
     if argmin is None:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")

@@ -384,9 +384,13 @@ def graph_metrics(g: Graph) -> dict:
 def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
     """Exact expansion: min over nonempty S, |S| <= n/2, of cut(S)/|S|.
 
-    Enumerates all subsets with a Gray-code incremental cut count, so the
-    vertex count is capped (default 20).  The best ratio is kept as an
-    integer pair (best_cut, best_size) and a candidate replaces it when
+    cut(S) = cut(V - S), so a Gray-code sweep over the 2^(n-1) subsets S
+    of vertices 1..n-1 suffices, with the cut count kept incrementally.
+    Each step scores S when |S| <= n/2 and otherwise its complement, which
+    holds vertex n and has n - |S| <= n/2 vertices; every subset of size
+    at most n/2 is some S or the complement of one.  The vertex count is
+    capped (default 20).  The best ratio is kept as an integer pair
+    (best_cut, best_size) and a candidate replaces it when
     cut * best_size < best_cut * size, which is cut/size < best_cut/best_size
     since both sizes are positive; one Fraction is built at the end.
     """
@@ -394,30 +398,32 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
     n = g.n
     if n == 1:
         raise ValueError("expansion undefined on a single vertex")
-    adj_mask = [0] * (n + 1)
+    adj_mask = [0] * n  # 0-based vertex -> bitmask of 0-based neighbors
     for u, v in g.edges:
-        adj_mask[u] |= 1 << (v - 1)
-        adj_mask[v] |= 1 << (u - 1)
-    deg = [0] + [g.degree(v) for v in g.vertices()]
+        adj_mask[u - 1] |= 1 << (v - 1)
+        adj_mask[v - 1] |= 1 << (u - 1)
+    deg = [g.degree(v) for v in g.vertices()]
     best_cut, best_size = 1, 0  # 1/0 is +infinity: any candidate beats it
     half = n // 2
     members = 0
     size = 0
     cut = 0
-    for i in range(1, 1 << n):
+    for i in range(1, 1 << (n - 1)):
         j = (i & -i).bit_length() - 1  # toggled vertex, 0-based
         bit = 1 << j
-        v = j + 1
+        # No self-loops, so the neighbors in S are the same either side
+        # of the toggle.
+        members ^= bit
+        change = deg[j] - 2 * (adj_mask[j] & members).bit_count()
         if members & bit:
-            members ^= bit
-            cut -= deg[v] - 2 * (adj_mask[v] & members).bit_count()
-            size -= 1
-        else:
-            cut += deg[v] - 2 * (adj_mask[v] & members).bit_count()
-            members ^= bit
+            cut += change
             size += 1
-        if 1 <= size <= half and cut * best_size < best_cut * size:
-            best_cut, best_size = cut, size
+        else:
+            cut -= change
+            size -= 1
+        side = size if size <= half else n - size
+        if cut * best_size < best_cut * side:
+            best_cut, best_size = cut, side
     return Fraction(best_cut, best_size)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,15 +365,17 @@ def check_m_large():
 
 def _check_prefix_counts(cases):
     """count_good_with_prefix against enumeration for every good x and
-    prefix length j of each (label, n, L) case."""
+    prefix length j of each (label, n, L) case.  The good sequences are
+    filtered from all n^L once per case, and each x takes the histogram
+    of its shared prefix lengths with them in one pass."""
     for label, n, L in cases:
+        goods = [y for y in staircase.all_sequences(n, L)
+                 if staircase.is_good(y)]
         for x in staircase.good_sequences(n, L):
+            by_length = Counter(staircase.shared_prefix_length(x, y)
+                                for y in goods)
             for j in range(1, L + 1):
-                actual = sum(
-                    1 for y in staircase.all_sequences(n, L)
-                    if staircase.is_good(y)
-                    and staircase.shared_prefix_length(x, y) == j
-                )
+                actual = by_length[j]
                 expected = staircase.count_good_with_prefix(x, j, n)
                 if actual != expected:
                     raise Violation(f"{label} x={x} j={j}: "

@@ -6,13 +6,28 @@ fixture 2: the 4x4 grid with three hand-picked paths and milestones
 (1, 6, 11, 16).
 fixture 3: a 9-vertex graph of three triangles across three clusters with
 a full inter-cluster path arrangement.
+
+connected_graphs is the hypothesis strategy for random connected graphs
+that the property tests share; test modules import it from here.
 """
 
 import pytest
+from hypothesis import strategies as st
 
 import lsqlab as L
 from lsqlab.pathsystems import PathSystem, PathTable, shortest_path_system
 from lsqlab.separation import PathArrangement
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random connected graph: a random spanning tree plus random edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return L.from_edges(n, edges)
 
 
 def override_paths(ps: PathSystem, overrides: dict) -> PathTable:

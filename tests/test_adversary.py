@@ -75,9 +75,10 @@ def _variant_bound_reference(fam, rel):
     return None if best is None else (best, argmin)
 
 
-def _random_family(rng):
+def _random_family(rng, max_weight=3):
     """2-10 functions over 1-4 points with values 0-2, both labels present,
-    and small random weights across labels (ties are common)."""
+    and random weights up to max_weight across labels (ties are common
+    when it is small)."""
     size = rng.randint(2, 10)
     npoints = rng.randint(1, 4)
     labels = [0, 1] + [rng.randint(0, 1) for _ in range(size - 2)]
@@ -86,7 +87,7 @@ def _random_family(rng):
                       for _ in range(size))
     fam = FunctionFamily("random", tuple(range(npoints)), functions,
                          tuple(labels))
-    weights = {(i, j): rng.randint(0, 3) for i in range(size)
+    weights = {(i, j): rng.randint(0, max_weight) for i in range(size)
                for j in range(i + 1, size) if labels[i] != labels[j]}
     first_pair = min(weights)
     weights[first_pair] = weights[first_pair] or 1
@@ -112,6 +113,61 @@ def test_variant_bound_matches_direct_subset_sweep():
         assert (vb.min_ratio, vb.argmin) == ref
         assert vb.bound == ref[0] / 100
     assert 0 < degenerate < len(cases) // 2
+
+
+def test_variant_bound_with_weights_beyond_64_bits():
+    # the per-point sums share one integer, a field of bits(total) + 1
+    # bits each; weights this large put them far past a machine word
+    rng = random.Random(9)
+    cases = [_random_family(rng, max_weight=2 ** 70) for _ in range(60)]
+    # q(Z) = total exactly: both functions differ at every point
+    fam = FunctionFamily("far", (0, 1, 2), ((0, 0, 0), (1, 2, 1)), (0, 1))
+    cases.append((fam, Relation.build(fam, lambda i, j: 2 ** 64 + 1)))
+    checked = 0
+    for fam, rel in cases:
+        ref = _variant_bound_reference(fam, rel)
+        if ref is None:
+            continue
+        vb = L.variant_bound_exhaustive(fam, rel)
+        assert (vb.min_ratio, vb.argmin) == ref
+        checked += 1
+    assert checked > 40
+
+
+def test_variant_bound_argmin_among_tied_ratios():
+    # the first minimizer in Gray-code order wins, also when the weights
+    # are scaled past 2^64, which leaves every ratio as it was
+    rng = random.Random(10)
+    tied = 0
+    for _ in range(80):
+        fam, rel = _random_family(rng, max_weight=1)
+        ref = _variant_bound_reference(fam, rel)
+        if ref is None:
+            continue
+        subsets = ([i for i in range(fam.size) if (mask >> i) & 1]
+                   for mask in range(1, 1 << fam.size))
+        ratios = [Fraction(L.big_m(fam, rel, z), q) for z in subsets
+                  if (q := L.big_q(fam, rel, z))]
+        tied += ratios.count(ref[0]) > 1
+        for factor in (1, 3, 2 ** 66 + 1):
+            scaled = Relation.build(
+                fam, lambda i, j: factor * rel.weights[i][j])
+            vb = L.variant_bound_exhaustive(fam, scaled)
+            assert (vb.min_ratio, vb.argmin) == ref
+    assert tied >= 20
+
+
+def test_variant_bound_degenerate_families_raise():
+    # no point separates two related functions, or there is no point
+    same = FunctionFamily("same", (0, 1), ((0, 1), (0, 1), (0, 1)),
+                          (0, 1, 1))
+    empty = FunctionFamily("empty", (), ((), ()), (0, 1))
+    for fam in (same, empty):
+        rel = Relation.build(
+            fam, lambda i, j: 2 ** 70 * (fam.labels[i] != fam.labels[j]))
+        assert _variant_bound_reference(fam, rel) is None
+        with pytest.raises(ValueError, match="degenerate"):
+            L.variant_bound_exhaustive(fam, rel)
 
 
 def test_variant_bound_two_point_family():

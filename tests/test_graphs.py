@@ -197,6 +197,66 @@ def test_expansion_matches_naive_enumeration():
     assert tied >= 3
 
 
+def _naive_minimizers(g):
+    """The subsets S with |S| <= n/2 of least cut(S)/|S|."""
+    from itertools import combinations
+
+    ratios = {}
+    for size in range(1, g.n // 2 + 1):
+        for s in combinations(g.vertices(), size):
+            cut = sum(1 for u, v in g.edges if (u in s) != (v in s))
+            ratios[s] = Fraction(cut, size)
+    best = min(ratios.values())
+    return {s for s, ratio in ratios.items() if ratio == best}
+
+
+def _assert_expansion_matches_naive(g):
+    assert L.edge_expansion_exact(g) == min(_naive_expansion_by_size(g).values())
+
+
+def test_expansion_small_and_odd_vertex_counts():
+    # the sweep covers subsets of 1..n-1 only, so the smallest n and odd
+    # n, where no subset is its complement's size, are the edge cases
+    rng = random.Random(12)
+    cases = [L.from_edges(2, [(1, 2)]), L.from_edges(3, [(1, 2), (2, 3)]),
+             L.from_edges(3, [(1, 3), (2, 3)]), L.clique_graph(3),
+             L.ring_graph(5), L.ring_graph(7)]
+    cases += [_random_connected_graph(n, rng)
+              for n in (3, 5, 7, 9, 11) for _ in range(6)]
+    for g in cases:
+        _assert_expansion_matches_naive(g)
+    assert L.edge_expansion_exact(L.from_edges(3, [(1, 2), (2, 3)])) == 1
+
+
+def _clique_with_tail(n, tail):
+    """K_{n-tail} on 1..n-tail with a path of tail more vertices, ending
+    at vertex n, hung from vertex n-tail."""
+    edges = [(u, v) for u in range(1, n - tail + 1)
+             for v in range(u + 1, n - tail + 1)]
+    edges += [(v, v + 1) for v in range(n - tail, n)]
+    return L.from_edges(n, edges)
+
+
+def test_expansion_only_minimizer_holds_the_last_vertex():
+    # every subset the sweep visits misses vertex n, so these minima are
+    # only reached through the complement of a visited subset
+    for n in (6, 7, 8, 9):
+        for tail, minimizer in ((1, (n,)), (2, (n - 1, n))):
+            g = _clique_with_tail(n, tail)
+            assert _naive_minimizers(g) == {minimizer}
+            _assert_expansion_matches_naive(g)
+            assert L.edge_expansion_exact(g) == Fraction(1, tail)
+
+
+def test_expansion_minimizer_of_half_size():
+    # an arc of a ring and a clique of a barbell minimize at |S| = n/2
+    for g in (L.ring_graph(6), L.ring_graph(8), L.ring_graph(10),
+              L.barbell_graph(4), L.barbell_graph(8), L.barbell_graph(10)):
+        assert {len(s) for s in _naive_minimizers(g)} == {g.n // 2}
+        _assert_expansion_matches_naive(g)
+    assert L.edge_expansion_exact(L.barbell_graph(10)) == Fraction(1, 5)
+
+
 def test_separation_matches_naive_enumeration():
     for g in (L.clique_graph(4), L.ring_graph(5), L.grid_graph(2),
               L.barbell_graph(6), L.random_regular_graph(6, 3, seed=2)):

@@ -9,6 +9,8 @@ import lsqlab as L
 from lsqlab.solvers import QueryOracle
 from lsqlab.staircase import make_instance
 
+from conftest import connected_graphs
+
 
 def path3_with(values):
     g = L.from_edges(3, [(1, 2), (2, 3)])
@@ -267,17 +269,6 @@ def _reference_warm_start(g, oracle, t="auto", seed=0):
         if best_val is None or val < best_val or (val == best_val and v < best_v):
             best_v, best_val = v, val
     return _reference_descent(g, oracle, best_v)
-
-
-@st.composite
-def connected_graphs(draw, max_n=12):
-    """A random connected graph: a random spanning tree plus random edges."""
-    n = draw(st.integers(1, max_n))
-    edges = {(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)}
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    if pairs:
-        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
-    return L.from_edges(n, edges)
 
 
 @st.composite

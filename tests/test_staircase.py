@@ -4,6 +4,7 @@ and the hard-instance sampler."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsqlab as L
 from lsqlab.staircase import (
@@ -16,6 +17,8 @@ from lsqlab.staircase import (
     shared_prefix_length,
     tail_count_bound,
 )
+
+from conftest import connected_graphs
 
 
 def test_staircase_walk_12_vertices(twelve_vertex_example):
@@ -151,6 +154,26 @@ def test_generated_functions_are_valid(grid16_example, twelve_vertex_example):
     for g, ps, x in (grid16_example, twelve_vertex_example):
         inst = make_instance(x, 0, ps, g)
         assert L.validate_function(inst.values, inst.staircase.walk, g)
+
+
+@st.composite
+def shortest_path_instances(draw):
+    """(graph, instance): a random milestone sequence over a random
+    connected graph's BFS path system; milestones may repeat, return to
+    vertex 1 or stay put, so the sequence need not be good."""
+    g = draw(connected_graphs())
+    x = (1, *draw(st.lists(st.integers(1, g.n), max_size=5)))
+    inst = make_instance(x, draw(st.integers(0, 1)),
+                         L.shortest_path_system(g), g)
+    return g, inst
+
+
+@settings(deadline=None, max_examples=300)
+@given(shortest_path_instances())
+def test_instances_are_valid_with_a_unique_minimum(case):
+    g, inst = case
+    assert L.validate_function(inst.values, inst.staircase.walk, g)
+    assert L.local_minima(g, inst.values) == {inst.minimum}
 
 
 def test_local_minima_constant_function():
