@@ -1,11 +1,13 @@
 """Deterministic benchmark harness for solvers on sampled hard instances.
 
 Each trial draws a staircase instance and runs every configured solver on
-a fresh oracle.  Trial seeds derive from the master seed by a fixed
-splitmix64 counter mix, so runs are byte-identical across repeat
-invocations; rows are sorted by (solver, trial) before writing.  Trials
-run one after another in the calling thread; the worker count is accepted
-and validated but changes neither the output nor how it is computed.
+a fresh oracle over the instance's values alone (inst.value); a row is
+correct when the answer is the instance's minimum, so no flag is read.
+Trial seeds derive from the master seed by a fixed splitmix64 counter mix,
+so runs are byte-identical across repeat invocations; rows are sorted by
+(solver, trial) before writing.  Trials run one after another in the
+calling thread; the worker count is accepted and validated but changes
+neither the output nor how it is computed.
 
 Seed derivation (64-bit, documented so other implementations can match):
   trial_seed(t)        = splitmix64(master_seed + (t + 1) * GOLDEN)
@@ -142,7 +144,7 @@ def _run_trial(cfg: BenchConfig, sampler, delta: int, g_cong: int,
     inst = sampler(tseed)
     rows = []
     for s_idx, spec in enumerate(cfg.solvers):
-        oracle = QueryOracle(inst.oracle)
+        oracle = QueryOracle(inst.value)
         result = spec.run(cfg.graph, oracle, solver_seed(tseed, s_idx))
         rows.append({
             "graph_kind": cfg.graph_kind,

@@ -245,10 +245,16 @@ def separation_tail(j: int, s: Staircase) -> tuple:
 def make_separation_instance(x, bit: int, pa: Arrangement,
                              g: Graph) -> HiddenBitInstance:
     """The hidden-bit instance of a cluster sequence: off the walk
-    dist(v, v_start), on it -(last position of v)."""
+    dist(v, v_start), on it -(last position of v), counted from 1.  The
+    walk is written into the distance table in order, so a later visit
+    overwrites an earlier one."""
     s = cluster_staircase(x, pa)
-    walk_values = dict(zip(s.walk, range(-1, -len(s.walk) - 1, -1)))
-    return hide_bit(x, bit, s, walk_values, g)
+    table = list(g.distances(s.walk[0]))
+    val = 0
+    for v in s.walk:
+        val -= 1
+        table[v] = val
+    return hide_bit(x, bit, s, table)
 
 
 def separation_value_function(x, pa: Arrangement, g: Graph) -> dict:

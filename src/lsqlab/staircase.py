@@ -107,55 +107,57 @@ def tail(j: int, s: Staircase) -> tuple:
 class HiddenBitInstance:
     """A staircase function with its hidden bit and full provenance.
 
-    walk_values holds the value of each walk vertex; every other vertex
-    takes its hop distance to the walk's start, read from dist (index 0
-    unused).  The hidden bit sits at minimum, the walk's last vertex, and
-    -1 everywhere else.  oracle() answers from these alone and is the
-    point of entry for solvers and the adversary machinery; values and
-    flags are the full vertex maps, derived on first access.
+    table is the dense value table: table[v] is the value at vertex v
+    (index 0 is padding).  Walk vertices hold their staircase values and
+    every other vertex its hop distance to the walk's start.  The hidden
+    bit sits at minimum, the walk's last vertex, and -1 everywhere else.
+    value(v) reads the table alone and is what the benchmark's oracles
+    answer; oracle(v) answers (value, flag) and is the point of entry for
+    decision solving and the adversary machinery.  values, flags and
+    walk_values are vertex maps derived on first access.
     """
 
     milestones: tuple
     bit: int
     staircase: Staircase
-    walk_values: dict = field(repr=False)
-    dist: tuple = field(repr=False)
+    table: list = field(repr=False)
     minimum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "minimum", self.staircase.end)
 
+    @property
+    def value(self):
+        """The value read as a callable, table.__getitem__."""
+        return self.table.__getitem__
+
     def oracle(self, v: int):
-        return (self.walk_values.get(v, self.dist[v]),
-                self.bit if v == self.minimum else -1)
+        return self.table[v], self.bit if v == self.minimum else -1
 
     @cached_property
     def values(self) -> dict:
-        values = {v: self.dist[v] for v in range(1, len(self.dist))}
-        values.update(self.walk_values)
-        return values
+        return dict(enumerate(self.table[1:], start=1))
 
     @cached_property
     def flags(self) -> dict:
-        flags = dict.fromkeys(range(1, len(self.dist)), -1)
+        flags = dict.fromkeys(range(1, len(self.table)), -1)
         flags[self.minimum] = self.bit
         return flags
 
+    @cached_property
+    def walk_values(self) -> dict:
+        """The values of the walk's vertices, in first-visit order."""
+        table = self.table
+        return {v: table[v] for v in self.staircase.walk}
 
-def hide_bit(x, bit: int, staircase: Staircase, walk_values: dict,
-             g: Graph) -> HiddenBitInstance:
-    """The instance of sequence x whose walk vertices take walk_values and
-    every other vertex its distance to the walk's start, with the bit
+
+def hide_bit(x, bit: int, staircase: Staircase,
+             table: list) -> HiddenBitInstance:
+    """The instance of sequence x with value table table and the bit
     hidden at the walk's end."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    return HiddenBitInstance(
-        milestones=tuple(x),
-        bit=bit,
-        staircase=staircase,
-        walk_values=walk_values,
-        dist=g.distances(staircase.walk[0]),
-    )
+    return HiddenBitInstance(tuple(x), bit, staircase, table)
 
 
 def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
@@ -163,17 +165,21 @@ def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
 
     On the walk the value is -(i*n + j), where i is the largest
     quasi-segment index whose path contains v and j is v's position
-    within that path.  Each path is read once, for the walk and the values.
+    within that path (from 1).  Each path is read once, for the walk and
+    the values, which are written straight into the distance table.
     """
     check_milestones(x, ps.n)
     n = g.n
-    walk_values = {}
+    table = list(g.distances(x[0]))
     paths = []
     for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
         p = ps.path(a, b)
         paths.append(p)
-        walk_values.update(zip(p, range(-i * n - 1, -i * n - len(p) - 1, -1)))
-    return hide_bit(x, bit, chain(x[0], paths), walk_values, g)
+        val = -i * n
+        for v in p:
+            val -= 1
+            table[v] = val
+    return hide_bit(x, bit, chain(x[0], paths), table)
 
 
 def value_function(x, ps: PathSystem, g: Graph) -> dict:
@@ -223,7 +229,7 @@ def distinguishing_weights(v: int, f1: HiddenBitInstance, f2: HiddenBitInstance,
     requires the first walk to visit v at most as often as the second.
     """
     if n is None:
-        n = len(f1.dist) - 1
+        n = len(f1.table) - 1
     r = relation_congestion(f1.milestones, f1.bit, f2.milestones, f2.bit, n)
     if r == 0:
         return 0, 0, 0

@@ -496,6 +496,22 @@ def test_bench_csv_digests_pinned(cfg, digest):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("cfg", [
+    BenchConfig("hypercube", L.hypercube_graph(6), "hypercube", 7,
+                BOTH_SOLVERS, trials=40, master_seed=2),
+    BenchConfig("grid", L.grid_graph(9), "bfs", 0, BOTH_SOLVERS,
+                trials=40, master_seed=2, c=2),
+], ids=["milestones", "arrangement"])
+def test_bench_oracle_targets_are_callables(cfg, monkeypatch):
+    # a tracer wraps each oracle's target in a plain function: the target
+    # handed to bench.QueryOracle must be a callable answering values
+    expected = report_to_csv(run_bench(cfg))
+    query_oracle = bench.QueryOracle
+    monkeypatch.setattr(bench, "QueryOracle",
+                        lambda target: query_oracle(lambda v: target(v)))
+    assert report_to_csv(run_bench(cfg)) == expected
+
+
 def test_bench_rejects_bad_warm_start_t_before_any_work(monkeypatch, capsys):
     for t in (0, -3, 2.5, "many", None):
         with pytest.raises(ValueError, match="warm start needs t >= 1"):

@@ -99,6 +99,19 @@ def test_warm_start_determinism():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 1023, 1024,
+                               1025, 3000, 4097])
+def test_uniform_vertices_are_randrange_draw_for_draw(n):
+    for seed in range(60):
+        rng = random.Random(seed)
+        expected = [rng.randrange(1, n + 1) for _ in range(50)]
+        assert L.solvers.uniform_vertices(n, 50, seed) == expected
+    big = 2 ** 64 + 12345
+    rng = random.Random(big)
+    assert L.solvers.uniform_vertices(n, 500, big) == [
+        rng.randrange(1, n + 1) for _ in range(500)]
+
+
 def test_solve_decision_bits(twelve_vertex_example):
     g, ps, x = twelve_vertex_example
     for bit in (0, 1):

@@ -1,6 +1,7 @@
 """Staircases, value functions, the relation and its refinements, validity,
 and the hard-instance sampler."""
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from lsqlab.staircase import (
     tail_count_bound,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, override_paths
 
 
 def test_staircase_walk_12_vertices(twelve_vertex_example):
@@ -310,3 +311,124 @@ def test_instances_on_one_graph_share_one_entrance_bfs(monkeypatch):
     for seed in range(6):
         L.sample_separation_instance(pa, 2, seed)
     assert calls == [pa.v_start]
+
+
+# The construction the dense value table replaced, kept as the reference:
+# walk values in a dict, every other vertex read from the distance tuple
+# of the walk's start.
+def _dict_instance(s, bit, walk_values, g):
+    dist = g.distances(s.walk[0])
+
+    def oracle(v):
+        return walk_values.get(v, dist[v]), bit if v == s.end else -1
+
+    values = {v: dist[v] for v in range(1, len(dist))}
+    values.update(walk_values)
+    flags = dict.fromkeys(range(1, len(dist)), -1)
+    flags[s.end] = bit
+    return s, walk_values, oracle, values, flags
+
+
+def _dict_milestone_instance(x, bit, ps, g):
+    n = g.n
+    walk_values = {}
+    paths = []
+    for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
+        p = ps.path(a, b)
+        paths.append(p)
+        walk_values.update(zip(p, range(-i * n - 1, -i * n - len(p) - 1, -1)))
+    return _dict_instance(chain(x[0], paths), bit, walk_values, g)
+
+
+def _dict_cluster_instance(x, bit, pa):
+    s = L.cluster_staircase(x, pa)
+    walk_values = dict(zip(s.walk, range(-1, -len(s.walk) - 1, -1)))
+    return _dict_instance(s, bit, walk_values, pa.graph)
+
+
+def _assert_same_instance(inst, reference, g):
+    s, walk_values, oracle, values, flags = reference
+    assert inst.staircase == s
+    assert inst.minimum == s.end
+    # walk_values lists every walk vertex, also at L = 0, where the
+    # reference reads no path and so holds none
+    assert list(inst.walk_values.items()) == [
+        (v, values[v]) for v in dict.fromkeys(s.walk)]
+    if len(s.walk) > 1:
+        assert list(inst.walk_values.items()) == list(walk_values.items())
+    assert list(inst.values.items()) == list(values.items())
+    assert list(inst.flags.items()) == list(flags.items())
+    answers = [oracle(v) for v in g.vertices()]
+    assert [inst.oracle(v) for v in g.vertices()] == answers
+    assert [inst.value(v) for v in g.vertices()] == [a for a, _ in answers]
+
+
+def _tree_path(g, a, b, order):
+    """The path from a to b in the search tree that grows from a taking
+    neighbors by their rank in order: a random simple path."""
+    parent = {a: a}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for w in sorted(g.neighbors(u), key=order.__getitem__):
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+@st.composite
+def path_system_instances(draw):
+    """(graph, path system, milestones, bit): a random connected graph's
+    BFS system with some used paths replaced by random simple paths, so
+    walks cross themselves; or a hypercube's bit-fixing system."""
+    if draw(st.booleans()):
+        g = L.hypercube_graph(draw(st.integers(1, 4)))
+        ps = L.hypercube_path_system(g)
+    else:
+        g = draw(connected_graphs())
+        ps = L.shortest_path_system(g)
+    x = (1, *draw(st.lists(st.integers(1, g.n), max_size=6)))
+    overrides = {}
+    for a, b in zip(x, x[1:]):
+        if g.n > 2 and draw(st.booleans()):
+            order = draw(st.permutations(range(g.n + 1)))
+            overrides[(a, b)] = _tree_path(g, a, b, order)
+    if overrides:
+        ps = override_paths(ps, overrides)
+    return g, ps, x, draw(st.integers(0, 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(path_system_instances())
+def test_value_table_matches_dict_construction(case):
+    g, ps, x, bit = case
+    _assert_same_instance(make_instance(x, bit, ps, g),
+                          _dict_milestone_instance(x, bit, ps, g), g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 8).flatmap(lambda side: st.tuples(
+    st.just(side),
+    st.integers(0, 3).flatmap(lambda c: st.lists(
+        st.integers(1, side), min_size=2 * c, max_size=2 * c)),
+    st.integers(0, 1))))
+def test_separation_value_table_matches_dict_construction(case):
+    side, rest, bit = case
+    pa = L.grid_path_arrangement(side)
+    x = (1, *rest)
+    _assert_same_instance(L.make_separation_instance(x, bit, pa, pa.graph),
+                          _dict_cluster_instance(x, bit, pa), pa.graph)
+
+
+def test_separation_value_table_on_a_path_arrangement(nine_vertex_arrangement):
+    g, pa = nine_vertex_arrangement
+    for c in (0, 1, 2):
+        for rest in itertools.product((1, 2, 3), repeat=2 * c):
+            for bit in (0, 1):
+                x = (1, *rest)
+                _assert_same_instance(L.make_separation_instance(x, bit, pa, g),
+                                      _dict_cluster_instance(x, bit, pa), g)
