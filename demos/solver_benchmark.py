@@ -19,17 +19,18 @@ ps = L.hypercube_path_system(g)
 inst = L.sample_hard_instance(g, ps, 4, seed=42)
 print("milestones:", inst.milestones, "hidden bit:", inst.bit)
 
-oracle = QueryOracle(inst.oracle)
+oracle = QueryOracle(inst.value)
 res = L.steepest_descent(g, oracle, 1)
 print(f"steepest descent from the entrance: vertex {res.answer} "
       f"in {res.queries} distinct queries ({oracle.raw_calls} raw calls)")
 
-oracle = QueryOracle(inst.oracle)
+oracle = QueryOracle(inst.value)
 res = L.warm_start_descent(g, oracle, t="auto", seed=7)
 print(f"warm-start descent: vertex {res.answer} in {res.queries} queries")
 
-oracle = QueryOracle(inst.oracle)
-dec = L.solve_decision(g, oracle, lambda gg, oo: L.steepest_descent(gg, oo, 1))
+oracle = QueryOracle(inst.value)
+dec = L.solve_decision(g, oracle,
+                       lambda gg, oo: L.steepest_descent(gg, oo, 1), inst.flag)
 print(f"decision wrapper recovers the bit: {dec.answer} "
       f"(true bit {inst.bit}) in {dec.queries} queries")
 print()

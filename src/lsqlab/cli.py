@@ -20,14 +20,16 @@ from .errors import CapabilityError
 
 
 def _load_or_build_graph(args) -> tuple:
-    """Returns (kind, Graph, group table or None)."""
+    """Returns (kind, Graph, group table or None).  A ring's cyclic table
+    is n x n, so it is built only for the cayley strategy, which reads it."""
     params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
               if getattr(args, name, None) is not None}
     table = None
     if getattr(args, "group", None):
         params["group"] = serialize.load_group(args.group)
         table = params["group"][0]
-    elif getattr(args, "kind", None) == "ring" and getattr(args, "n", None):
+    elif (getattr(args, "kind", None) == "ring" and getattr(args, "n", None)
+          and getattr(args, "strategy", None) == "cayley"):
         table = graphs.cyclic_group(args.n)
     if getattr(args, "graph", None):
         return "file", serialize.load_graph(args.graph), table
@@ -124,7 +126,7 @@ def _load_instance(path):
 
 def cmd_solve(args):
     g, inst = _load_instance(args.instance)
-    oracle = solvers.QueryOracle(inst.oracle)
+    oracle = solvers.QueryOracle(inst.value)
     if args.solver == "descent":
         result = solvers.steepest_descent(g, oracle, args.start)
     else:
@@ -136,8 +138,7 @@ def cmd_solve(args):
         "correct": result.answer == inst.minimum,
     }
     if args.transcript:
-        rows = [[v, ans[0], ans[1]] if isinstance(ans, tuple) else [v, ans, None]
-                for v, ans in oracle.transcript]
+        rows = [[v, value, inst.flag(v)] for v, value in oracle.transcript]
         Path(args.transcript).write_text(
             json.dumps({"queries": rows}, indent=1) + "\n")
     _emit(args, out)

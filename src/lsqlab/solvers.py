@@ -2,9 +2,9 @@
 
 The oracle counts distinct first-time queries (the information-theoretic
 metric); repeats are served from a memo and also tallied separately as raw
-calls; a batched read counts each of its elements.  Answers may be plain
-numbers or (value, flag) pairs given as plain tuples; solvers compare on
-the value component and pick the least (value, vertex id).
+calls; a batched read counts each of its elements.  Answers are plain
+values, which solvers compare directly, picking the least (value, vertex
+id).  Only the decision step reads a hidden bit, through its flag function.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .staircase import local_minima
 
 
 class QueryOracle:
-    """Memoizing counter around a vertex -> answer map or callable."""
+    """Memoizing counter around a vertex -> value map or callable."""
 
     def __init__(self, target):
         self._fn = target if callable(target) else target.__getitem__
@@ -41,10 +41,6 @@ class QueryOracle:
             memo[v] = self._fn(v)
         return memo[v]
 
-    def value(self, v: int):
-        ans = self.query(v)
-        return ans[0] if type(ans) is tuple else ans
-
     def best(self, vs) -> tuple:
         """Read the vertices of vs in order, each counted as a raw call, and
         return the (vertex, value) with the least (value, vertex id), or
@@ -54,10 +50,9 @@ class QueryOracle:
         best_v = best_val = None
         for v in vs:
             if v in memo:
-                ans = memo[v]
+                val = memo[v]
             else:
-                ans = memo[v] = fn(v)
-            val = ans[0] if type(ans) is tuple else ans
+                val = memo[v] = fn(v)
             if best_v is None or val < best_val or (val == best_val and v < best_v):
                 best_v, best_val = v, val
         return best_v, best_val
@@ -79,7 +74,7 @@ def steepest_descent(g: Graph, oracle: QueryOracle, start: int) -> SolverResult:
     if not (1 <= start <= g.n):
         raise ValueError(f"start vertex {start} outside 1..{g.n}")
     cur = start
-    cur_val = oracle.value(cur)
+    cur_val = oracle.query(cur)
     moves = [cur]
     adjacency = g.adjacency
     while True:
@@ -125,23 +120,21 @@ def warm_start_descent(g: Graph, oracle: QueryOracle, t="auto",
     return steepest_descent(g, oracle, oracle.best(draws)[0])
 
 
-def solve_decision(g: Graph, oracle: QueryOracle, inner) -> SolverResult:
-    """Run a search solver on the value component, then read the flag at
-    the returned minimum.  Costs at most one query beyond the inner run
-    (zero here, since the inner solver always queried its answer)."""
+def solve_decision(g: Graph, oracle: QueryOracle, inner, flag) -> SolverResult:
+    """Run a search solver, query its answer and return flag(answer), the
+    hidden bit there (HiddenBitInstance.flag).  Costs at most one query
+    beyond the inner run (zero here: the inner solver queried its answer)."""
     result = inner(g, oracle)
-    ans = oracle.query(result.answer)
-    if not isinstance(ans, tuple):
-        raise ValueError("decision solving needs (value, flag) oracle answers")
-    flag = ans[1]
-    if flag == -1:
+    oracle.query(result.answer)
+    bit = flag(result.answer)
+    if bit == -1:
         raise ValueError(
             f"inner solver returned vertex {result.answer}, which is not the minimum"
         )
-    return SolverResult(flag, oracle.count, result.trace)
+    return SolverResult(bit, oracle.count, result.trace)
 
 
 def brute_force_min(g: Graph, target) -> set:
     """Evaluate everything and return all local minima; the test oracle."""
     oracle = QueryOracle(target)
-    return local_minima(g, {v: oracle.value(v) for v in g.vertices()})
+    return local_minima(g, {v: oracle.query(v) for v in g.vertices()})

@@ -109,12 +109,12 @@ class HiddenBitInstance:
 
     table is the dense value table: table[v] is the value at vertex v
     (index 0 is padding).  Walk vertices hold their staircase values and
-    every other vertex its hop distance to the walk's start.  The hidden
-    bit sits at minimum, the walk's last vertex, and -1 everywhere else.
-    value(v) reads the table alone and is what the benchmark's oracles
-    answer; oracle(v) answers (value, flag) and is the point of entry for
-    decision solving and the adversary machinery.  values, flags and
-    walk_values are vertex maps derived on first access.
+    every other vertex its hop distance to the walk's start.  value(v)
+    reads the table and is what every solver's oracle answers.  flag(v) is
+    the bit at minimum, the walk's last vertex, and -1 elsewhere; only the
+    decision step reads it.  oracle(v) answers (value, flag), the function
+    the adversary machinery tabulates.  values, flags and walk_values are
+    vertex maps derived on first access.
     """
 
     milestones: tuple
@@ -131,8 +131,11 @@ class HiddenBitInstance:
         """The value read as a callable, table.__getitem__."""
         return self.table.__getitem__
 
+    def flag(self, v: int) -> int:
+        return self.bit if v == self.minimum else -1
+
     def oracle(self, v: int):
-        return self.table[v], self.bit if v == self.minimum else -1
+        return self.table[v], self.flag(v)
 
     @cached_property
     def values(self) -> dict:
@@ -140,9 +143,7 @@ class HiddenBitInstance:
 
     @cached_property
     def flags(self) -> dict:
-        flags = dict.fromkeys(range(1, len(self.table)), -1)
-        flags[self.minimum] = self.bit
-        return flags
+        return {v: self.flag(v) for v in range(1, len(self.table))}
 
     @cached_property
     def walk_values(self) -> dict:

@@ -45,25 +45,30 @@ SUITES: dict = {}  # scope -> registered checks, in definition order
 
 
 def check(scope: str, name: str, samples: int | None = None,
-          sampled: bool = False):
+          sampled: bool = False, uses_memo: bool = False):
     """Register a check as scope/name.
 
     A check with a default samples budget is called as body(samples, seed),
     one without as body().  sampled=True skips the check at budget 0, where
-    it would examine no case.  The registered function keeps the
-    (samples=None, seed=0) call form, None meaning the default budget, and
+    it would examine no case.  uses_memo=True passes the body one more
+    argument, last: the memo dict run_verify shares among one run's checks,
+    or a fresh one.  The registered function keeps the (samples=None,
+    seed=0, memo=None) call form, None meaning the default budget, and
     returns a CheckResult.  Only Violation is caught.
     """
     default = samples
 
     def register(body):
-        def run(samples=None, seed=0):
+        def run(samples=None, seed=0, memo=None):
             budget = default if samples is None else samples
             if sampled and not budget:
                 return CheckResult(scope, name, False, "no case examined",
                                    skipped=True)
+            args = () if default is None else (budget, seed)
+            if uses_memo:
+                args += ({} if memo is None else memo,)
             try:
-                detail = body() if default is None else body(budget, seed)
+                detail = body(*args)
             except Violation as v:
                 return CheckResult(scope, name, False, str(v))
             return CheckResult(scope, name, True, detail or "")
@@ -289,47 +294,48 @@ def check_unique_local_minimum(samples, seed):
     _check_instances(cases())
 
 
-def _good_instances(g, ps, L):
-    return [staircase.make_instance(x, b, ps, g)
-            for x in staircase.good_sequences(g.n, L) for b in (0, 1)]
-
-
-def _pair_weight_tables(insts, n):
-    size = len(insts)
-    r_v = {}
-    r_tilde_v = {}
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
+def _pair_weights(memo, n, L):
+    """(size, r_v, r~_v) for the good instances of K_n at L, built once per
+    memo.  Each table is dense: table[v][i][j] is what the pair {i, j}
+    adds to the double sum of the weight over ordered member pairs at v
+    once i and j are both members, r(i, j) + r(j, i).  An instance is
+    never paired with itself, so table[v][i][i] is 0."""
+    key = ("pair_weights", n, L)
+    if key not in memo:
+        g = graphs.clique_graph(n)
+        ps = pathsystems.shortest_path_system(g)
+        insts = [staircase.make_instance(x, b, ps, g)
+                 for x in staircase.good_sequences(n, L) for b in (0, 1)]
+        size = len(insts)
+        r_v = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
+        r_tilde_v = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
+        for i, j in itertools.permutations(range(size), 2):
             for v in range(1, n + 1):
                 _, rv, rtv = staircase.distinguishing_weights(
                     v, insts[i], insts[j], n)
-                if rv:
-                    r_v[(i, j, v)] = rv
-                if rtv:
-                    r_tilde_v[(i, j, v)] = rtv
-    return r_v, r_tilde_v
+                r_v[v][i][j] += rv
+                r_v[v][j][i] += rv
+                r_tilde_v[v][i][j] += rtv
+                r_tilde_v[v][j][i] += rtv
+        memo[key] = size, r_v, r_tilde_v
+    return memo[key]
 
 
-def _toggle_weights(table, size, n):
-    """w[v][t][j]: what the pair (t, j) adds to the double sum of table at v
-    once t and j are both members: both off-diagonal entries, or the
-    diagonal entry once for j = t."""
-    w = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
-    for (i, j, v), r in table.items():
-        w[v][i][j] += r
-        if i != j:
-            w[v][j][i] += r
-    return w
+def _member_sum(table, members):
+    """The double sum over ordered pairs of members (ascending) that a
+    dense pair table stands for: each unordered pair's entry, once."""
+    total = 0
+    for k, i in enumerate(members):
+        row = table[i]
+        for j in members[k + 1:]:
+            total += row[j]
+    return total
 
 
 def _sweep_rv_twice_rtilde(n, L, size, r_v, r_tilde_v):
     """sum r_v <= 2 sum r~_v for every nonempty subset Z, in Gray-code
     order: each step toggles one instance t, so each vertex's two double
-    sums move by t's weights against the members, t itself included."""
-    w_lhs = _toggle_weights(r_v, size, n)
-    w_rhs = _toggle_weights(r_tilde_v, size, n)
+    sums move by t's row of the pair tables against the members."""
     lhs = [0] * (n + 1)
     rhs = [0] * (n + 1)
     members = set()
@@ -339,7 +345,7 @@ def _sweep_rv_twice_rtilde(n, L, size, r_v, r_tilde_v):
         members.add(t)
         sign = 1 if adding else -1
         for v in range(1, n + 1):
-            row_l, row_r = w_lhs[v][t], w_rhs[v][t]
+            row_l, row_r = r_v[v][t], r_tilde_v[v][t]
             lhs[v] += sign * sum(row_l[j] for j in members)
             rhs[v] += sign * sum(row_r[j] for j in members)
         if not adding:
@@ -350,16 +356,12 @@ def _sweep_rv_twice_rtilde(n, L, size, r_v, r_tilde_v):
                                 f"{lhs[v]} > 2*{rhs[v]}")
 
 
-@check("staircase", "rv_twice_rtilde", samples=1000)
-def check_rv_twice_rtilde(samples, seed):
+@check("staircase", "rv_twice_rtilde", samples=1000, uses_memo=True)
+def check_rv_twice_rtilde(samples, seed, memo):
     """sum r_v <= 2 sum r~_v over subsets of good functions: every subset
     of the (4, 1), (4, 2) and (5, 1) instances, sampled ones at (5, 2)."""
     for n, L, exhaustive in ((4, 1, True), (4, 2, True), (5, 1, True), (5, 2, False)):
-        g = graphs.clique_graph(n)
-        ps = pathsystems.shortest_path_system(g)
-        insts = _good_instances(g, ps, L)
-        size = len(insts)
-        r_v, r_tilde_v = _pair_weight_tables(insts, n)
+        size, r_v, r_tilde_v = _pair_weights(memo, n, L)
         if exhaustive:
             _sweep_rv_twice_rtilde(n, L, size, r_v, r_tilde_v)
             continue
@@ -368,10 +370,8 @@ def check_rv_twice_rtilde(samples, seed):
             mask = rng.getrandbits(size)
             members = [i for i in range(size) if (mask >> i) & 1]
             for v in range(1, n + 1):
-                lhs = sum(r_v.get((i, j, v), 0)
-                          for i in members for j in members)
-                rhs = sum(r_tilde_v.get((i, j, v), 0)
-                          for i in members for j in members)
+                lhs = _member_sum(r_v[v], members)
+                rhs = _member_sum(r_tilde_v[v], members)
                 if lhs > 2 * rhs:
                     raise Violation(
                         f"n={n} L={L} v={v} Z={members}: {lhs} > 2*{rhs}")
@@ -452,26 +452,20 @@ def check_tail_count_bound():
                                                 f"{actual} > {bound}")
 
 
-@check("staircase", "qz_bound", samples=300, sampled=True)
-def check_qz_bound(samples, seed):
+@check("staircase", "qz_bound", samples=300, sampled=True, uses_memo=True)
+def check_qz_bound(samples, seed, memo):
     """q(Z) <= |Z| * 6 * g * n^L on good-only subsets."""
     rng = random.Random(seed)
     for n, L in ((4, 1), (4, 2), (5, 1), (5, 2)):
-        g = graphs.clique_graph(n)
-        ps = pathsystems.shortest_path_system(g)
-        g_cong = pathsystems.congestion(ps).max_vertex
-        insts = _good_instances(g, ps, L)
-        size = len(insts)
-        r_v, _ = _pair_weight_tables(insts, n)
+        g_cong = pathsystems.congestion(pathsystems.shortest_path_system(
+            graphs.clique_graph(n))).max_vertex
+        size, r_v, _ = _pair_weights(memo, n, L)
         for _ in range(samples):
             mask = rng.getrandbits(size)
             members = [i for i in range(size) if (mask >> i) & 1]
             if not members:
                 continue
-            q = max(
-                sum(r_v.get((i, j, v), 0) for i in members for j in members)
-                for v in g.vertices()
-            )
+            q = max(_member_sum(r_v[v], members) for v in range(1, n + 1))
             cap = len(members) * 6 * g_cong * n ** L
             if q > cap:
                 raise Violation(f"n={n} L={L} Z={members}: q={q} > {cap}")
@@ -642,11 +636,11 @@ def check_solver_correctness(samples, seed):
         for _ in range(max(1, samples // 3)):
             L = rng.randrange(1, min(4, g.n))
             inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))
-            truth = solvers.brute_force_min(g, inst.oracle)
+            truth = solvers.brute_force_min(g, inst.value)
             if truth != {inst.minimum}:
                 raise Violation(f"{name}: brute force minima {truth}")
 
-            oracle = solvers.QueryOracle(inst.oracle)
+            oracle = solvers.QueryOracle(inst.value)
             res = solvers.steepest_descent(g, oracle, 1)
             if res.answer != inst.minimum or res.queries > g.n:
                 raise Violation(f"{name} descent: {res.answer} q={res.queries}")
@@ -657,15 +651,16 @@ def check_solver_correctness(samples, seed):
             if res.queries > 1 + len(moves) * delta:
                 raise Violation(f"{name}: query accounting broken")
 
-            oracle2 = solvers.QueryOracle(inst.oracle)
+            oracle2 = solvers.QueryOracle(inst.value)
             res2 = solvers.warm_start_descent(g, oracle2, t="auto",
                                               seed=rng.getrandbits(64))
             if res2.answer != inst.minimum or res2.queries > g.n:
                 raise Violation(f"{name} warm-start: {res2.answer}")
 
-            oracle3 = solvers.QueryOracle(inst.oracle)
+            oracle3 = solvers.QueryOracle(inst.value)
             dec = solvers.solve_decision(
-                g, oracle3, lambda gg, oo: solvers.steepest_descent(gg, oo, 1))
+                g, oracle3, lambda gg, oo: solvers.steepest_descent(gg, oo, 1),
+                inst.flag)
             if dec.answer != inst.bit:
                 raise Violation(f"{name} decision: bit {dec.answer} != {inst.bit}")
 
@@ -679,7 +674,7 @@ def check_solver_determinism(samples, seed):
         inst_seed = rng.getrandbits(64)
         s_seed = rng.getrandbits(64)
         inst = staircase.sample_hard_instance(g, ps, 3, inst_seed)
-        o1, o2 = solvers.QueryOracle(inst.oracle), solvers.QueryOracle(inst.oracle)
+        o1, o2 = solvers.QueryOracle(inst.value), solvers.QueryOracle(inst.value)
         r1 = solvers.warm_start_descent(g, o1, t=5, seed=s_seed)
         r2 = solvers.warm_start_descent(g, o2, t=5, seed=s_seed)
         if o1.transcript != o2.transcript or r1 != r2:
@@ -725,4 +720,6 @@ def run_verify(scope: str = "all", budget: int | None = None, seed: int = 0):
     else:
         raise ValueError(f"unknown scope {scope!r}; choose from "
                          f"{['all', *SUITES]}")
-    return [fn(samples=budget, seed=seed) for sc in scopes for fn in SUITES[sc]]
+    memo = {}
+    return [fn(samples=budget, seed=seed, memo=memo)
+            for sc in scopes for fn in SUITES[sc]]

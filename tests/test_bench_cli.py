@@ -567,3 +567,117 @@ def test_cli_kind_choices_are_the_family_registry(capsys):
     with pytest.raises(SystemExit):
         cli_main(["gen", "--kind", "petersen"])
     assert "invalid choice: 'petersen'" in capsys.readouterr().err
+
+
+# sha256 of `solve` stdout and of its --transcript file (rows [vertex,
+# value, flag]) for each solver on a dimension-5 hypercube instance
+# (L = 5, instance seed 3).
+SOLVE_SHA256 = {
+    ("descent",): (
+        "0da0e7a6b1d549d9fa9bfdcb4248f905d03d0a67698593d7af1cd724aa74a0c5",
+        "70490d9f63080117d4a8099de36468e242a7884cd5aeb844553225dad70c32dc"),
+    ("warm-start", "--seed", "9"): (
+        "629c3ecd5e869f24bd3c19b6210fef1251a69de01505c5fd7ff4b5576f0fb761",
+        "491ca74b5fae9cf8851c91a80dbd38067ce72e445bdd950542436b6bd1a2cbff"),
+}
+
+
+def test_solve_bytes_pinned(tmp_path, capsys):
+    g, p, i = (str(tmp_path / f) for f in ("g.json", "p.json", "i.json"))
+    for argv in (["gen", "--kind", "hypercube", "--dim", "5", "--out", g],
+                 ["paths", "--graph", g, "--strategy", "hypercube", "--out", p],
+                 ["instance", "--graph", g, "--paths", p, "--L", "5",
+                  "--seed", "3", "--out", i]):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    for solver, (out_sha, transcript_sha) in SOLVE_SHA256.items():
+        transcript = tmp_path / "t.json"
+        assert cli_main(["solve", "--instance", i, "--solver", *solver,
+                         "--transcript", str(transcript)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+        assert hashlib.sha256(transcript.read_bytes()).hexdigest() \
+            == transcript_sha
+
+
+def test_ring_builds_its_cyclic_table_only_for_cayley(monkeypatch, capsys):
+    ring = ["--kind", "ring", "--n", "8"]
+    bench_args = ["--L", "3", "--solver", "descent", "--solver",
+                  "warm-start", "--trials", "6"]
+    assert cli_main(["bench", *ring, "--strategy", "cayley",
+                     *bench_args]) == 0
+    cayley = capsys.readouterr().out
+    assert cli_main(["paths", *ring, "--strategy", "cayley"]) == 0
+    cayley_paths = capsys.readouterr().out
+    cyclic_group = L.graphs.cyclic_group
+
+    def refuse(k):
+        raise AssertionError("cyclic table built")
+
+    monkeypatch.setattr(L.graphs, "cyclic_group", refuse)
+    for argv in (["gen", *ring], ["metrics", *ring],
+                 ["bench", *ring, "--strategy", "bfs", *bench_args],
+                 ["adversary", "--family", "staircase", *ring]):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(L.graphs, "cyclic_group", cyclic_group)
+    assert cli_main(["bench", *ring, "--strategy", "cayley",
+                     *bench_args]) == 0
+    assert capsys.readouterr().out == cayley
+    assert cli_main(["paths", *ring, "--strategy", "cayley"]) == 0
+    assert capsys.readouterr().out == cayley_paths
+
+
+def _count_calls(monkeypatch, module, attr, counts):
+    fn = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] = counts.get(attr, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_benchmark_call_sites(tmp_path, monkeypatch, capsys):
+    # benchmarks/run.py marks each trial's start by wrapping the per-trial
+    # sampler, and each exact routine's entry by wrapping it, through these
+    # module attributes: the CLI must still call through them, once per
+    # trial or once per command, or setup and trial time fold together.
+    from lsqlab import adversary, graphs, separation
+
+    counts = {}
+    for module, attr in ((bench, "sample_hard_instance"),
+                         (separation, "sample_separation_instance"),
+                         (bench, "min_congestion_oracle"),
+                         (adversary, "variant_bound_exhaustive"),
+                         (graphs, "edge_expansion_exact"),
+                         (graphs, "separation_number_exact")):
+        _count_calls(monkeypatch, module, attr, counts)
+    two_cycle = tmp_path / "two_cycle.json"
+    two_cycle.write_text(json.dumps({"n": 6, "edges": [
+        [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6], [1, 4], [2, 5]]}))
+    solvers = ["--solver", "descent", "--solver", "warm-start", "--trials", "5",
+               "--seed", "1", "--workers", "1"]
+    cases = [
+        (["bench", "--kind", "hypercube", "--dim", "4", "--strategy",
+          "hypercube", "--L", "3", *solvers], "sample_hard_instance", 5),
+        (["bench", "--graph", str(two_cycle), "--strategy", "bfs", "--L", "2",
+          *solvers], "sample_hard_instance", 5),
+        (["bench", "--kind", "grid", "--side", "4", "--c", "1", *solvers],
+         "sample_separation_instance", 5),
+        (["adversary", "--family", "matrix", "--k", "3"],
+         "variant_bound_exhaustive", 1),
+        (["adversary", "--family", "staircase", "--kind", "ring", "--n", "5",
+          "--strategy", "bfs", "--L", "1"], "variant_bound_exhaustive", 1),
+        (["metrics", "--graph", str(two_cycle), "--expansion"],
+         "edge_expansion_exact", 1),
+        (["metrics", "--graph", str(two_cycle), "--separation"],
+         "separation_number_exact", 1),
+        (["paths", "--graph", str(two_cycle), "--strategy", "brute"],
+         "min_congestion_oracle", 1),
+    ]
+    for argv, attr, expected in cases:
+        counts.clear()
+        assert cli_main(argv) == 0
+        assert counts == {attr: expected}, argv
+    capsys.readouterr()

@@ -36,7 +36,7 @@ def test_descent_start_at_minimum():
 def test_descent_example_instance(twelve_vertex_example):
     g, ps, x = twelve_vertex_example
     inst = make_instance(x, 1, ps, g)
-    oracle = QueryOracle(inst.oracle)
+    oracle = QueryOracle(inst.value)
     res = L.steepest_descent(g, oracle, 1)
     assert res.answer == 11
     vals = [inst.values[v] for v in res.trace]
@@ -67,9 +67,9 @@ def test_warm_start_t1_matches_descent_from_sampled_vertex():
     inst = make_instance((1, 7, 4), 0, ps, g)
     seed = 1234
     first = random.Random(seed).randrange(1, g.n + 1)
-    o1 = QueryOracle(inst.oracle)
+    o1 = QueryOracle(inst.value)
     warm = L.warm_start_descent(g, o1, t=1, seed=seed)
-    o2 = QueryOracle(inst.oracle)
+    o2 = QueryOracle(inst.value)
     direct = L.steepest_descent(g, o2, first)
     assert warm.answer == direct.answer
     assert warm.queries == direct.queries
@@ -80,7 +80,7 @@ def test_warm_start_golden_replay():
     g = L.hypercube_graph(4)
     ps = L.hypercube_path_system(g)
     inst = L.sample_hard_instance(g, ps, 3, seed=77)
-    oracle = QueryOracle(inst.oracle)
+    oracle = QueryOracle(inst.value)
     res = L.warm_start_descent(g, oracle, t="auto", seed=101)
     assert inst.milestones == (1, 14, 6, 7)
     assert (res.answer, res.queries) == (7, 9)
@@ -93,7 +93,7 @@ def test_warm_start_determinism():
     inst = L.sample_hard_instance(g, ps, 2, seed=5)
     runs = []
     for _ in range(2):
-        oracle = QueryOracle(inst.oracle)
+        oracle = QueryOracle(inst.value)
         res = L.warm_start_descent(g, oracle, t=4, seed=99)
         runs.append((res, tuple(oracle.transcript)))
     assert runs[0] == runs[1]
@@ -116,20 +116,22 @@ def test_solve_decision_bits(twelve_vertex_example):
     g, ps, x = twelve_vertex_example
     for bit in (0, 1):
         inst = make_instance(x, bit, ps, g)
-        oracle = QueryOracle(inst.oracle)
+        oracle = QueryOracle(inst.value)
         res = L.solve_decision(g, oracle,
-                               lambda gg, oo: L.steepest_descent(gg, oo, 1))
+                               lambda gg, oo: L.steepest_descent(gg, oo, 1),
+                               inst.flag)
         assert res.answer == bit
 
 
 def test_solve_decision_no_extra_query(twelve_vertex_example):
     g, ps, x = twelve_vertex_example
     inst = make_instance(x, 1, ps, g)
-    o1 = QueryOracle(inst.oracle)
+    o1 = QueryOracle(inst.value)
     search = L.steepest_descent(g, o1, 1)
-    o2 = QueryOracle(inst.oracle)
+    o2 = QueryOracle(inst.value)
     decision = L.solve_decision(g, o2,
-                                lambda gg, oo: L.steepest_descent(gg, oo, 1))
+                                lambda gg, oo: L.steepest_descent(gg, oo, 1),
+                                inst.flag)
     # the inner solver already queried the minimum: memo hit, same count
     assert decision.queries == search.queries
 
@@ -138,20 +140,20 @@ def test_solve_decision_rejects_non_minimum():
     g = L.clique_graph(4)
     ps = L.shortest_path_system(g)
     inst = make_instance((1, 3), 1, ps, g)
-    oracle = QueryOracle(inst.oracle)
+    oracle = QueryOracle(inst.value)
 
     def lazy(gg, oo):
-        oo.value(2)
+        oo.query(2)
         return L.SolverResult(2, oo.count)
 
     with pytest.raises(ValueError, match="not the minimum"):
-        L.solve_decision(g, oracle, lazy)
+        L.solve_decision(g, oracle, lazy, inst.flag)
 
 
 def test_brute_force_examples(grid16_example):
     g, ps, x = grid16_example
     inst = make_instance(x, 0, ps, g)
-    assert L.brute_force_min(g, inst.oracle) == {16}
+    assert L.brute_force_min(g, inst.value) == {16}
     ring = L.ring_graph(5)
     assert L.brute_force_min(ring, {v: 0 for v in ring.vertices()}) == set(
         ring.vertices())
@@ -164,7 +166,7 @@ def test_query_accounting_bounds():
     delta = L.graph_metrics(g)["max_degree"]
     for _ in range(25):
         inst = L.sample_hard_instance(g, ps, 4, rng.getrandbits(64))
-        oracle = QueryOracle(inst.oracle)
+        oracle = QueryOracle(inst.value)
         res = L.steepest_descent(g, oracle, 1)
         assert res.answer == inst.minimum
         assert res.queries <= g.n
@@ -172,20 +174,18 @@ def test_query_accounting_bounds():
 
 
 def test_oracle_memoizes_falsy_answers():
-    for answer in (0, (0, -1)):
-        calls = []
+    calls = []
 
-        def target(v):
-            calls.append(v)
-            return answer
+    def target(v):
+        calls.append(v)
+        return 0
 
-        oracle = QueryOracle(target)
-        assert oracle.query(1) == answer
-        assert oracle.value(1) == 0
-        assert oracle.best([1, 2]) == (1, 0)
-        assert oracle.query(2) == answer
-        assert calls == [1, 2]
-        assert (oracle.count, oracle.raw_calls) == (2, 5)
+    oracle = QueryOracle(target)
+    assert oracle.query(1) == 0
+    assert oracle.best([1, 2]) == (1, 0)
+    assert oracle.query(2) == 0
+    assert calls == [1, 2]
+    assert (oracle.count, oracle.raw_calls) == (2, 4)
 
 
 def test_oracle_batch_edge_cases():
@@ -207,7 +207,7 @@ def test_oracle_batch_edge_cases():
 def test_oracle_dict_target():
     oracle = QueryOracle({1: 5, 2: 0, 3: 5})
     assert oracle.best([3, 1]) == (1, 5)
-    assert oracle.value(2) == 0
+    assert oracle.query(2) == 0
     assert oracle.transcript == [(3, 5), (1, 5), (2, 0)]
     assert (oracle.count, oracle.raw_calls) == (3, 3)
     with pytest.raises(KeyError):
@@ -292,7 +292,7 @@ def solver_cases(draw):
     if g.n >= 2 and draw(st.booleans()):
         x = (1, *draw(st.lists(st.integers(2, g.n), min_size=1, max_size=4)))
         target = make_instance(x, draw(st.integers(0, 1)),
-                               L.shortest_path_system(g), g).oracle
+                               L.shortest_path_system(g), g).value
     else:
         values = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
         target = dict(zip(g.vertices(), values))

@@ -361,6 +361,7 @@ def _assert_same_instance(inst, reference, g):
     answers = [oracle(v) for v in g.vertices()]
     assert [inst.oracle(v) for v in g.vertices()] == answers
     assert [inst.value(v) for v in g.vertices()] == [a for a, _ in answers]
+    assert [inst.flag(v) for v in g.vertices()] == [f for _, f in answers]
 
 
 def _tree_path(g, a, b, order):

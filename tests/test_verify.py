@@ -66,3 +66,35 @@ def test_verify_lets_other_exceptions_propagate(monkeypatch):
     monkeypatch.setattr(separation, "arrangement_parameter_bound", crash)
     with pytest.raises(RuntimeError, match="bound crashed"):
         verify.run_verify("separation")
+
+
+def _scaled_weights(rv_scale, rtilde_scale, case=None):
+    """distinguishing_weights with r_v and r~_v scaled, on every pair or
+    only on pairs of instances of the given (n, L)."""
+    weights = staircase.distinguishing_weights
+
+    def scaled(v, f1, f2, n=None):
+        r, rv, rtv = weights(v, f1, f2, n)
+        if case not in (None, (len(f1.table) - 1, len(f1.milestones) - 1)):
+            return r, rv, rtv
+        return r, rv * rv_scale, rtv * rtilde_scale
+    return scaled
+
+
+@pytest.mark.parametrize("fault, failures", [
+    # r~ zeroed: the exhaustive Gray-code sweep at (4, 1) fails first
+    (_scaled_weights(1, 0),
+     [("rv_twice_rtilde", "n=4 L=1 v=2 Z=[0, 1]: 32 > 2*0")]),
+    # r~ zeroed at (5, 2) only, the sampled case
+    (_scaled_weights(1, 0, case=(5, 2)),
+     [("rv_twice_rtilde",
+       "n=5 L=2 v=2 Z=[0, 1, 2, 10, 11, 13, 19, 20, 22, 23]: 250 > 2*0")]),
+    # r_v inflated tenfold, r~ alike so that r_v <= 2 r~ still holds
+    (_scaled_weights(10, 10),
+     [("qz_bound", "n=4 L=2 Z=[2, 3, 6, 7]: q=2720 > 2688")]),
+], ids=["zero-rtilde", "zero-rtilde-sampled", "inflate-rv"])
+def test_verify_pair_weight_checks_report_injected_faults(monkeypatch, fault,
+                                                          failures):
+    monkeypatch.setattr(staircase, "distinguishing_weights", fault)
+    assert [(r.name, r.detail) for r in verify.run_verify("staircase")
+            if not r.passed] == failures
