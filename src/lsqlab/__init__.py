@@ -43,7 +43,6 @@ from .staircase import (
     Staircase,
     build_staircase,
     distinguishing_weights,
-    hide_bit,
     is_good,
     local_minima,
     make_instance,

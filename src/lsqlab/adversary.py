@@ -201,27 +201,18 @@ class AaronsonBound:
     bound: Fraction
 
 
-def aaronson_vmin(fam: FunctionFamily, rel: Relation,
-                  partition=None) -> AaronsonBound:
-    """v_min and 1/(5 v_min) of the original relational adversary.
+def aaronson_vmin(fam: FunctionFamily, rel: Relation) -> AaronsonBound:
+    """v_min and 1/(5 v_min) of the original relational adversary over the
+    label classes A (label 0) and B (label 1).
 
-    partition is a pair (A, B) of function index sets with labels 0 and 1;
-    the full label classes are used when omitted.  theta denominators are
-    only evaluated at visited triples, i.e. pairs with positive weight that
-    disagree at the queried point; a vanishing denominator there is an
-    error naming the triple.
+    theta is only evaluated at visited triples, i.e. pairs with positive
+    weight that disagree at the queried point; the pair's own weight sits
+    in both theta denominators, and the relation is validated first, so no
+    weight is negative and neither denominator can vanish there.
     """
-    if partition is None:
-        a_set = [i for i in range(fam.size) if fam.labels[i] == 0]
-        b_set = [i for i in range(fam.size) if fam.labels[i] == 1]
-    else:
-        a_set, b_set = (list(partition[0]), list(partition[1]))
-        for i in a_set:
-            if fam.labels[i] != 0:
-                raise ValueError(f"function {i} in the 0-side has label 1")
-        for i in b_set:
-            if fam.labels[i] != 1:
-                raise ValueError(f"function {i} in the 1-side has label 0")
+    rel.validate(fam)
+    a_set = [i for i in range(fam.size) if fam.labels[i] == 0]
+    b_set = [i for i in range(fam.size) if fam.labels[i] == 1]
     denom_a = {i: sum(rel.weights[i][j] for j in b_set) for i in a_set}
     denom_b = {j: sum(rel.weights[i][j] for i in a_set) for j in b_set}
 
@@ -236,10 +227,6 @@ def aaronson_vmin(fam: FunctionFamily, rel: Relation,
                 fja = fam.functions[j][a]
                 if fia == fja:
                     continue
-                if denom_a[i] == 0 or denom_b[j] == 0:
-                    raise ValueError(
-                        f"zero theta denominator at triple (F{i}, F{j}, point {a})"
-                    )
                 num_i = sum(row[j2] for j2 in b_set
                             if fam.functions[j2][a] != fia)
                 num_j = sum(rel.weights[i2][j] for i2 in a_set

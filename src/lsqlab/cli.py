@@ -103,7 +103,8 @@ def cmd_instance(args):
     inst = staircase.sample_hard_instance(g, ps, args.L, args.seed)
     values = flags = None
     if args.materialize:
-        values, flags = inst.values, inst.flags
+        values = inst.table[1:]
+        flags = [inst.flag(v) for v in g.vertices()]
     graph_path, paths_path = args.graph, args.paths
     if args.out:  # instance files name their inputs relative to themselves
         base = os.path.dirname(args.out) or "."

@@ -29,7 +29,6 @@ from .staircase import (
     Staircase,
     HiddenBitInstance,
     chain,
-    hide_bit,
     related,
     sample_sequence,
     shared_prefix_length,
@@ -254,12 +253,13 @@ def make_separation_instance(x, bit: int, pa: Arrangement,
     for v in s.walk:
         val -= 1
         table[v] = val
-    return hide_bit(x, bit, s, table)
+    return HiddenBitInstance(tuple(x), bit, s, table)
 
 
-def separation_value_function(x, pa: Arrangement, g: Graph) -> dict:
-    """The separation value function as a vertex -> int map."""
-    return make_separation_instance(x, 0, pa, g).values
+def separation_value_function(x, pa: Arrangement, g: Graph) -> list:
+    """The separation value function as a dense table indexed by vertex
+    (index 0 is padding)."""
+    return make_separation_instance(x, 0, pa, g).table
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,8 @@ def path_system_from_dict(data: dict) -> PathTable:
 
 def instance_to_dict(graph_path: str, paths_path: str, milestones, bit: int,
                      values=None, flags=None) -> dict:
+    """An instance file; values and flags, when given, are the lists for
+    vertices 1..n in order, written as given."""
     data = {
         "graph": str(graph_path),
         "paths": str(paths_path),
@@ -92,8 +94,8 @@ def instance_to_dict(graph_path: str, paths_path: str, milestones, bit: int,
         "bit": int(bit),
     }
     if values is not None:
-        data["values"] = [int(values[v]) for v in sorted(values)]
-        data["flags"] = [int(flags[v]) for v in sorted(flags)]
+        data["values"] = list(values)
+        data["flags"] = list(flags)
     return data
 
 

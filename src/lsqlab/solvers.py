@@ -18,10 +18,10 @@ from .staircase import local_minima
 
 
 class QueryOracle:
-    """Memoizing counter around a vertex -> value map or callable."""
+    """Memoizing counter around a callable vertex -> value target."""
 
     def __init__(self, target):
-        self._fn = target if callable(target) else target.__getitem__
+        self._fn = target
         self.memo = {}
         self.raw_calls = 0
 

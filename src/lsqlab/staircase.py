@@ -4,7 +4,9 @@ A milestone sequence x = (x_1, ..., x_{L+1}) with x_1 = 1 induces a walk
 (the staircase) by concatenating the system's paths between consecutive
 milestones.  The value function decreases along the staircase and equals
 the hop distance to vertex 1 everywhere else, so the unique local minimum
-sits at the end of the walk; an extra per-vertex flag hides one bit there.
+sits at the end of the walk, where one bit is hidden.  An instance stores
+the function once, as a dense table indexed by vertex; the bit is a rule
+read by HiddenBitInstance.flag, not a stored map.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .graphs import Graph, bfs_distances
 from .pathsystems import PathSystem
@@ -107,14 +108,13 @@ def tail(j: int, s: Staircase) -> tuple:
 class HiddenBitInstance:
     """A staircase function with its hidden bit and full provenance.
 
-    table is the dense value table: table[v] is the value at vertex v
-    (index 0 is padding).  Walk vertices hold their staircase values and
+    table is the instance's one value map: table[v] is the value at vertex
+    v (index 0 is padding).  Walk vertices hold their staircase values and
     every other vertex its hop distance to the walk's start.  value(v)
     reads the table and is what every solver's oracle answers.  flag(v) is
-    the bit at minimum, the walk's last vertex, and -1 elsewhere; only the
-    decision step reads it.  oracle(v) answers (value, flag), the function
-    the adversary machinery tabulates.  values, flags and walk_values are
-    vertex maps derived on first access.
+    the bit at minimum, the walk's last vertex, and -1 elsewhere; no solver
+    reads it, only the decision step.  oracle(v) answers (value, flag),
+    the function the adversary machinery tabulates.
     """
 
     milestones: tuple
@@ -124,6 +124,8 @@ class HiddenBitInstance:
     minimum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.bit not in (0, 1):
+            raise ValueError("bit must be 0 or 1")
         object.__setattr__(self, "minimum", self.staircase.end)
 
     @property
@@ -136,29 +138,6 @@ class HiddenBitInstance:
 
     def oracle(self, v: int):
         return self.table[v], self.flag(v)
-
-    @cached_property
-    def values(self) -> dict:
-        return dict(enumerate(self.table[1:], start=1))
-
-    @cached_property
-    def flags(self) -> dict:
-        return {v: self.flag(v) for v in range(1, len(self.table))}
-
-    @cached_property
-    def walk_values(self) -> dict:
-        """The values of the walk's vertices, in first-visit order."""
-        table = self.table
-        return {v: table[v] for v in self.staircase.walk}
-
-
-def hide_bit(x, bit: int, staircase: Staircase,
-             table: list) -> HiddenBitInstance:
-    """The instance of sequence x with value table table and the bit
-    hidden at the walk's end."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return HiddenBitInstance(tuple(x), bit, staircase, table)
 
 
 def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
@@ -180,13 +159,14 @@ def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
         for v in p:
             val -= 1
             table[v] = val
-    return hide_bit(x, bit, chain(x[0], paths), table)
+    return HiddenBitInstance(tuple(x), bit, chain(x[0], paths), table)
 
 
-def value_function(x, ps: PathSystem, g: Graph) -> dict:
-    """The staircase value function as a vertex -> int map: dist(v, 1) off
-    the walk, the make_instance rule on it."""
-    return make_instance(x, 0, ps, g).values
+def value_function(x, ps: PathSystem, g: Graph) -> list:
+    """The staircase value function as a dense table indexed by vertex
+    (index 0 is padding): dist(v, 1) off the walk, the make_instance rule
+    on it."""
+    return make_instance(x, 0, ps, g).table
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +202,15 @@ def relation_congestion(x, b1: int, y, b2: int, n: int) -> int:
     return n ** shared_prefix_length(x, y) if related(x, b1, y, b2) else 0
 
 
-def distinguishing_weights(v: int, f1: HiddenBitInstance, f2: HiddenBitInstance,
-                           n: int | None = None) -> tuple:
-    """(r, r_v, r~_v) for a vertex and two provenance-carrying functions.
+def distinguishing_weights(v: int, f1: HiddenBitInstance,
+                           f2: HiddenBitInstance) -> tuple:
+    """(r, r_v, r~_v) for a vertex and two provenance-carrying functions
+    over the same n vertices, n read from f1's table.
 
     r_v keeps r only where the functions disagree at v; r~_v additionally
     requires the first walk to visit v at most as often as the second.
     """
-    if n is None:
-        n = len(f1.table) - 1
+    n = len(f1.table) - 1
     r = relation_congestion(f1.milestones, f1.bit, f2.milestones, f2.bit, n)
     if r == 0:
         return 0, 0, 0
@@ -276,10 +256,11 @@ def tail_count_bound(psi_at_xj: int, g_cong: int, n: int, L: int, j: int) -> Fra
 # ---------------------------------------------------------------------------
 
 
-def validate_function(values: dict, walk, g: Graph) -> bool:
+def validate_function(values, walk, g: Graph) -> bool:
     """Check the three validity conditions of a function against a walk:
     strictly decreasing in last-occurrence order along the walk, equal to
-    dist(walk start, .) off the walk, and nonpositive on the walk."""
+    dist(walk start, .) off the walk, and nonpositive on the walk.  values
+    is any vertex-indexed read, such as an instance's table or a dict."""
     last = {}
     for idx, v in enumerate(walk):
         last[v] = idx
@@ -298,8 +279,9 @@ def validate_function(values: dict, walk, g: Graph) -> bool:
     return True
 
 
-def local_minima(g: Graph, values: dict) -> set:
-    """All vertices no neighbor improves on."""
+def local_minima(g: Graph, values) -> set:
+    """All vertices no neighbor improves on; values is any vertex-indexed
+    read, such as an instance's table or a dict."""
     return {
         v for v in g.vertices()
         if all(values[v] <= values[u] for u in g.neighbors(v))

@@ -245,7 +245,8 @@ def check_psi_identity():
 
 
 def unique_minimum_violation(g, values, expected_end):
-    """Counterexample text if values has minima other than expected_end."""
+    """Counterexample text if values, a vertex-indexed read, has minima
+    other than expected_end."""
     minima = staircase.local_minima(g, values)
     if minima != {expected_end}:
         return f"minima {sorted(minima)} != {{{expected_end}}}"
@@ -264,9 +265,9 @@ def _check_instances(cases):
         for a, b in zip(walk, walk[1:]):
             if not g.has_edge(a, b):
                 raise Violation(f"{where}: non-edge ({a},{b})")
-        if not staircase.validate_function(inst.values, walk, g):
+        if not staircase.validate_function(inst.table, walk, g):
             raise Violation(f"{where}: function not valid")
-        bad = unique_minimum_violation(g, inst.values, inst.minimum)
+        bad = unique_minimum_violation(g, inst.table, inst.minimum)
         if bad:
             raise Violation(f"{where}: {bad}")
 
@@ -312,7 +313,7 @@ def _pair_weights(memo, n, L):
         for i, j in itertools.permutations(range(size), 2):
             for v in range(1, n + 1):
                 _, rv, rtv = staircase.distinguishing_weights(
-                    v, insts[i], insts[j], n)
+                    v, insts[i], insts[j])
                 r_v[v][i][j] += rv
                 r_v[v][j][i] += rv
                 r_tilde_v[v][i][j] += rtv
@@ -380,12 +381,14 @@ def check_rv_twice_rtilde(samples, seed, memo):
 def _check_m_large(relation, cases):
     """M({F}) summed over all sequences y against the (1/2e) lower bound,
     and the exact value where one is given, for every good x of each
-    (label, n, L, lower, exact) case; returns the good sequences checked."""
+    (label, n, L, lower, exact) case; returns the good sequences checked.
+    A bad y adds 0 (a related pair needs both sequences good), so each
+    sum runs over the case's good sequences, listed once."""
     checked = 0
     for label, n, L, lower, exact in cases:
-        for x in staircase.good_sequences(n, L):
-            total = sum(relation(x, 0, y, 1, n)
-                        for y in staircase.all_sequences(n, L))
+        good = list(staircase.good_sequences(n, L))
+        for x in good:
+            total = sum(relation(x, 0, y, 1, n) for y in good)
             if total < lower:
                 raise Violation(f"{label} x={x}: M={total} < {lower}")
             if exact is not None and total != exact:
@@ -645,7 +648,7 @@ def check_solver_correctness(samples, seed):
             if res.answer != inst.minimum or res.queries > g.n:
                 raise Violation(f"{name} descent: {res.answer} q={res.queries}")
             moves = res.trace
-            vals = [inst.values[v] for v in moves]
+            vals = [inst.table[v] for v in moves]
             if any(a <= b for a, b in zip(vals, vals[1:])):
                 raise Violation(f"{name}: descent values not decreasing")
             if res.queries > 1 + len(moves) * delta:

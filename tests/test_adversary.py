@@ -287,13 +287,14 @@ def test_diagonal_solver_rejects_corrupt_oracle():
 
 
 def test_aaronson_requires_distinguishing_triple():
-    # restricting the partition away from every related pair leaves no
-    # valid triple (note a zero theta denominator is unreachable at visited
-    # triples, since the visiting pair's own weight sits in the denominator)
-    fam = FunctionFamily("gap", (0, 1),
-                         ((0, 0), (1, 0), (0, 1)), (0, 1, 1))
-    rel = Relation(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    # a related pair with different labels that agree at every point
+    # leaves no triple to evaluate over the full label classes
+    fam = FunctionFamily("gap", (0, 1), ((0, 1), (0, 1), (1, 1)), (0, 1, 1))
+    rel = Relation.build(fam, lambda i, j: int((i, j) == (0, 1)))
     with pytest.raises(ValueError, match="no distinguishing triple"):
-        L.aaronson_vmin(fam, rel, partition=([0], [2]))
-    with pytest.raises(ValueError, match="label"):
-        L.aaronson_vmin(fam, rel, partition=([1], [2]))
+        L.aaronson_vmin(fam, rel)
+    # a negative weight could cancel a visited pair's own weight in a theta
+    # denominator; the relation is validated before any triple is visited
+    negative = Relation(((0, 1, -1), (1, 0, 0), (-1, 0, 0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        L.aaronson_vmin(fam, negative)

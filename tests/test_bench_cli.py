@@ -151,8 +151,8 @@ def test_seed_mixing_is_stable():
 def test_verify_helper_catches_injected_fault(grid16_example):
     g, ps, x = grid16_example
     inst = L.make_instance(x, 0, ps, g)
-    assert unique_minimum_violation(g, inst.values, inst.minimum) is None
-    corrupted = dict(inst.values)
+    assert unique_minimum_violation(g, inst.table, inst.minimum) is None
+    corrupted = list(inst.table)
     corrupted[6] = -abs(corrupted[6]) * 100  # break the on-walk ordering
     detail = unique_minimum_violation(g, corrupted, inst.minimum)
     assert detail is not None and "minima" in detail
@@ -598,6 +598,67 @@ def test_solve_bytes_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha
         assert hashlib.sha256(transcript.read_bytes()).hexdigest() \
             == transcript_sha
+
+
+# sha256 of `instance --materialize` on a dimension-4 hypercube (L = 3,
+# seed 0), on stdout and as an --out file one directory down, which names
+# the graph and path files relative to itself.
+INSTANCE_SHA256 = (
+    "594934ce7301f9a02eac7505dee32794b35b4e8fc372870e2e9619276c5838dd",
+    "0c9f4fdc4ea2bd205ff5797f47f368a07da8f91efd544568f85656e1b5735499")
+
+
+def test_instance_materialize_bytes_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["gen", "--kind", "hypercube", "--dim", "4",
+                     "--out", "g.json"]) == 0
+    assert cli_main(["paths", "--graph", "g.json", "--strategy", "hypercube",
+                     "--out", "p.json"]) == 0
+    argv = ["instance", "--graph", "g.json", "--paths", "p.json", "--L", "3",
+            "--materialize"]
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    (tmp_path / "sub").mkdir()
+    assert cli_main([*argv, "--out", "sub/i.json"]) == 0
+    written = (tmp_path / "sub" / "i.json").read_bytes()
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(written).hexdigest()) == INSTANCE_SHA256
+
+
+# sha256 of the `adversary --out` report of each family.
+ADVERSARY_SHA256 = {
+    ("--family", "matrix", "--k", "8"):
+        "4fb178a6c71f130a6fcb48044c80ab1514a779789a5bec5fab98672bfbe6fd40",
+    ("--family", "staircase", "--kind", "ring", "--n", "8", "--L", "1",
+     "--strategy", "bfs"):
+        "63fe9a38ac4b001cce3dd64ca7ef4040b71d5a95cf6c01368533e6f4cfb0bf92",
+    ("--family", "staircase", "--kind", "ring", "--n", "8", "--L", "1",
+     "--strategy", "cayley"):
+        "63fe9a38ac4b001cce3dd64ca7ef4040b71d5a95cf6c01368533e6f4cfb0bf92",
+}
+
+
+@pytest.mark.parametrize("args, digest", list(ADVERSARY_SHA256.items()),
+                         ids=["matrix-k8", "ring8-bfs", "ring8-cayley"])
+def test_adversary_report_bytes_pinned(tmp_path, args, digest):
+    out = tmp_path / "a.json"
+    assert cli_main(["adversary", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_solve_rejects_instance_bit_outside_0_1(tmp_path):
+    g, p = tmp_path / "g.json", tmp_path / "p.json"
+    assert cli_main(["gen", "--kind", "hypercube", "--dim", "2",
+                     "--out", str(g)]) == 0
+    assert cli_main(["paths", "--graph", str(g), "--strategy", "hypercube",
+                     "--out", str(p)]) == 0
+    i = tmp_path / "i.json"
+    i.write_text(json.dumps({"graph": "g.json", "paths": "p.json",
+                             "milestones": [1, 4], "bit": 2}))
+    r = run_cli("solve", "--instance", str(i))
+    assert r.returncode == 1
+    assert "bit must be 0 or 1" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_ring_builds_its_cyclic_table_only_for_cayley(monkeypatch, capsys):

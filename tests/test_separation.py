@@ -79,8 +79,8 @@ def test_separation_validity_exhaustive_side3():
     for rest in itertools.product(range(1, 4), repeat=2):
         x = (1, *rest)
         inst = make_separation_instance(x, 0, pa, g)
-        assert L.validate_function(inst.values, inst.staircase.walk, g)
-        assert L.local_minima(g, inst.values) == {inst.minimum}
+        assert L.validate_function(inst.table, inst.staircase.walk, g)
+        assert L.local_minima(g, inst.table) == {inst.minimum}
 
 
 def test_separation_walk_single_vertex_values():
@@ -146,7 +146,7 @@ def test_sample_separation_instance():
     b = L.sample_separation_instance(pa, 1, seed=9)
     assert a.milestones == b.milestones and a.bit == b.bit
     assert a.milestones[0] == 1 and len(set(a.milestones)) == 3
-    assert L.local_minima(pa.graph, a.values) == {a.minimum}
+    assert L.local_minima(pa.graph, a.table) == {a.minimum}
     with pytest.raises(ValueError):
         L.sample_separation_instance(pa, 2, seed=0)  # needs 2c+1 <= m
 

@@ -14,7 +14,7 @@ from conftest import connected_graphs
 
 def path3_with(values):
     g = L.from_edges(3, [(1, 2), (2, 3)])
-    return g, QueryOracle(values)
+    return g, QueryOracle(values.__getitem__)
 
 
 def test_descent_path_graph_trace():
@@ -27,7 +27,7 @@ def test_descent_path_graph_trace():
 
 def test_descent_start_at_minimum():
     g = L.clique_graph(5)
-    oracle = QueryOracle({v: v for v in g.vertices()})
+    oracle = QueryOracle({v: v for v in g.vertices()}.__getitem__)
     res = L.steepest_descent(g, oracle, 1)
     assert res.answer == 1
     assert res.queries == 1 + g.degree(1)
@@ -39,7 +39,7 @@ def test_descent_example_instance(twelve_vertex_example):
     oracle = QueryOracle(inst.value)
     res = L.steepest_descent(g, oracle, 1)
     assert res.answer == 11
-    vals = [inst.values[v] for v in res.trace]
+    vals = [inst.table[v] for v in res.trace]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -55,7 +55,7 @@ def test_oracle_memoization_and_raw_calls():
 def test_warm_start_exhaustive_budget():
     g = L.clique_graph(6)
     target = {v: v for v in g.vertices()}
-    oracle = QueryOracle(target)
+    oracle = QueryOracle(target.__getitem__)
     res = L.warm_start_descent(g, oracle, t=500, seed=4)
     assert res.answer == 1
     assert res.queries <= g.n
@@ -155,8 +155,8 @@ def test_brute_force_examples(grid16_example):
     inst = make_instance(x, 0, ps, g)
     assert L.brute_force_min(g, inst.value) == {16}
     ring = L.ring_graph(5)
-    assert L.brute_force_min(ring, {v: 0 for v in ring.vertices()}) == set(
-        ring.vertices())
+    zero = dict.fromkeys(ring.vertices(), 0)
+    assert L.brute_force_min(ring, zero.__getitem__) == set(ring.vertices())
 
 
 def test_query_accounting_bounds():
@@ -205,7 +205,7 @@ def test_oracle_batch_edge_cases():
 
 
 def test_oracle_dict_target():
-    oracle = QueryOracle({1: 5, 2: 0, 3: 5})
+    oracle = QueryOracle({1: 5, 2: 0, 3: 5}.__getitem__)
     assert oracle.best([3, 1]) == (1, 5)
     assert oracle.query(2) == 0
     assert oracle.transcript == [(3, 5), (1, 5), (2, 0)]
@@ -223,7 +223,7 @@ class _ReferenceOracle:
     """QueryOracle as it was before batched reads."""
 
     def __init__(self, target):
-        self._fn = target if callable(target) else target.__getitem__
+        self._fn = target
         self.memo = {}
         self.raw_calls = 0
 
@@ -295,7 +295,7 @@ def solver_cases(draw):
                                L.shortest_path_system(g), g).value
     else:
         values = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
-        target = dict(zip(g.vertices(), values))
+        target = dict(zip(g.vertices(), values)).__getitem__
     t = draw(st.one_of(st.just("auto"), st.integers(1, 3 * g.n)))
     return (g, target, draw(st.integers(1, g.n)), t,
             draw(st.integers(0, 2 ** 32)))

@@ -76,12 +76,17 @@ def test_value_function_off_walk_entrance_neighbor(twelve_vertex_example):
 def test_hide_bit_flags(twelve_vertex_example):
     g, ps, x = twelve_vertex_example
     one = make_instance(x, 1, ps, g)
-    assert one.flags[11] == 1
-    assert all(f == -1 for v, f in one.flags.items() if v != 11)
+    assert one.flag(11) == 1
+    assert all(one.flag(v) == -1 for v in g.vertices() if v != 11)
     zero = make_instance(x, 0, ps, g)
-    assert zero.flags[11] == 0
+    assert zero.flag(11) == 0
     diff = [v for v in g.vertices() if one.oracle(v) != zero.oracle(v)]
     assert diff == [11]
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        make_instance(x, 2, ps, g)
+    pa = L.grid_path_arrangement(3)
+    with pytest.raises(ValueError, match="bit must be 0 or 1"):
+        L.make_separation_instance((1,), -1, pa, pa.graph)
 
 
 def test_is_good():
@@ -124,11 +129,11 @@ def test_distinguishing_weights_k4():
     ps = L.shortest_path_system(g)
     f1 = make_instance((1, 2), 0, ps, g)
     f2 = make_instance((1, 3), 1, ps, g)
-    assert L.distinguishing_weights(3, f1, f2, 4) == (4, 4, 4)
+    assert L.distinguishing_weights(3, f1, f2) == (4, 4, 4)
     # equal functions: all zero
-    assert L.distinguishing_weights(3, f1, f1, 4) == (0, 0, 0)
+    assert L.distinguishing_weights(3, f1, f1) == (0, 0, 0)
     # vertex 4 is off both staircases and not a minimum: values agree
-    r, r_v, r_tv = L.distinguishing_weights(4, f1, f2, 4)
+    r, r_v, r_tv = L.distinguishing_weights(4, f1, f2)
     assert r > 0 and r_v == 0 and r_tv == 0
 
 
@@ -154,7 +159,7 @@ def test_validate_function_walk_figure():
 def test_generated_functions_are_valid(grid16_example, twelve_vertex_example):
     for g, ps, x in (grid16_example, twelve_vertex_example):
         inst = make_instance(x, 0, ps, g)
-        assert L.validate_function(inst.values, inst.staircase.walk, g)
+        assert L.validate_function(inst.table, inst.staircase.walk, g)
 
 
 @st.composite
@@ -173,8 +178,8 @@ def shortest_path_instances(draw):
 @given(shortest_path_instances())
 def test_instances_are_valid_with_a_unique_minimum(case):
     g, inst = case
-    assert L.validate_function(inst.values, inst.staircase.walk, g)
-    assert L.local_minima(g, inst.values) == {inst.minimum}
+    assert L.validate_function(inst.table, inst.staircase.walk, g)
+    assert L.local_minima(g, inst.table) == {inst.minimum}
 
 
 def test_local_minima_constant_function():
@@ -287,12 +292,10 @@ def test_walk_only_oracle_matches_eager_construction(draws):
         walk = inst.staircase.walk
         flags = {v: -1 for v in g.vertices()}
         flags[walk[-1]] = inst.bit
-        assert set(inst.walk_values) == set(walk)
         for v in g.vertices():
             assert inst.oracle(v) == (values[v], flags[v])
-        assert "values" not in vars(inst) and "flags" not in vars(inst)
-        assert inst.values == values
-        assert inst.flags == flags
+        assert dict(enumerate(inst.table[1:], start=1)) == values
+        assert {v: inst.flag(v) for v in g.vertices()} == flags
 
 
 def test_instances_on_one_graph_share_one_entrance_bfs(monkeypatch):
@@ -350,14 +353,10 @@ def _assert_same_instance(inst, reference, g):
     s, walk_values, oracle, values, flags = reference
     assert inst.staircase == s
     assert inst.minimum == s.end
-    # walk_values lists every walk vertex, also at L = 0, where the
-    # reference reads no path and so holds none
-    assert list(inst.walk_values.items()) == [
-        (v, values[v]) for v in dict.fromkeys(s.walk)]
-    if len(s.walk) > 1:
-        assert list(inst.walk_values.items()) == list(walk_values.items())
-    assert list(inst.values.items()) == list(values.items())
-    assert list(inst.flags.items()) == list(flags.items())
+    assert [(v, inst.table[v]) for v in walk_values] \
+        == list(walk_values.items())
+    assert list(enumerate(inst.table[1:], start=1)) == list(values.items())
+    assert [(v, inst.flag(v)) for v in g.vertices()] == list(flags.items())
     answers = [oracle(v) for v in g.vertices()]
     assert [inst.oracle(v) for v in g.vertices()] == answers
     assert [inst.value(v) for v in g.vertices()] == [a for a, _ in answers]

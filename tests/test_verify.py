@@ -73,8 +73,8 @@ def _scaled_weights(rv_scale, rtilde_scale, case=None):
     only on pairs of instances of the given (n, L)."""
     weights = staircase.distinguishing_weights
 
-    def scaled(v, f1, f2, n=None):
-        r, rv, rtv = weights(v, f1, f2, n)
+    def scaled(v, f1, f2):
+        r, rv, rtv = weights(v, f1, f2)
         if case not in (None, (len(f1.table) - 1, len(f1.milestones) - 1)):
             return r, rv, rtv
         return r, rv * rv_scale, rtv * rtilde_scale
