@@ -8,12 +8,13 @@ ascending-id neighbor order fixed here.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import check_cap
 
-EXPANSION_CAP_DEFAULT = 20
+EXPANSION_CAP_DEFAULT = 24
 SEPARATION_CAP_DEFAULT = 14
 
 
@@ -384,15 +385,31 @@ def graph_metrics(g: Graph) -> dict:
 def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
     """Exact expansion: min over nonempty S, |S| <= n/2, of cut(S)/|S|.
 
-    cut(S) = cut(V - S), so a Gray-code sweep over the 2^(n-1) subsets S
-    of vertices 1..n-1 suffices, with the cut count kept incrementally.
-    Each step scores S when |S| <= n/2 and otherwise its complement, which
-    holds vertex n and has n - |S| <= n/2 vertices; every subset of size
-    at most n/2 is some S or the complement of one.  The vertex count is
-    capped (default 20).  The best ratio is kept as an integer pair
-    (best_cut, best_size) and a candidate replaces it when
-    cut * best_size < best_cut * size, which is cut/size < best_cut/best_size
-    since both sizes are positive; one Fraction is built at the end.
+    cut(S) = cut(V - S), so it suffices to range S over the 2^(n-1)
+    subsets of vertices 1..n-1 and score S when |S| <= n/2 and otherwise
+    its complement, which holds vertex n and has n - |S| <= n/2 vertices;
+    every subset of size at most n/2 is some S or the complement of one.
+    The vertex count is capped (default 24).
+
+    The subsets are split meet-in-the-middle: S = A | B with A among the
+    2^a subsets of the low vertices 1..a, a = max(0, (n-1)//2 - 1), and B
+    among the 2^b subsets of the high vertices a+1..n-1.  Packed integers
+    hold one field per A, in mask order: cut(A), the constant 1, side(|A|
+    + k) for each high count k, where side(s) is s if s <= n/2 and n - s
+    otherwise, and 2 |N(y) & A| for each high vertex y.  A Gray code over
+    B keeps every cut(A | B) at once: adding y to B changes cut(A | B) by
+    deg(y) - 2 |N(y) & B| - 2 |N(y) & A|, which is one scalar times the
+    ones vector minus y's vector.
+
+    The best ratio is an integer pair (best_cut, best_size), started at
+    S = {1}, and a candidate replaces it when cut * best_size <
+    best_cut * side, i.e. cut/side < best_cut/best_size; one Fraction is
+    built at the end.  Both products are at most |E| floor(n/2) <
+    2^(W-2) for the byte-aligned field width W, so adding 2^(W-1) - 1 to
+    best_cut * side - best_size * cut sets a field's top bit exactly when
+    that A | B beats the best, without carry or borrow between fields;
+    only then are the fields read out and scanned in order.  The empty S
+    has side 0 and cut 0, so it never fires.
     """
     check_cap("edge_expansion_exact", g.n, cap, EXPANSION_CAP_DEFAULT)
     n = g.n
@@ -403,39 +420,59 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
         adj_mask[u - 1] |= 1 << (v - 1)
         adj_mask[v - 1] |= 1 << (u - 1)
     deg = [g.degree(v) for v in g.vertices()]
-    best_cut, best_size = 1, 0  # 1/0 is +infinity: any candidate beats it
     half = n // 2
-    members = 0
-    size = 0
-    cut = 0
-    for i in range(1, 1 << (n - 1)):
-        j = (i & -i).bit_length() - 1  # toggled vertex, 0-based
-        bit = 1 << j
-        # No self-loops, so the neighbors in S are the same either side
-        # of the toggle.
-        members ^= bit
-        change = deg[j] - 2 * (adj_mask[j] & members).bit_count()
-        if members & bit:
-            cut += change
-            size += 1
-        else:
-            cut -= change
-            size -= 1
-        side = size if size <= half else n - size
-        if cut * best_size < best_cut * side:
-            best_cut, best_size = cut, side
-    return Fraction(best_cut, best_size)
+    a = max(0, (n - 1) // 2 - 1)  # low vertices 0..a-1
+    b = n - 1 - a  # high vertices a..n-2
+    count = 1 << a
+    nbytes = ((len(g.edges) * half).bit_length() + 9) // 8
+    width = 8 * nbytes
 
+    def pack(fields) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(nbytes, "little")
+                                       for x in fields), "little")
 
-def _delta_size(adj_mask, members_a, members_h) -> int:
-    """|delta(A)| within H: vertices of H outside A adjacent to A."""
-    reach = 0
-    m = members_a
-    while m:
+    def unpack(x: int) -> list:
+        raw = x.to_bytes(nbytes * count, "little")
+        return [int.from_bytes(raw[i:i + nbytes], "little")
+                for i in range(0, len(raw), nbytes)]
+
+    cut_of = [0] * count  # cut(A), each A built from A minus its least vertex
+    for m in range(1, count):
         low = m & -m
-        reach |= adj_mask[low.bit_length()]
-        m ^= low
-    return (reach & members_h & ~members_a).bit_count()
+        j = low.bit_length() - 1
+        # No self-loops, so j's neighbors in m are those in m ^ low.
+        cut_of[m] = cut_of[m ^ low] + deg[j] - 2 * (adj_mask[j] & m).bit_count()
+    ones = pack([1] * count)
+    high_bits = ones << (width - 1)
+    fill = ((1 << (width - 1)) - 1) * ones
+    sides = [pack([s if s <= half else n - s
+                   for s in (m.bit_count() + k for m in range(count))])
+             for k in range(b + 1)]
+    nb2 = [2 * pack([(adj_mask[y] & m).bit_count() for m in range(count)])
+           for y in range(a, n - 1)]
+
+    best_cut, best_size = deg[0], 1  # S = {1}; n >= 2 so it is scored
+    limits = [best_cut * s + fill for s in sides]  # by |B|
+    cuts = pack(cut_of)  # cut(A | B) for the current B
+    members = size = 0  # B as a bitmask over j = y - a, and |B|
+    for i in range(1 << b):
+        if i:
+            j = (i & -i).bit_length() - 1
+            y = a + j
+            members ^= 1 << j
+            change = deg[y] - 2 * (adj_mask[y] >> a & members).bit_count()
+            if members >> j & 1:
+                cuts += change * ones - nb2[j]
+                size += 1
+            else:
+                cuts -= change * ones - nb2[j]
+                size -= 1
+        if (limits[size] - best_size * cuts) & high_bits:
+            for c, side in zip(unpack(cuts), unpack(sides[size])):
+                if c * best_size < best_cut * side:
+                    best_cut, best_size = c, side
+            limits = [best_cut * s + fill for s in sides]
+    return Fraction(best_cut, best_size)
 
 
 def separation_number_exact(g: Graph, cap: int | None = None) -> int:
@@ -447,7 +484,10 @@ def separation_number_exact(g: Graph, cap: int | None = None) -> int:
     barbell value n/8: an unrestricted boundary would let two-vertex
     subsets H push the maximum up to nearly the maximum degree.  The size
     window is a real inequality on integer |A|, so subsets H of size < 2
-    admit no valid A and are skipped.
+    admit no valid A and are skipped.  The vertices adjacent to a vertex
+    set m are read from a table built once over all 2^n masks, each from
+    the mask without its least vertex, so |delta(A)| is one AND and one
+    bit count.  The vertex count is capped (default 14).
     """
     check_cap("separation_number_exact", g.n, cap, SEPARATION_CAP_DEFAULT)
     n = g.n
@@ -455,6 +495,10 @@ def separation_number_exact(g: Graph, cap: int | None = None) -> int:
     for u, v in g.edges:
         adj_mask[u] |= 1 << (v - 1)
         adj_mask[v] |= 1 << (u - 1)
+    reach = array("Q", bytes(8 << n))  # vertex mask -> its neighbors' mask
+    for m in range(1, 1 << n):
+        low = m & -m
+        reach[m] = reach[m ^ low] | adj_mask[low.bit_length()]
     best = 0
     for h_mask in range(1, 1 << n):
         h_size = h_mask.bit_count()
@@ -465,7 +509,7 @@ def separation_number_exact(g: Graph, cap: int | None = None) -> int:
         while True:
             a_size = a_mask.bit_count()
             if 4 * a_size >= h_size and 4 * a_size <= 3 * h_size:
-                d = _delta_size(adj_mask, a_mask, h_mask)
+                d = (reach[a_mask] & h_mask & ~a_mask).bit_count()
                 if inner is None or d < inner:
                     inner = d
                     if inner <= best:

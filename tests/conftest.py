@@ -20,9 +20,9 @@ from lsqlab.separation import PathArrangement
 
 
 @st.composite
-def connected_graphs(draw, max_n=12):
+def connected_graphs(draw, max_n=12, min_n=1):
     """A random connected graph: a random spanning tree plus random edges."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = {(v, draw(st.integers(1, v - 1))) for v in range(2, n + 1)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     if pairs:

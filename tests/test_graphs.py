@@ -6,7 +6,8 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import connected_graphs
+from hypothesis import example, given, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
@@ -50,6 +51,13 @@ def test_expansion_examples():
     assert L.edge_expansion_exact(L.ring_graph(6)) == Fraction(2, 3)
     k2 = L.from_edges(2, [(1, 2)])
     assert L.edge_expansion_exact(k2) == 1
+
+
+def test_expansion_closed_forms_at_the_cap():
+    # n = 24 is the default cap: one split sweep per graph
+    assert L.edge_expansion_exact(L.ring_graph(24)) == Fraction(1, 6)
+    assert L.edge_expansion_exact(L.clique_graph(24)) == 12
+    assert L.edge_expansion_exact(L.barbell_graph(24)) == Fraction(1, 12)
 
 
 def test_expansion_cap():
@@ -248,6 +256,17 @@ def test_expansion_only_minimizer_holds_the_last_vertex():
             assert L.edge_expansion_exact(g) == Fraction(1, tail)
 
 
+def test_expansion_minimizer_among_the_first_vertices():
+    # the tail mirrored onto vertices 1..tail: these minima lie within the
+    # low vertices of the split sweep, so only its empty high subset meets
+    # them
+    for n, tail in ((7, 2), (8, 2), (9, 2), (12, 2), (12, 3)):
+        g = _clique_with_tail(n, tail)
+        g = relabel(g, {v: n + 1 - v for v in g.vertices()})
+        assert _naive_minimizers(g) == {tuple(range(1, tail + 1))}
+        assert L.edge_expansion_exact(g) == Fraction(1, tail)
+
+
 def test_expansion_minimizer_of_half_size():
     # an arc of a ring and a clique of a barbell minimize at |S| = n/2
     for g in (L.ring_graph(6), L.ring_graph(8), L.ring_graph(10),
@@ -255,6 +274,106 @@ def test_expansion_minimizer_of_half_size():
         assert {len(s) for s in _naive_minimizers(g)} == {g.n // 2}
         _assert_expansion_matches_naive(g)
     assert L.edge_expansion_exact(L.barbell_graph(10)) == Fraction(1, 5)
+
+
+def _gray_code_expansion(g):
+    """The one-sweep Gray-code expansion, kept as the split sweep's
+    reference: every subset S of vertices 1..n-1 in turn, the cut kept
+    incrementally, S or its complement scored by integer cross products."""
+    n = g.n
+    if n == 1:
+        raise ValueError("expansion undefined on a single vertex")
+    adj_mask = [0] * n  # 0-based vertex -> bitmask of 0-based neighbors
+    for u, v in g.edges:
+        adj_mask[u - 1] |= 1 << (v - 1)
+        adj_mask[v - 1] |= 1 << (u - 1)
+    deg = [g.degree(v) for v in g.vertices()]
+    best_cut, best_size = 1, 0  # 1/0 is +infinity: any candidate beats it
+    half = n // 2
+    members = 0
+    size = 0
+    cut = 0
+    for i in range(1, 1 << (n - 1)):
+        j = (i & -i).bit_length() - 1  # toggled vertex, 0-based
+        bit = 1 << j
+        # No self-loops, so the neighbors in S are the same either side
+        # of the toggle.
+        members ^= bit
+        change = deg[j] - 2 * (adj_mask[j] & members).bit_count()
+        if members & bit:
+            cut += change
+            size += 1
+        else:
+            cut -= change
+            size -= 1
+        side = size if size <= half else n - size
+        if cut * best_size < best_cut * side:
+            best_cut, best_size = cut, side
+    return Fraction(best_cut, best_size)
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+@settings(deadline=None, max_examples=6)
+@given(data=st.data())
+def test_expansion_split_sweep_matches_gray_code_reference(n, data):
+    # n = 2..18 meets each split point a = max(0, (n-1)//2 - 1) of the sweep
+    g = data.draw(connected_graphs(min_n=n, max_n=n))
+    assert L.edge_expansion_exact(g) == _gray_code_expansion(g)
+
+
+def test_expansion_split_sweep_on_cliques():
+    # a clique has the widest fields for its n
+    for n in range(2, 17):
+        k = L.clique_graph(n)
+        assert L.edge_expansion_exact(k) == _gray_code_expansion(k) == n - n // 2
+
+
+def _delta_size_separation(g):
+    """Separation number with delta(A) gathered vertex by vertex: the
+    reference for the reach table."""
+    def delta_size(adj_mask, members_a, members_h):
+        reach = 0
+        m = members_a
+        while m:
+            low = m & -m
+            reach |= adj_mask[low.bit_length()]
+            m ^= low
+        return (reach & members_h & ~members_a).bit_count()
+
+    n = g.n
+    adj_mask = [0] * (n + 1)
+    for u, v in g.edges:
+        adj_mask[u] |= 1 << (v - 1)
+        adj_mask[v] |= 1 << (u - 1)
+    best = 0
+    for h_mask in range(1, 1 << n):
+        h_size = h_mask.bit_count()
+        if h_size < 2:
+            continue
+        inner = None
+        a_mask = h_mask
+        while True:
+            a_size = a_mask.bit_count()
+            if 4 * a_size >= h_size and 4 * a_size <= 3 * h_size:
+                d = delta_size(adj_mask, a_mask, h_mask)
+                if inner is None or d < inner:
+                    inner = d
+                    if inner <= best:
+                        break  # this H cannot improve the max
+            if a_mask == 0:
+                break
+            a_mask = (a_mask - 1) & h_mask
+        if inner is not None and inner > best:
+            best = inner
+    return best
+
+
+@settings(deadline=None, max_examples=40)
+@given(connected_graphs(max_n=14))
+@example(L.from_edges(1, []))
+@example(L.from_edges(2, [(1, 2)]))
+def test_separation_reach_table_matches_reference(g):
+    assert L.separation_number_exact(g) == _delta_size_separation(g)
 
 
 def test_separation_matches_naive_enumeration():
