@@ -10,6 +10,7 @@ from .errors import CapabilityError
 from .graphs import (
     Graph,
     GraphSpec,
+    TableGroup,
     barbell_graph,
     bfs_distances,
     build_graph,

@@ -124,15 +124,15 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
 
-def build_path_system(g: Graph, strategy: str, table=None) -> PathSystem:
+def build_path_system(g: Graph, strategy: str, group=None) -> PathSystem:
     if strategy == "bfs":
         return shortest_path_system(g)
     if strategy == "hypercube":
         return hypercube_path_system(g)
     if strategy == "cayley":
-        if table is None:
+        if group is None:
             raise ValueError("cayley strategy needs a group table")
-        return cayley_path_system(g, table)
+        return cayley_path_system(g, group)
     if strategy == "brute":
         return min_congestion_oracle(g)[1]
     raise ValueError(f"unknown path-system strategy {strategy!r}")
@@ -166,7 +166,7 @@ def _percentile_90(sorted_vals: list) -> int:
     return sorted_vals[idx]
 
 
-def run_bench(cfg: BenchConfig, table=None) -> BenchReport:
+def run_bench(cfg: BenchConfig, group=None) -> BenchReport:
     """Run all trials and aggregate; deterministic under the master seed.
 
     In arrangement mode (c >= 1) instances are cluster staircases over the
@@ -182,7 +182,7 @@ def run_bench(cfg: BenchConfig, table=None) -> BenchReport:
         g_cong = 0
         sampler = lambda seed: sample_separation_instance(pa, cfg.c, seed)
     else:
-        ps = build_path_system(cfg.graph, cfg.strategy, table=table)
+        ps = build_path_system(cfg.graph, cfg.strategy, group=group)
         g_cong = congestion(ps).max_vertex
         sampler = lambda seed: sample_hard_instance(cfg.graph, ps, cfg.L, seed)
     rows = [row for t in range(cfg.trials)

@@ -20,23 +20,23 @@ from .errors import CapabilityError
 
 
 def _load_or_build_graph(args) -> tuple:
-    """Returns (kind, Graph, group table or None).  A ring's cyclic table
-    is n x n, so it is built only for the cayley strategy, which reads it."""
+    """Returns (kind, Graph, graphs.Group or None).  A ring's cyclic group
+    is implicit, built after the ring only for the cayley strategy."""
     params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
               if getattr(args, name, None) is not None}
-    table = None
+    group = None
     if getattr(args, "group", None):
         params["group"] = serialize.load_group(args.group)
-        table = params["group"][0]
-    elif (getattr(args, "kind", None) == "ring" and getattr(args, "n", None)
-          and getattr(args, "strategy", None) == "cayley"):
-        table = graphs.cyclic_group(args.n)
+        group = params["group"][0]
     if getattr(args, "graph", None):
-        return "file", serialize.load_graph(args.graph), table
+        return "file", serialize.load_graph(args.graph), group
     kind = getattr(args, "kind", None)
     if kind is None:
         raise ValueError("provide --graph FILE or --kind KIND")
-    return kind, graphs.build_graph(graphs.GraphSpec(kind, params)), table
+    g = graphs.build_graph(graphs.GraphSpec(kind, params))
+    if kind == "ring" and getattr(args, "strategy", None) == "cayley":
+        group = group or graphs.CyclicGroup(g.n)
+    return kind, g, group
 
 
 def _emit(args, data) -> None:
@@ -73,10 +73,10 @@ def _load_paths(path, g):
 
 
 def _build_paths(args):
-    kind, g, table = _load_or_build_graph(args)
+    kind, g, group = _load_or_build_graph(args)
     if getattr(args, "paths", None):
         return kind, g, _load_paths(args.paths, g)
-    return kind, g, bench.build_path_system(g, args.strategy, table=table)
+    return kind, g, bench.build_path_system(g, args.strategy, group=group)
 
 
 def cmd_paths(args):
@@ -147,13 +147,13 @@ def cmd_solve(args):
 
 
 def cmd_bench(args):
-    kind, g, table = _load_or_build_graph(args)
+    kind, g, group = _load_or_build_graph(args)
     specs = tuple(bench.SolverSpec(name, t=args.t) if name == "warm-start"
                   else bench.SolverSpec(name) for name in args.solver)
     cfg = bench.BenchConfig(kind, g, args.strategy, args.L or 0, specs,
                             trials=args.trials, master_seed=args.seed,
                             workers=args.workers, c=args.c or 0)
-    report = bench.run_bench(cfg, table=table)
+    report = bench.run_bench(cfg, group=group)
     text = (bench.report_to_csv(report) if args.format == "csv"
             else bench.report_to_json(report))
     if args.out:
@@ -174,8 +174,8 @@ def cmd_adversary(args):
     if args.family == "matrix":
         fam, rel = adversary.family_matrix_game(args.k)
     else:
-        _, g, table = _load_or_build_graph(args)
-        ps = bench.build_path_system(g, args.strategy, table=table)
+        _, g, group = _load_or_build_graph(args)
+        ps = bench.build_path_system(g, args.strategy, group=group)
         fam, rel, _ = adversary.family_staircase(g, ps, args.L)
     vb = adversary.variant_bound_exhaustive(fam, rel)
     ab = adversary.aaronson_vmin(fam, rel)

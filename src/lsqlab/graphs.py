@@ -87,9 +87,81 @@ def from_edges(n: int, edges) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Small finite groups (multiplication tables) for Cayley graph construction.
-# Tables are 1-indexed nested tuples with element 1 as the identity.
+# Finite groups on 1..order with identity 1, for Cayley graphs and translate
+# path systems.  TableGroup is the one place a table is validated.
 # ---------------------------------------------------------------------------
+
+
+class Group:
+    """A finite group on 1..order with identity 1.  Implementations hold
+    order and inv (inv[a] = a^-1, inv[0] unused) and supply mul(a, b) and
+    translate(u, v, patterns): the path u * patterns[u^-1 v], where a
+    pattern holds w - 1 for each vertex w of a path from the identity."""
+
+
+class TableGroup(Group):
+    """The group of a 1-indexed multiplication table (nested tuples with
+    element 1 as the identity), validated when built."""
+
+    def __init__(self, table):
+        n = len(table)
+        if n < 1:
+            raise ValueError("empty multiplication table")
+        for row in table:
+            if len(row) != n:
+                raise ValueError("multiplication table is not square")
+            for x in row:
+                if not (1 <= x <= n):
+                    raise ValueError("table entry outside 1..n (not closed)")
+        for a in range(1, n + 1):
+            if table[0][a - 1] != a or table[a - 1][0] != a:
+                raise ValueError("element 1 is not a two-sided identity")
+        for a in range(1, n + 1):
+            if 1 not in table[a - 1]:
+                raise ValueError(f"element {a} has no inverse")
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                ab = table[a - 1][b - 1]
+                for c in range(1, n + 1):
+                    if table[ab - 1][c - 1] != table[a - 1][table[b - 1][c - 1] - 1]:
+                        raise ValueError("multiplication table is not associative")
+        self.table, self.order = table, n
+        self.inv = (0, *(row.index(1) + 1 for row in table))
+
+    def mul(self, a: int, b: int) -> int:
+        return self.table[a - 1][b - 1]
+
+    def translate(self, u: int, v: int, patterns) -> tuple:
+        w = self.table[self.inv[u] - 1][v - 1]
+        return tuple(map(self.table[u - 1].__getitem__, patterns[w]))
+
+
+class XorGroup(Group):
+    """Bit strings under XOR, order a power of two: vertex v is v - 1."""
+
+    def __init__(self, order: int):
+        self.order, self.inv = order, tuple(range(order + 1))
+
+    def mul(self, a: int, b: int) -> int:
+        return ((a - 1) ^ (b - 1)) + 1
+
+    def translate(self, u: int, v: int, patterns) -> tuple:
+        x = u - 1
+        return tuple([(p ^ x) + 1 for p in patterns[((v - 1) ^ x) + 1]])
+
+
+class CyclicGroup(Group):
+    """Z_order (order >= 1) with no table: vertex v is the residue v - 1."""
+
+    def __init__(self, order: int):
+        self.order, self.inv = order, (0, 1, *range(order, 1, -1))
+
+    def mul(self, a: int, b: int) -> int:
+        return (a + b - 2) % self.order + 1
+
+    def translate(self, u: int, v: int, patterns) -> tuple:
+        n, x = self.order, u - 1
+        return tuple([(p + x) % n + 1 for p in patterns[(v - u) % n + 1]])
 
 
 def cyclic_group(k: int) -> tuple:
@@ -122,45 +194,7 @@ def direct_product_group(t1: tuple, t2: tuple) -> tuple:
     return tuple(table)
 
 
-def validate_group_table(table) -> int:
-    """Check a 1-indexed multiplication table is a group with identity 1.
-
-    Returns the group order.  Raises ValueError on any violation.
-    """
-    n = len(table)
-    if n < 1:
-        raise ValueError("empty multiplication table")
-    for row in table:
-        if len(row) != n:
-            raise ValueError("multiplication table is not square")
-        for x in row:
-            if not (1 <= x <= n):
-                raise ValueError("table entry outside 1..n (not closed)")
-    for a in range(1, n + 1):
-        if table[0][a - 1] != a or table[a - 1][0] != a:
-            raise ValueError("element 1 is not a two-sided identity")
-    for a in range(1, n + 1):
-        if 1 not in table[a - 1]:
-            raise ValueError(f"element {a} has no inverse")
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ab = table[a - 1][b - 1]
-            for c in range(1, n + 1):
-                if table[ab - 1][c - 1] != table[a - 1][table[b - 1][c - 1] - 1]:
-                    raise ValueError("multiplication table is not associative")
-    return n
-
-
-def group_inverses(table) -> tuple:
-    """inv[a] with inv[0] unused; table is assumed validated."""
-    n = len(table)
-    inv = [0] * (n + 1)
-    for a in range(1, n + 1):
-        inv[a] = table[a - 1].index(1) + 1
-    return tuple(inv)
-
-
-def cayley_edges(table, generators) -> set:
+def cayley_edges(group: Group, generators) -> set:
     """Edge set {u, u*s} of the (right-multiplication) Cayley graph.
 
     The generating set must exclude the identity and be closed under
@@ -168,11 +202,10 @@ def cayley_edges(table, generators) -> set:
     """
     if generators is None:
         raise ValueError("a Cayley graph needs a generators list")
-    n = len(table)
+    n, inv = group.order, group.inv
     gens = sorted(set(generators))
     if not gens:
         raise ValueError("empty generating set")
-    inv = group_inverses(table)
     for s in gens:
         if not (1 <= s <= n):
             raise ValueError(f"generator {s} outside 1..{n}")
@@ -183,7 +216,7 @@ def cayley_edges(table, generators) -> set:
     edges = set()
     for u in range(1, n + 1):
         for s in gens:
-            v = table[u - 1][s - 1]
+            v = group.mul(u, s)
             edges.add((min(u, v), max(u, v)))
     return edges
 
@@ -263,10 +296,9 @@ def barbell_graph(n: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def cayley_graph(table, generators) -> Graph:
-    """Cayley graph (right multiplication) of a validated group table."""
-    n = validate_group_table(table)
-    return Graph(n, frozenset(cayley_edges(table, generators)))
+def cayley_graph(group: Group, generators) -> Graph:
+    """Cayley graph (right multiplication) of a group."""
+    return Graph(group.order, frozenset(cayley_edges(group, generators)))
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -299,7 +331,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
 
 
 # kind -> (required params, builder); random_regular also reads an
-# optional seed, and cayley's group is a (table, generators) pair.
+# optional seed, and cayley's group is a (Group, generators) pair.
 # Builders are looked up by name at call time.
 FAMILIES = {
     "hypercube": (("dim",), lambda p: hypercube_graph(p["dim"])),

@@ -11,8 +11,9 @@ Three representations share the PathSystem interface:
   SourceTrees     one BFS tree per source (the bfs strategy): path(u, v)
                   is v's path in u's tree;
   TranslateTrees  left translates u * base(u^-1 v) of one tree rooted at
-                  the identity 1: CayleyTrees (the cayley strategy) and
-                  HypercubeTrees (the hypercube strategy).
+                  the identity 1 in a graphs.Group: a validated table or
+                  the implicit cyclic group (the cayley strategy), or XOR
+                  on v - 1 (the hypercube strategy).
 Every built-in strategy is prefix-closed from each source, so the number of
 paths from u through v is the size of v's subtree in u's tree; congestion is
 counted from subtree sizes, never by walking n^2 paths.
@@ -26,7 +27,7 @@ from operator import add
 
 from . import graphs
 from .errors import check_cap
-from .graphs import Graph, bfs_tree, group_inverses, tree_path, validate_group_table
+from .graphs import Graph, Group, XorGroup, bfs_tree, tree_path
 
 ORACLE_CAP_DEFAULT = 6
 ORACLE_PATHS_PER_PAIR_CAP = 512
@@ -155,11 +156,11 @@ class SourceTrees(PathSystem):
 @dataclass(frozen=True)
 class TranslateTrees(PathSystem):
     """path(u, v) = u * base(u^-1 v) in a group on 1..n with identity 1:
-    base is a (dist, parent) tree rooted at 1 and inv[a] = a^-1.
-    Subclasses supply the product mul(a, b) and path."""
+    base is a (dist, parent) tree rooted at 1, and the group reads each
+    path from the base paths in one translate call."""
 
     base: tuple = field(repr=False)
-    inv: tuple = field(repr=False)
+    group: Group = field(repr=False)
     # patterns[w]: the base path to w as vertex - 1 per vertex
     patterns: tuple = field(init=False, repr=False, compare=False)
 
@@ -170,8 +171,8 @@ class TranslateTrees(PathSystem):
             patterns[w] = patterns[parent[w]] + (w - 1,)
         object.__setattr__(self, "patterns", tuple(patterns))
 
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+    def path(self, u: int, v: int) -> tuple:
+        return self.group.translate(u, v, self.patterns)
 
     def _vertex_counts(self) -> dict:
         # Every vertex lies on sum_w size[w] = sum_w (depth(w) + 1) paths.
@@ -179,7 +180,7 @@ class TranslateTrees(PathSystem):
                              sum(_subtree_sizes(self.base)[1:]))
 
     def _edge_counts(self) -> dict:
-        n, mul, inv = self.n, self.mul, self.inv
+        n, mul, inv = self.n, self.group.mul, self.group.inv
         parent = self.base[1]
         size = _subtree_sizes(self.base)
         # load[s]: subtree sizes summed over base edges (p, c) with p^-1 c = s;
@@ -198,37 +199,8 @@ class TranslateTrees(PathSystem):
 
     def _through(self, v: int) -> dict:
         size = _subtree_sizes(self.base)
-        mul, inv = self.mul, self.inv
+        mul, inv = self.group.mul, self.group.inv
         return {u: size[mul(inv[u], v)] for u in range(1, self.n + 1)}
-
-
-@dataclass(frozen=True)
-class CayleyTrees(TranslateTrees):
-    """Translates by the rows of group, a 1-indexed multiplication table."""
-
-    group: tuple = field(repr=False)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.group[a - 1][b - 1]
-
-    def path(self, u: int, v: int) -> tuple:
-        w = self.group[self.inv[u] - 1][v - 1]
-        return tuple(map(self.group[u - 1].__getitem__, self.patterns[w]))
-
-
-@dataclass(frozen=True)
-class HypercubeTrees(TranslateTrees):
-    """The bit-fixing system: the group product is XOR on v - 1, and in the
-    base tree the parent of w clears the lowest set bit of w - 1, so the
-    path from 1 sets bits from the top down and every path toggles the most
-    significant differing bit first."""
-
-    def mul(self, a: int, b: int) -> int:
-        return ((a - 1) ^ (b - 1)) + 1
-
-    def path(self, u: int, v: int) -> tuple:
-        x = u - 1
-        return tuple([(p ^ x) + 1 for p in self.patterns[((v - 1) ^ x) + 1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +237,10 @@ def shortest_path_system(g: Graph) -> SourceTrees:
 # ---------------------------------------------------------------------------
 
 
-def hypercube_path_system(g: Graph) -> HypercubeTrees:
-    """Bit-fixing paths; congestion is exactly N*(1+dim/2).
+def hypercube_path_system(g: Graph) -> TranslateTrees:
+    """Bit-fixing paths, translates under XOR of the tree in which w's
+    parent clears the lowest set bit of w - 1: every path toggles the most
+    significant differing bit first.  Congestion is exactly N*(1+dim/2).
 
     g must be graphs.hypercube_graph(dim), or the one-vertex graph (dim 0).
     """
@@ -276,23 +250,23 @@ def hypercube_path_system(g: Graph) -> HypercubeTrees:
         raise ValueError("graph is not the canonical labelled hypercube")
     dist = [-1] + [(w - 1).bit_count() for w in range(1, n + 1)]
     parent = [0, 0] + [((w - 1) & (w - 2)) + 1 for w in range(2, n + 1)]
-    return HypercubeTrees(n, (dist, parent), tuple(range(n + 1)))
+    return TranslateTrees(n, (dist, parent), XorGroup(n))
 
 
-def cayley_path_system(g: Graph, table) -> CayleyTrees:
+def cayley_path_system(g: Graph, group: Group) -> TranslateTrees:
     """Translate a base system of shortest paths from the identity.
 
-    Edges must be graphs.cayley_edges(table, generators), with the
+    Edges must be graphs.cayley_edges(group, generators), with the
     generators read off as the identity's neighbors; then left translation
     u * P(1, w) maps each edge {x, x*s} to an edge and so paths to paths,
     and every vertex sees identical congestion, at most (diameter + 1) * n.
     """
-    n = validate_group_table(table)
+    n = group.order
     if n != g.n:
         raise ValueError("group order does not match vertex count")
-    if n > 1 and graphs.cayley_edges(table, g.neighbors(1)) != g.edges:
+    if n > 1 and graphs.cayley_edges(group, g.neighbors(1)) != g.edges:
         raise ValueError("graph is not the Cayley graph of the supplied group")
-    return CayleyTrees(n, bfs_tree(g, 1), group_inverses(table), table)
+    return TranslateTrees(n, bfs_tree(g, 1), group)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .staircase import (
     related,
     sample_sequence,
     shared_prefix_length,
-    tail,
 )
 
 
@@ -231,14 +230,6 @@ def cluster_staircase(x, pa: Arrangement) -> Staircase:
         segments += (pa.cluster_path(here, at, p[0]), p)
         at = p[-1]
     return chain(pa.v_start, segments)
-
-
-def separation_tail(j: int, s: Staircase) -> tuple:
-    """Walk suffix from odd segment j minus the first occurrence of its
-    first vertex; empty for j = 2c + 1."""
-    if j % 2 != 1:
-        raise ValueError("separation tails are defined for odd indices only")
-    return tail(j, s)
 
 
 def make_separation_instance(x, bit: int, pa: Arrangement,

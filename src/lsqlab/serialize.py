@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .graphs import Graph, from_edges
+from .graphs import Graph, TableGroup, from_edges
 from .pathsystems import PathSystem, PathTable
 
 
@@ -109,10 +109,11 @@ def instance_from_dict(data: dict) -> tuple:
 
 
 def group_from_dict(data: dict) -> tuple:
-    """(multiplication table, generators or None) of a group file."""
+    """(TableGroup, generators or None) of a group file."""
     table = _list(_field(data, "table", "group"), "table")
     generators = data.get("generators")
-    return (tuple(_ints(row, f"table[{i}]") for i, row in enumerate(table)),
+    return (TableGroup(tuple(_ints(row, f"table[{i}]")
+                            for i, row in enumerate(table))),
             None if generators is None else _ints(generators, "generators"))
 
 

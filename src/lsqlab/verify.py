@@ -187,14 +187,14 @@ def check_oracle_lower_bounds():
 @check("paths", "cayley_uniform")
 def check_cayley_uniform():
     cases = [
-        ("C5", graphs.cyclic_group(5), {2, 5}),
-        ("C6", graphs.cyclic_group(6), {2, 6}),
-        ("Z2xZ2", graphs.direct_product_group(graphs.cyclic_group(2),
-                                              graphs.cyclic_group(2)), {2, 3}),
+        ("C5", graphs.TableGroup(graphs.cyclic_group(5)), {2, 5}),
+        ("C6", graphs.TableGroup(graphs.cyclic_group(6)), {2, 6}),
+        ("Z2xZ2", graphs.TableGroup(graphs.direct_product_group(
+            graphs.cyclic_group(2), graphs.cyclic_group(2))), {2, 3}),
     ]
-    for name, table, gen_set in cases:
-        g = graphs.cayley_graph(table, gen_set)
-        ps = pathsystems.cayley_path_system(g, table)
+    for name, group, gen_set in cases:
+        g = graphs.cayley_graph(group, gen_set)
+        ps = pathsystems.cayley_path_system(g, group)
         prof = pathsystems.congestion(ps)
         per = set(prof.per_vertex.values())
         if len(per) != 1:

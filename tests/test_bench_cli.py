@@ -661,32 +661,54 @@ def test_cli_solve_rejects_instance_bit_outside_0_1(tmp_path):
     assert "bit must be 0 or 1" in r.stderr and "Traceback" not in r.stderr
 
 
-def test_ring_builds_its_cyclic_table_only_for_cayley(monkeypatch, capsys):
+def _cyclic_group_file(tmp_path, n):
+    f = tmp_path / f"z{n}.json"
+    f.write_text(json.dumps({"table": L.cyclic_group(n), "generators": [2, n]}))
+    return str(f)
+
+
+def test_ring_builds_no_cyclic_table(monkeypatch, capsys, tmp_path):
     ring = ["--kind", "ring", "--n", "8"]
-    bench_args = ["--L", "3", "--solver", "descent", "--solver",
-                  "warm-start", "--trials", "6"]
-    assert cli_main(["bench", *ring, "--strategy", "cayley",
-                     *bench_args]) == 0
-    cayley = capsys.readouterr().out
-    assert cli_main(["paths", *ring, "--strategy", "cayley"]) == 0
-    cayley_paths = capsys.readouterr().out
-    cyclic_group = L.graphs.cyclic_group
+    table = ["--kind", "cayley", "--group", _cyclic_group_file(tmp_path, 8)]
+    trials = ["--L", "3", "--solver", "descent", "--solver", "warm-start",
+              "--trials", "6"]
+    cayley = ["--strategy", "cayley"]
+    assert cli_main(["bench", *table, *cayley, *trials]) == 0
+    table_bench = capsys.readouterr().out
+    assert cli_main(["paths", *table, *cayley]) == 0
+    table_paths = capsys.readouterr().out
 
     def refuse(k):
         raise AssertionError("cyclic table built")
 
     monkeypatch.setattr(L.graphs, "cyclic_group", refuse)
     for argv in (["gen", *ring], ["metrics", *ring],
-                 ["bench", *ring, "--strategy", "bfs", *bench_args],
-                 ["adversary", "--family", "staircase", *ring]):
+                 ["bench", *ring, "--strategy", "bfs", *trials],
+                 ["adversary", "--family", "staircase", *ring],
+                 ["adversary", "--family", "staircase", *ring, *cayley]):
         assert cli_main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(L.graphs, "cyclic_group", cyclic_group)
-    assert cli_main(["bench", *ring, "--strategy", "cayley",
-                     *bench_args]) == 0
-    assert capsys.readouterr().out == cayley
-    assert cli_main(["paths", *ring, "--strategy", "cayley"]) == 0
-    assert capsys.readouterr().out == cayley_paths
+    # the implicit cyclic group gives the table's paths, counts and trials
+    assert cli_main(["bench", *ring, *cayley, *trials]) == 0
+    assert (capsys.readouterr().out
+            == table_bench.replace("\ncayley,", "\nring,"))
+    assert cli_main(["paths", *ring, *cayley]) == 0
+    assert capsys.readouterr().out == table_paths
+
+
+def test_cayley_bench_validates_its_group_table_once(monkeypatch, tmp_path):
+    init, built = L.graphs.TableGroup.__init__, []
+
+    def counted(self, table):
+        built.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(L.graphs.TableGroup, "__init__", counted)
+    assert cli_main(["bench", "--kind", "cayley", "--group",
+                     _cyclic_group_file(tmp_path, 6), "--strategy", "cayley",
+                     "--L", "2", "--solver", "descent", "--trials", "2",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+    assert built == [L.cyclic_group(6)]
 
 
 def _count_calls(monkeypatch, module, attr, counts):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
-from lsqlab.graphs import GraphSpec, relabel, validate_group_table
+from lsqlab.graphs import GraphSpec, relabel
 from lsqlab.serialize import graph_to_dict
 
 
@@ -99,13 +99,13 @@ def test_build_graph_determinism_and_serialization():
 
 
 def test_build_graph_cayley_family():
-    group = (L.cyclic_group(5), (2, 5))
+    group = (L.TableGroup(L.cyclic_group(5)), (2, 5))
     g = L.build_graph(GraphSpec("cayley", {"group": group}))
     assert g.edges == L.cayley_graph(*group).edges
     with pytest.raises(ValueError, match="--kind cayley needs --group"):
         L.build_graph(GraphSpec("cayley", {"n": 5}))
     with pytest.raises(ValueError, match="needs a generators list"):
-        L.build_graph(GraphSpec("cayley", {"group": (L.cyclic_group(5), None)}))
+        L.build_graph(GraphSpec("cayley", {"group": (group[0], None)}))
     with pytest.raises(ValueError, match="unknown graph kind 'petersen'"):
         L.build_graph(GraphSpec("petersen"))
 
@@ -123,18 +123,18 @@ def test_disconnected_family_errors():
 
 
 def test_group_table_validation():
-    t = L.cyclic_group(5)
-    assert validate_group_table(t) == 5
+    z5 = L.TableGroup(L.cyclic_group(5))
+    assert z5.order == 5 and z5.inv == (0, 1, 5, 4, 3, 2)
     bad = tuple(tuple(2 for _ in range(3)) for _ in range(3))
     with pytest.raises(ValueError):
-        validate_group_table(bad)
+        L.TableGroup(bad)
     # generators not closed under inverse
     with pytest.raises(ValueError):
-        L.cayley_graph(L.cyclic_group(5), {2})
+        L.cayley_graph(z5, {2})
 
 
 def test_cayley_ring():
-    g = L.cayley_graph(L.cyclic_group(5), {2, 5})
+    g = L.cayley_graph(L.TableGroup(L.cyclic_group(5)), {2, 5})
     assert all(g.degree(v) == 2 for v in g.vertices())
     assert g.n == 5
 

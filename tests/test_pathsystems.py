@@ -12,10 +12,11 @@ from hypothesis import given, reject, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
-from lsqlab.graphs import bfs_tree, tree_path
+from lsqlab.graphs import CyclicGroup, bfs_tree, tree_path
 from lsqlab.pathsystems import (
     ORACLE_PATHS_PER_PAIR_CAP,
     PathTable,
+    TranslateTrees,
     _all_simple_paths,
 )
 from lsqlab.serialize import path_system_from_dict, path_system_to_dict
@@ -52,7 +53,8 @@ def test_shortest_system_k4():
 
 def test_congestion_counts_edges_only_when_read(monkeypatch):
     g = L.ring_graph(5)
-    for ps in (L.shortest_path_system(g), L.cayley_path_system(g, L.cyclic_group(5)),
+    for ps in (L.shortest_path_system(g),
+               L.cayley_path_system(g, L.TableGroup(L.cyclic_group(5))),
                PathTable(5, L.shortest_path_system(g).table())):
         calls = []
         edge_counts = type(ps)._edge_counts
@@ -105,7 +107,8 @@ def test_hypercube_system_rejects_other_graphs():
 
 def test_one_vertex_path_systems():
     g = L.from_edges(1, [])
-    for ps in (L.hypercube_path_system(g), L.cayley_path_system(g, ((1,),))):
+    for ps in (L.hypercube_path_system(g),
+               L.cayley_path_system(g, L.TableGroup(((1,),)))):
         assert ps.n == 1 and ps.table() == {(1, 1): (1,)}
 
 
@@ -120,29 +123,29 @@ def test_path_system_check_graph():
 
 
 def test_cayley_system_examples():
-    t5 = L.cyclic_group(5)
-    g5 = L.cayley_graph(t5, {2, 5})
-    prof = L.congestion(L.cayley_path_system(g5, t5))
+    z5 = L.TableGroup(L.cyclic_group(5))
+    g5 = L.cayley_graph(z5, {2, 5})
+    prof = L.congestion(L.cayley_path_system(g5, z5))
     assert set(prof.per_vertex.values()) == {11}
     assert prof.max_vertex <= (L.graph_metrics(g5)["diameter"] + 1) * 5
 
-    t2 = L.cyclic_group(2)
-    g2 = L.cayley_graph(t2, {2})
-    assert L.congestion(L.cayley_path_system(g2, t2)).max_vertex == 3
+    z2 = L.TableGroup(L.cyclic_group(2))
+    g2 = L.cayley_graph(z2, {2})
+    assert L.congestion(L.cayley_path_system(g2, z2)).max_vertex == 3
 
-    t4 = L.cyclic_group(4)
-    g4 = L.cayley_graph(t4, {2, 4})
-    per = L.congestion(L.cayley_path_system(g4, t4)).per_vertex
+    z4 = L.TableGroup(L.cyclic_group(4))
+    g4 = L.cayley_graph(z4, {2, 4})
+    per = L.congestion(L.cayley_path_system(g4, z4)).per_vertex
     assert len(set(per.values())) == 1
 
 
 def test_cayley_system_rejects_mismatch():
-    t5 = L.cyclic_group(5)
+    z5 = L.TableGroup(L.cyclic_group(5))
     with pytest.raises(ValueError):
-        L.cayley_path_system(L.ring_graph(4), t5)  # order mismatch
+        L.cayley_path_system(L.ring_graph(4), z5)  # order mismatch
     star5 = L.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     with pytest.raises(ValueError):
-        L.cayley_path_system(star5, t5)  # not the Cayley edge set
+        L.cayley_path_system(star5, z5)  # not the Cayley edge set
 
 
 def _symmetric_group_3():
@@ -166,10 +169,11 @@ def test_cayley_system_nonabelian():
     # left translation of identity-rooted shortest paths stays valid and
     # uniform on a non-abelian group (S3 with two transpositions)
     table, index = _symmetric_group_3()
+    s3 = L.TableGroup(table)
     gens = {index[(1, 0, 2)], index[(0, 2, 1)]}
-    g = L.cayley_graph(table, gens)
+    g = L.cayley_graph(s3, gens)
     assert g.n == 6
-    ps = L.cayley_path_system(g, table)
+    ps = L.cayley_path_system(g, s3)
     for (u, v), p in ps.table().items():
         assert p[0] == u and p[-1] == v
         for a, b in zip(p, p[1:]):
@@ -281,8 +285,9 @@ def connected_graphs(draw, min_n=1, max_n=10):
     return L.from_edges(n, edges)
 
 
-def assert_same_system(ps, ref: PathTable):
-    """ps and the dict-backed ref agree on every path and every count."""
+def assert_same_system(ps, ref):
+    """ps and ref agree on every path and every count: congestion per
+    vertex and per edge, and the paths through each vertex."""
     vs = range(1, ref.n + 1)
     assert ps.n == ref.n
     assert all(ps.path(u, v) == ref.path(u, v) for u in vs for v in vs)
@@ -401,7 +406,8 @@ def test_translate_systems_match_a_table_of_their_paths():
     for table, gens in [(L.cyclic_group(5), {2, 5}), (L.cyclic_group(6), {2, 6}),
                         (L.cyclic_group(6), {2, 4, 6}), (z2z2, {2, 3}),
                         (s3, {index[(1, 0, 2)], index[(0, 2, 1)]})]:
-        g = L.cayley_graph(table, gens)
+        group = L.TableGroup(table)
+        g = L.cayley_graph(group, gens)
         vs = g.vertices()
         base = bfs_tree(g, 1)[1]
         inv = {a: table[a - 1].index(1) + 1 for a in vs}
@@ -409,7 +415,20 @@ def test_translate_systems_match_a_table_of_their_paths():
             (u, v): tuple(table[u - 1][p - 1]
                           for p in tree_path(base, 1, table[inv[u] - 1][v - 1]))
             for u in vs for v in vs})
-        assert_same_system(L.cayley_path_system(g, table), ref)
+        assert_same_system(L.cayley_path_system(g, group), ref)
+
+
+def test_implicit_groups_match_their_tables():
+    for dim in range(1, 5):
+        n = 1 << dim
+        ps = L.hypercube_path_system(L.hypercube_graph(dim))
+        xor = tuple(tuple((a ^ b) + 1 for b in range(n)) for a in range(n))
+        assert_same_system(ps, TranslateTrees(n, ps.base, L.TableGroup(xor)))
+    for n in range(1, 13):
+        table = L.TableGroup(L.cyclic_group(n))
+        g = L.cayley_graph(table, {2, n}) if n > 1 else L.from_edges(1, [])
+        assert_same_system(L.cayley_path_system(g, CyclicGroup(n)),
+                           L.cayley_path_system(g, table))
 
 
 SCALE_SCRIPT = """

@@ -14,7 +14,6 @@ from lsqlab.separation import (
     arrangement_violations,
     cluster_staircase,
     make_separation_instance,
-    separation_tail,
 )
 from lsqlab.staircase import count_good_with_prefix, shared_prefix_length
 
@@ -89,15 +88,6 @@ def test_separation_walk_single_vertex_values():
     vals = L.separation_value_function((1,), pa, g)
     assert vals[pa.v_start] == -1
     assert all(v == pa.v_start or vals[v] > 0 for v in g.vertices())
-
-
-def test_separation_tail(nine_vertex_arrangement):
-    g, pa = nine_vertex_arrangement
-    s = cluster_staircase((1, 3, 3, 1, 2), pa)
-    assert separation_tail(5, s) == ()
-    assert separation_tail(3, s) == s.walk[s.segment_starts[2] + 1:]
-    with pytest.raises(ValueError):
-        separation_tail(2, s)
 
 
 def test_intra_cluster_path_stays_inside(nine_vertex_arrangement):

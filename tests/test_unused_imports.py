@@ -1,9 +1,12 @@
-"""Every name a library module imports is read somewhere in it.
+"""Every name a library module imports is read somewhere in it, and every
+public definition is read by some library module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import binds names, and every bound name must appear as a Name node
 elsewhere in the module.  Lines marked `# noqa: F401` are re-exports and
-exempt.  `__init__.py` only re-exports and is skipped.
+exempt.  `__init__.py` only re-exports and is skipped by the import check;
+its re-exports count as reads for the definition check, and a decorated
+definition (such as a registered `verify` check) is read by its decorator.
 """
 
 import ast
@@ -46,3 +49,40 @@ def test_unused_import_is_caught():
               "import os.path\n"
               "total = reduce(int.__add__, [1, 2])\n")
     assert unused_imports(source) == [(1, "cached_property"), (3, "os")]
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) of each undecorated public top-level function or class
+    that no module reads: not as a name, an attribute or an import, which
+    covers the re-exports of __init__.py.  sources maps module to text."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.decorator_list and not node.name.startswith("_")
+            and node.name not in read]
+
+
+def test_every_public_definition_is_read():
+    package = Path(lsqlab.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unread_definitions(sources) == []
+
+
+def test_unread_definition_is_caught():
+    sources = {"a.py": ("def used():\n    return helper()\n"
+                        "def helper():\n    return 1\n"
+                        "def orphan():\n    return 2\n"
+                        "@register\ndef hooked():\n    return 3\n"
+                        "class Exported:\n    pass\n"),
+               "__init__.py": "from .a import Exported, used\n"}
+    assert unread_definitions(sources) == [("a.py", "orphan")]
