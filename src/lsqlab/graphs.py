@@ -50,7 +50,7 @@ class Graph:
             self, "adjacency", tuple(tuple(sorted(nb)) for nb in adj)
         )
         object.__setattr__(self, "max_degree", max(map(len, adj[1:])))
-        if -1 in bfs_tree(self, 1)[0][1:]:
+        if len(bfs_tree(self, 1)[1]) < self.n:
             raise ValueError("graph is not connected")
 
     def distances(self, src: int) -> tuple:
@@ -119,12 +119,8 @@ class TableGroup(Group):
         for a in range(1, n + 1):
             if 1 not in table[a - 1]:
                 raise ValueError(f"element {a} has no inverse")
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                ab = table[a - 1][b - 1]
-                for c in range(1, n + 1):
-                    if table[ab - 1][c - 1] != table[a - 1][table[b - 1][c - 1] - 1]:
-                        raise ValueError("multiplication table is not associative")
+        if not _associative(table):
+            raise ValueError("multiplication table is not associative")
         self.table, self.order = table, n
         self.inv = (0, *(row.index(1) + 1 for row in table))
 
@@ -134,6 +130,43 @@ class TableGroup(Group):
     def translate(self, u: int, v: int, patterns) -> tuple:
         w = self.table[self.inv[u] - 1][v - 1]
         return tuple(map(self.table[u - 1].__getitem__, patterns[w]))
+
+
+def _associative(table) -> bool:
+    """Light's test on a table with identity 1: (x s) y = x (s y) for all
+    x, y and every s of a generating set means the table is associative.
+
+    The elements s for which it holds are closed under products, so it
+    suffices that every element is a product of generators.  Generators
+    are picked greedily, each the least element not yet reached from 1 by
+    right multiplication with those before it.  In a group each one at
+    least doubles the subgroup reached, so a table that needs more than
+    log2 n of them is no group, and, with its identity and inverses
+    present, not associative.  That makes the test O(n^2 log n).
+    """
+    n = len(table)
+    rows = [tuple(x - 1 for x in row) for row in table]  # 0-based
+    gens, reached = [], [True] + [False] * (n - 1)
+    while not all(reached):
+        gens.append(reached.index(False))
+        if 1 << len(gens) > n:
+            return False
+        reached = [False] * n
+        reached[0] = True
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = rows[x][s]
+                if not reached[y]:
+                    reached[y] = True
+                    stack.append(y)
+    for s in gens:
+        col = rows[s]
+        for row in rows:
+            if rows[row[s]] != tuple(map(row.__getitem__, col)):
+                return False
+    return True
 
 
 class XorGroup(Group):
@@ -363,32 +396,36 @@ def build_graph(spec: GraphSpec) -> Graph:
 
 
 def bfs_tree(g: Graph, src: int, within=None) -> tuple:
-    """One BFS pass from src: (dist, parent) lists, index 0 unused.
+    """One BFS pass from src: (parent, order), parent indexed by vertex with
+    index 0 unused.
 
-    dist[v] is the hop count, -1 where v is unreached.  parent[w] is the
-    lowest-id neighbor of w one hop closer to src (0 at src and where
-    unreached); this is the package's one shortest-path tie-break.  When
-    within is given, the traversal stays inside that vertex set, which
-    must contain src.
+    order lists the reached vertices level by level, src first and each
+    level ascending, so every vertex comes after its parent.  parent[w] is
+    the lowest-id neighbor of w one hop closer to src (0 at src and where
+    unreached): a level is scanned in ascending order, so the first vertex
+    to reach w is that neighbor.  This is the package's one shortest-path
+    tie-break.  When within is given, the traversal stays inside that
+    vertex set, which must contain src.
     """
     if not (1 <= src <= g.n):
         raise ValueError(f"source {src} outside 1..{g.n}")
-    dist = [-1] * (g.n + 1)
+    adj = g.adjacency
     parent = [0] * (g.n + 1)
-    dist[src] = 0
+    parent[src] = src  # marks src reached until the pass ends
     order = [src]
-    for u in order:  # the list grows while it is read: a FIFO queue
-        d = dist[u] + 1
-        for w in g.adjacency[u]:
-            if within is not None and w not in within:
-                continue
-            if dist[w] < 0:
-                dist[w] = d
-                parent[w] = u
-                order.append(w)
-            elif dist[w] == d and u < parent[w]:
-                parent[w] = u  # a same-level predecessor with a lower id
-    return dist, parent
+    level = [src]
+    while level:
+        reached = []
+        for u in level:
+            for w in adj[u]:
+                if not parent[w] and (within is None or w in within):
+                    parent[w] = u
+                    reached.append(w)
+        reached.sort()
+        order += reached
+        level = reached
+    parent[src] = 0
+    return parent, order
 
 
 def tree_path(parent, src: int, v: int) -> tuple:
@@ -404,8 +441,12 @@ def tree_path(parent, src: int, v: int) -> tuple:
 
 
 def bfs_distances(g: Graph, src: int) -> list:
-    """Hop counts from src; index 0 is unused padding."""
-    return bfs_tree(g, src)[0]
+    """Hop counts from src; index 0 is unused padding, at -1."""
+    parent, order = bfs_tree(g, src)
+    dist = [-1] * len(parent)
+    for w in order:
+        dist[w] = dist[parent[w]] + 1  # src's parent is index 0, at -1
+    return dist
 
 
 def graph_metrics(g: Graph) -> dict:

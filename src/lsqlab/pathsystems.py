@@ -8,7 +8,8 @@ elsewhere in the package.
 Three representations share the PathSystem interface:
   PathTable       a table {(u, v): path} over all n^2 pairs: the brute
                   oracle's output, path-system files and hand-made fixtures;
-  SourceTrees     one BFS tree per source (the bfs strategy): path(u, v)
+  SourceTrees     the BFS tree of each source (the bfs strategy), built
+                  when first read and kept in a bounded cache: path(u, v)
                   is v's path in u's tree;
   TranslateTrees  left translates u * base(u^-1 v) of one tree rooted at
                   the identity 1 in a graphs.Group: a validated table or
@@ -16,11 +17,14 @@ Three representations share the PathSystem interface:
                   on v - 1 (the hypercube strategy).
 Every built-in strategy is prefix-closed from each source, so the number of
 paths from u through v is the size of v's subtree in u's tree; congestion is
-counted from subtree sizes, never by walking n^2 paths.
+counted from subtree sizes, never by walking n^2 paths.  The sizes come from
+one reversed walk of an order that lists every vertex after its parent, such
+as bfs_tree's visit order; SourceTrees streams them one source at a time.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
@@ -31,6 +35,9 @@ from .graphs import Graph, Group, XorGroup, bfs_tree, tree_path
 
 ORACLE_CAP_DEFAULT = 6
 ORACLE_PATHS_PER_PAIR_CAP = 512
+# SourceTrees caches at most this many list entries of trees, 2(n + 1) per
+# tree: every tree up to n = 1447, 127 trees at n = 2^14 (32 MiB of slots)
+TREE_CACHE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -112,52 +119,104 @@ class PathTable(PathSystem):
         return counts
 
 
-def _subtree_sizes(tree) -> list:
-    """size[v] of a (dist, parent) tree as bfs_tree returns it: the number
-    of vertices whose tree path from the root runs through v."""
-    dist, parent = tree
+def _subtree_sizes(parent, order) -> list:
+    """size[v]: the number of vertices whose tree path from the root runs
+    through v, for a tree given by its parent list and an order that lists
+    every vertex after its parent, such as bfs_tree's."""
     size = [1] * len(parent)
-    for w in sorted(range(1, len(parent)), key=dist.__getitem__, reverse=True):
+    for w in reversed(order):
         size[parent[w]] += size[w]  # the root adds itself to unused index 0
     return size
 
 
 @dataclass(frozen=True)
 class SourceTrees(PathSystem):
-    """trees[u] is bfs_tree(g, u), (dist, parent); trees[0] is unused.
-    Congestion takes one source's subtree sizes at a time: O(n) memory
-    besides the trees and the counts."""
+    """path(u, v) is v's path in bfs_tree(graph, u), each source's tree
+    built when first read.
 
-    trees: tuple = field(repr=False)
+    Trees are cached as (parent, size) pairs, 2(n + 1) list entries each,
+    up to TREE_CACHE_ENTRIES entries; path drops the oldest tree to make
+    room.  Congestion streams the sources one tree at a time and keeps
+    trees only while there is room, so it needs O(n) memory besides the
+    cache and the counts.
+    """
+
+    graph: Graph = field(repr=False)
+    # _trees[u]: u's (parent, size) while cached, else None; _kept: the
+    # cached sources, oldest first
+    _trees: list = field(init=False, repr=False, compare=False)
+    _kept: deque = field(init=False, repr=False, compare=False,
+                         default_factory=deque)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_trees", [None] * (self.n + 1))
+
+    def _capacity(self) -> int:
+        return TREE_CACHE_ENTRIES // (2 * (self.n + 1))
+
+    def _build(self, u: int) -> tuple:
+        parent, order = bfs_tree(self.graph, u)
+        return parent, _subtree_sizes(parent, order)
 
     def path(self, u: int, v: int) -> tuple:
-        return tree_path(self.trees[u][1], u, v)
+        tree = self._trees[u]
+        if tree is None:
+            tree = self._keep(u)
+        return tree_path(tree[0], u, v)
+
+    def _keep(self, u: int) -> tuple:
+        """Build u's tree and cache it, dropping the oldest trees to make
+        room."""
+        tree = self._build(u)
+        kept, capacity = self._kept, self._capacity()
+        if capacity:
+            while len(kept) >= capacity:
+                self._trees[kept.popleft()] = None
+            self._trees[u] = tree
+            kept.append(u)
+        return tree
+
+    def _stream(self):
+        """Every source's (parent, size) in source order: cached trees as
+        they are, the others built and kept while the cache has room."""
+        trees, kept, capacity = self._trees, self._kept, self._capacity()
+        for u in range(1, self.n + 1):
+            tree = trees[u]
+            if tree is None:
+                tree = self._build(u)
+                if len(kept) < capacity:
+                    trees[u] = tree
+                    kept.append(u)
+            yield tree
 
     def _vertex_counts(self) -> dict:
         load = [0] * (self.n + 1)
-        for tree in self.trees[1:]:
-            load = list(map(add, load, _subtree_sizes(tree)))
+        for _, size in self._stream():
+            load = list(map(add, load, size))
         return {v: load[v] for v in range(1, self.n + 1)}
 
     def _edge_counts(self) -> dict:
-        per_edge = {}
-        for tree in self.trees[1:]:
-            size = _subtree_sizes(tree)
-            for w, p in enumerate(tree[1]):
-                if p:  # not index 0 or the root: the tree edge above w
-                    e = (p, w) if p < w else (w, p)
-                    per_edge[e] = per_edge.get(e, 0) + size[w]
-        return per_edge
+        # up[w * (n + 1) + p]: size[w] summed over the trees in which p is
+        # w's parent (p = 0 collects index 0 and the roots, unread).  Every
+        # edge {a, b} is the tree edge above b in a's tree.
+        n1 = self.n + 1
+        up = defaultdict(int)
+        for parent, size in self._stream():
+            for k, s in zip(map(add, range(0, n1 * n1, n1), parent), size):
+                up[k] += s
+        return {(a, b): up[a * n1 + b] + up[b * n1 + a]
+                for a, b in self.graph.edges}
 
     def _through(self, v: int) -> dict:
-        return {u: _subtree_sizes(self.trees[u])[v] for u in range(1, self.n + 1)}
+        return {u: size[v] for u, (_, size) in enumerate(self._stream(), 1)}
 
 
 @dataclass(frozen=True)
 class TranslateTrees(PathSystem):
     """path(u, v) = u * base(u^-1 v) in a group on 1..n with identity 1:
-    base is a (dist, parent) tree rooted at 1, and the group reads each
-    path from the base paths in one translate call."""
+    base is a (parent, order) tree rooted at 1, as bfs_tree returns it,
+    and the group reads each path from the base paths in one translate
+    call."""
 
     base: tuple = field(repr=False)
     group: Group = field(repr=False)
@@ -165,9 +224,9 @@ class TranslateTrees(PathSystem):
     patterns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dist, parent = self.base
+        parent, order = self.base
         patterns = [()] * (self.n + 1)
-        for w in sorted(range(1, self.n + 1), key=dist.__getitem__):
+        for w in order:
             patterns[w] = patterns[parent[w]] + (w - 1,)
         object.__setattr__(self, "patterns", tuple(patterns))
 
@@ -177,12 +236,12 @@ class TranslateTrees(PathSystem):
     def _vertex_counts(self) -> dict:
         # Every vertex lies on sum_w size[w] = sum_w (depth(w) + 1) paths.
         return dict.fromkeys(range(1, self.n + 1),
-                             sum(_subtree_sizes(self.base)[1:]))
+                             sum(_subtree_sizes(*self.base)[1:]))
 
     def _edge_counts(self) -> dict:
         n, mul, inv = self.n, self.group.mul, self.group.inv
-        parent = self.base[1]
-        size = _subtree_sizes(self.base)
+        parent = self.base[0]
+        size = _subtree_sizes(*self.base)
         # load[s]: subtree sizes summed over base edges (p, c) with p^-1 c = s;
         # edge {x, x*s} carries the translates of those run either way.
         load = {}
@@ -198,7 +257,7 @@ class TranslateTrees(PathSystem):
         return per_edge
 
     def _through(self, v: int) -> dict:
-        size = _subtree_sizes(self.base)
+        size = _subtree_sizes(*self.base)
         mul, inv = self.group.mul, self.group.inv
         return {u: size[mul(inv[u], v)] for u in range(1, self.n + 1)}
 
@@ -229,7 +288,7 @@ class CongestionProfile:
 
 def shortest_path_system(g: Graph) -> SourceTrees:
     """BFS shortest paths for every ordered pair, deterministic tie-break."""
-    return SourceTrees(g.n, (None, *(bfs_tree(g, u) for u in g.vertices())))
+    return SourceTrees(g.n, g)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +307,9 @@ def hypercube_path_system(g: Graph) -> TranslateTrees:
     dim = n.bit_length() - 1
     if n != 1 << dim or g.edges != graphs.hypercube_edges(dim):
         raise ValueError("graph is not the canonical labelled hypercube")
-    dist = [-1] + [(w - 1).bit_count() for w in range(1, n + 1)]
+    # parent[w] < w, so ascending ids list every vertex after its parent
     parent = [0, 0] + [((w - 1) & (w - 2)) + 1 for w in range(2, n + 1)]
-    return TranslateTrees(n, (dist, parent), XorGroup(n))
+    return TranslateTrees(n, (parent, range(1, n + 1)), XorGroup(n))
 
 
 def cayley_path_system(g: Graph, group: Group) -> TranslateTrees:

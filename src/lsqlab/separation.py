@@ -80,8 +80,8 @@ class PathArrangement(Arrangement):
         cluster = self.clusters[i - 1]
         if u not in cluster or v not in cluster:
             raise ValueError(f"endpoints {u},{v} not inside cluster {i}")
-        dist, parent = graphs.bfs_tree(self.graph, u, within=cluster)
-        if dist[v] < 0:
+        parent, _ = graphs.bfs_tree(self.graph, u, within=cluster)
+        if v != u and not parent[v]:
             raise ValueError(f"cluster {i} does not connect {u} and {v}")
         return graphs.tree_path(parent, u, v)
 
@@ -197,8 +197,8 @@ def verify_arrangement(pa: Arrangement, g: Graph) -> bool:
 
 
 def _induced_connected(g: Graph, cluster) -> bool:
-    dist, _ = graphs.bfs_tree(g, next(iter(cluster)), within=cluster)
-    return sum(d >= 0 for d in dist) == len(cluster)
+    _, order = graphs.bfs_tree(g, next(iter(cluster)), within=cluster)
+    return len(order) == len(cluster)
 
 
 def check_cluster_sequence(x, m: int) -> int:

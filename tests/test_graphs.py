@@ -1,17 +1,20 @@
 """Graph families, metrics, and the exact expansion/separation routines."""
 
+import itertools
 import json
 import random
+import time
 from collections import deque
 from fractions import Fraction
 
 import pytest
 from conftest import connected_graphs
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
 from lsqlab.graphs import GraphSpec, relabel
+from lsqlab.pathsystems import _subtree_sizes
 from lsqlab.serialize import graph_to_dict
 
 
@@ -131,6 +134,115 @@ def test_group_table_validation():
     # generators not closed under inverse
     with pytest.raises(ValueError):
         L.cayley_graph(z5, {2})
+
+
+def _table_group_reference(table):
+    """TableGroup's validation as it was with the O(n^3) associativity
+    loop: the error text of the first failed check, or None."""
+    n = len(table)
+    if n < 1:
+        return "empty multiplication table"
+    for row in table:
+        if len(row) != n:
+            return "multiplication table is not square"
+        for x in row:
+            if not (1 <= x <= n):
+                return "table entry outside 1..n (not closed)"
+    for a in range(1, n + 1):
+        if table[0][a - 1] != a or table[a - 1][0] != a:
+            return "element 1 is not a two-sided identity"
+    for a in range(1, n + 1):
+        if 1 not in table[a - 1]:
+            return f"element {a} has no inverse"
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            ab = table[a - 1][b - 1]
+            for c in range(1, n + 1):
+                if table[ab - 1][c - 1] != table[a - 1][table[b - 1][c - 1] - 1]:
+                    return "multiplication table is not associative"
+    return None
+
+
+def _symmetric_group_table(k):
+    """Multiplication table of S_k, identity first."""
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i + 1 for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[i]] for i in range(k))] for q in perms)
+                 for p in perms)
+
+
+SMALL_GROUPS = ([L.cyclic_group(k) for k in range(1, 9)]
+                + [L.direct_product_group(L.cyclic_group(2), L.cyclic_group(k))
+                   for k in (2, 4)]
+                + [L.direct_product_group(L.cyclic_group(2), L.direct_product_group(
+                    L.cyclic_group(2), L.cyclic_group(2))),
+                   _symmetric_group_table(3),
+                   L.direct_product_group(L.cyclic_group(2), _symmetric_group_table(3))])
+
+
+@st.composite
+def perturbed_group_tables(draw):
+    """A small group's table relabelled by a permutation fixing 1, with up
+    to three entries outside the identity's row and column overwritten."""
+    base = draw(st.sampled_from(SMALL_GROUPS))
+    n = len(base)
+    label = [0, 1] + draw(st.permutations(range(2, n + 1)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            table[label[a] - 1][label[b] - 1] = label[base[a - 1][b - 1]]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            table[a][b] = draw(st.integers(1, n))
+    return tuple(map(tuple, table))
+
+
+@st.composite
+def latin_square_tables(draw):
+    """A Latin square on 1..n whose first row and column are 1..n: the
+    table of a loop, which may or may not be associative."""
+    n = draw(st.integers(1, 6))
+    table = [list(range(1, n + 1))] + [[a] + [0] * (n - 1) for a in range(2, n + 1)]
+    for a in range(1, n):
+        for b in range(1, n):
+            free = (set(range(1, n + 1)) - set(table[a])
+                    - {table[i][b] for i in range(a)})
+            if not free:
+                reject()
+            table[a][b] = draw(st.sampled_from(sorted(free)))
+    return tuple(map(tuple, table))
+
+
+def _table_group_error(table):
+    try:
+        L.TableGroup(table)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(perturbed_group_tables(), latin_square_tables()))
+# 2 generates {1, 2, 3} and associates with everything; 4 does not
+@example(((1, 2, 3, 4, 5, 6), (2, 3, 1, 6, 4, 5), (3, 1, 2, 5, 6, 4),
+          (4, 6, 5, 2, 3, 1), (5, 4, 6, 3, 1, 2), (6, 5, 4, 1, 2, 3)))
+def test_table_group_rejects_exactly_what_the_cubic_check_rejects(table):
+    assert _table_group_error(table) == _table_group_reference(table)
+
+
+def test_table_group_accepts_every_small_group():
+    for table in SMALL_GROUPS:
+        assert _table_group_error(table) is None
+
+
+def test_table_group_validates_order_400_quickly():
+    # All n^3 triples take seconds at this order; Light's test needs one
+    # generator.
+    table = L.cyclic_group(400)
+    start = time.perf_counter()
+    assert L.TableGroup(table).order == 400
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cayley_ring():
@@ -422,6 +534,8 @@ def graph_source_within(draw):
 
 @settings(deadline=None)
 @given(graph_source_within())
+# 5 is reached before 4, and 6's lowest-id parent is 4
+@example((L.from_edges(6, [(1, 2), (1, 3), (2, 5), (3, 4), (4, 6), (5, 6)]), 1, None))
 def test_bfs_tree_matches_reference(case):
     g, src, within = case
     inside = set(g.vertices()) if within is None else within
@@ -436,10 +550,13 @@ def test_bfs_tree_matches_reference(case):
     parent = {w: min(u for u in g.neighbors(w) if dist.get(u) == dist[w] - 1)
               for w in dist if w != src}
 
-    got_dist, got_parent = L.graphs.bfs_tree(g, src, within)
+    got_parent, order = L.graphs.bfs_tree(g, src, within)
+    assert sorted(order) == sorted(dist)
+    got_dist = L.bfs_distances(g, src) if within is None else None
     for v in g.vertices():
-        assert got_dist[v] == dist.get(v, -1)
         assert got_parent[v] == parent.get(v, 0)
+        if got_dist:
+            assert got_dist[v] == dist[v]
         if v in dist:
             path = L.graphs.tree_path(got_parent, src, v)
             assert path[0] == src and path[-1] == v
@@ -448,3 +565,19 @@ def test_bfs_tree_matches_reference(case):
         else:
             with pytest.raises(ValueError, match="not reached"):
                 L.graphs.tree_path(got_parent, src, v)
+
+
+@settings(deadline=None)
+@given(graph_source_within())
+def test_bfs_order_lists_parents_first_and_gives_subtree_sizes(case):
+    g, src, within = case
+    parent, order = L.graphs.bfs_tree(g, src, within)
+    assert order[0] == src and len(set(order)) == len(order)
+    seen = set()
+    for w in reversed(order):  # every vertex before its parent
+        assert w not in seen and parent[w] not in seen
+        seen.add(w)
+    size = _subtree_sizes(parent, order)
+    for v in order:
+        assert size[v] == sum(v in L.graphs.tree_path(parent, src, w)
+                              for w in order)

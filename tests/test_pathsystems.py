@@ -6,12 +6,13 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import lsqlab as L
-from lsqlab import CapabilityError
+from lsqlab import CapabilityError, pathsystems
 from lsqlab.graphs import CyclicGroup, bfs_tree, tree_path
 from lsqlab.pathsystems import (
     ORACLE_PATHS_PER_PAIR_CAP,
@@ -292,17 +293,46 @@ def assert_same_system(ps, ref):
     assert ps.n == ref.n
     assert all(ps.path(u, v) == ref.path(u, v) for u in vs for v in vs)
     assert L.congestion(ps) == L.congestion(ref)
+    assert L.congestion(ps).max_edge == L.congestion(ref).max_edge
     for v in vs:
         assert L.num_paths_through(ps, v) == L.num_paths_through(ref, v)
 
 
 @settings(deadline=None)
-@given(connected_graphs())
-def test_source_trees_match_a_table_of_their_paths(g):
+@given(connected_graphs(), st.sampled_from([None, 0, 1, 2]))
+def test_source_trees_match_a_table_of_their_paths(g, trees):
+    # With the cache bound patched to room for 0, 1 or 2 trees (None keeps
+    # the default, which holds them all), trees are dropped and rebuilt.
     vs = g.vertices()
-    ref = PathTable(g.n, {(u, v): tree_path(bfs_tree(g, u)[1], u, v)
+    ref = PathTable(g.n, {(u, v): tree_path(bfs_tree(g, u)[0], u, v)
                           for u in vs for v in vs})
-    assert_same_system(L.shortest_path_system(g), ref)
+    with pytest.MonkeyPatch.context() as mp:
+        if trees is not None:
+            mp.setattr(pathsystems, "TREE_CACHE_ENTRIES", trees * 2 * (g.n + 1))
+        ps = L.shortest_path_system(g)
+        before = ps.table()
+        assert before == ref.table()
+        L.congestion(ps)
+        assert ps.table() == before
+        assert_same_system(ps, ref)
+        cached = sum(tree is not None for tree in ps._trees)
+        assert cached == len(ps._kept) <= (g.n if trees is None else trees)
+
+
+def test_congestion_streams_source_trees(monkeypatch):
+    # Holding all 1024 trees peaks near 16 MiB.
+    g = L.random_regular_graph(1024, 3, 1)
+    monkeypatch.setattr(pathsystems, "TREE_CACHE_ENTRIES", 8 * 2 * (g.n + 1))
+    tracemalloc.start()
+    try:
+        prof = L.congestion(L.shortest_path_system(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    # every path from u to v holds dist(u, v) + 1 vertices
+    assert sum(prof.per_vertex.values()) == sum(
+        sum(L.bfs_distances(g, u)[1:]) + g.n for u in g.vertices())
 
 
 def _all_connected_graphs(n):
@@ -409,7 +439,7 @@ def test_translate_systems_match_a_table_of_their_paths():
         group = L.TableGroup(table)
         g = L.cayley_graph(group, gens)
         vs = g.vertices()
-        base = bfs_tree(g, 1)[1]
+        base = bfs_tree(g, 1)[0]
         inv = {a: table[a - 1].index(1) + 1 for a in vs}
         ref = PathTable(g.n, {
             (u, v): tuple(table[u - 1][p - 1]
