@@ -20,9 +20,6 @@ from .graphs import Graph
 from .pathsystems import PathSystem
 from .staircase import all_sequences, make_instance, relation_congestion
 
-SUBSET_CAP_DEFAULT = 16
-FAMILY_CAP_DEFAULT = 10_000
-
 
 @dataclass(frozen=True)
 class FunctionFamily:
@@ -116,8 +113,7 @@ class VariantBound:
     argmin: tuple
 
 
-def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation,
-                             cap: int | None = None) -> VariantBound:
+def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound:
     """Exact min of M(Z)/q(Z) over all subsets with q(Z) > 0, and /100.
 
     Iterates subsets in Gray-code order, maintaining M(Z) and the per-point
@@ -141,7 +137,7 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation,
     read from the fields only when that test fires.
     """
     size = fam.size
-    check_cap("variant_bound_exhaustive", size, cap, SUBSET_CAP_DEFAULT)
+    check_cap("variant_bound_exhaustive", size)
     npoints = len(fam.domain)
     row_mass = [sum(rel.weights[i]) for i in range(size)]
     total = sum(row_mass)
@@ -268,18 +264,18 @@ def family_matrix_game(k: int):
     return fam, rel
 
 
-def family_staircase(g: Graph, ps: PathSystem, L: int, cap: int | None = None):
+def family_staircase(g: Graph, ps: PathSystem, L: int):
     """Full staircase function family with its prefix-power relation.
 
     Materializes all 2 * n^L hidden-bit functions, so the family size is
-    capped (default 10^4).  Also returns the provenance instances aligned
+    capped by errors.CAPS.  Also returns the provenance instances aligned
     with the family's function order.
     """
     if L < 0:
         raise ValueError(f"L: must be >= 0, got {L}")
     n = g.n
     size = 2 * n ** L
-    check_cap("family_staircase", size, cap, FAMILY_CAP_DEFAULT)
+    check_cap("family_staircase", size)
     domain = tuple(g.vertices())
     instances = []
     functions = []

@@ -124,18 +124,21 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
 
+# strategy -> builder(g, group), reading this module's globals per call
+STRATEGIES = {
+    "bfs": lambda g, group: shortest_path_system(g),
+    "hypercube": lambda g, group: hypercube_path_system(g),
+    "cayley": lambda g, group: cayley_path_system(g, group),
+    "brute": lambda g, group: min_congestion_oracle(g)[1],
+}
+
+
 def build_path_system(g: Graph, strategy: str, group=None) -> PathSystem:
-    if strategy == "bfs":
-        return shortest_path_system(g)
-    if strategy == "hypercube":
-        return hypercube_path_system(g)
-    if strategy == "cayley":
-        if group is None:
-            raise ValueError("cayley strategy needs a group table")
-        return cayley_path_system(g, group)
-    if strategy == "brute":
-        return min_congestion_oracle(g)[1]
-    raise ValueError(f"unknown path-system strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown path-system strategy {strategy!r}")
+    if strategy == "cayley" and group is None:
+        raise ValueError("cayley strategy needs a group table")
+    return STRATEGIES[strategy](g, group)
 
 
 def _run_trial(cfg: BenchConfig, sampler, delta: int, g_cong: int,

@@ -234,7 +234,7 @@ def _add_graph_args(p, with_strategy=False):
     p.add_argument("--group", help="group JSON file: {table, generators}")
     if with_strategy:
         p.add_argument("--strategy", default="bfs",
-                       choices=["bfs", "hypercube", "cayley", "brute"])
+                       choices=list(bench.STRATEGIES))
 
 
 def main(argv=None) -> int:

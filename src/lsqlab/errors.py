@@ -1,4 +1,12 @@
-"""Shared exception types and exhaustive-search cap handling."""
+"""Shared exception types and the caps of the exhaustive routines.
+
+CAPS holds each exhaustive routine's default cap, in that routine's unit.
+The LSQLAB_MAX_EXHAUSTIVE variable overrides entries as comma-separated
+routine=N entries, e.g. separation_number_exact=16,min_congestion_oracle=7;
+a routine it does not name keeps its default, and any other form of the
+variable (empty, a bare integer, an unknown or repeated routine, N not a
+nonnegative integer) raises ValueError.
+"""
 
 from __future__ import annotations
 
@@ -6,32 +14,45 @@ import os
 
 ENV_CAP = "LSQLAB_MAX_EXHAUSTIVE"
 
+CAPS = {  # routine -> default cap
+    "edge_expansion_exact": 24,  # vertices
+    "separation_number_exact": 14,  # vertices
+    "min_congestion_oracle": 6,  # vertices
+    "variant_bound_exhaustive": 16,  # functions in the family
+    "family_staircase": 10_000,  # functions materialized, 2 n^L
+}
+
 
 class CapabilityError(RuntimeError):
     """An exact/exhaustive routine was asked to exceed its configured cap."""
 
 
-def resolve_cap(explicit: int | None, default: int) -> int:
-    """Pick the cap for a brute-force routine.
-
-    Priority: explicit argument, then the LSQLAB_MAX_EXHAUSTIVE environment
-    variable, then the built-in default.  A variable that is not a
-    nonnegative integer raises ValueError.
-    """
-    if explicit is not None:
-        return explicit
+def _overrides() -> dict:
+    """The routine -> cap entries of LSQLAB_MAX_EXHAUSTIVE; {} if unset."""
     env = os.environ.get(ENV_CAP)
     if env is None:
-        return default
-    if not env.strip().isdecimal():
-        raise ValueError(f"{ENV_CAP} must be a nonnegative integer, got {env!r}")
-    return int(env)
+        return {}
+    caps = {}
+    for entry in env.split(","):
+        name, eq, value = (part.strip() for part in entry.partition("="))
+        problem = ("not routine=N" if not eq
+                   else "unknown routine" if name not in CAPS
+                   else "routine named twice" if name in caps
+                   else "N is not a nonnegative integer"
+                   if not value.isdecimal() else None)
+        if problem:
+            raise ValueError(
+                f"{ENV_CAP}={env!r}: {problem} in {entry!r}; expected "
+                f"comma-separated routine=N entries, routines "
+                f"{', '.join(CAPS)}")
+        caps[name] = int(value)
+    return caps
 
 
-def check_cap(what: str, size: int, explicit: int | None, default: int) -> None:
-    cap = resolve_cap(explicit, default)
+def check_cap(what: str, size: int) -> None:
+    """Raise CapabilityError if size exceeds the cap of routine what."""
+    cap = _overrides().get(what, CAPS[what])
     if size > cap:
         raise CapabilityError(
             f"{what}: size {size} exceeds exhaustive cap {cap} "
-            f"(raise via the cap argument or {ENV_CAP})"
-        )
+            f"(raise it with {ENV_CAP}={what}=N)")

@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .errors import check_cap
 
-EXPANSION_CAP_DEFAULT = 24
-SEPARATION_CAP_DEFAULT = 14
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -455,14 +452,14 @@ def graph_metrics(g: Graph) -> dict:
     return {"max_degree": g.max_degree, "diameter": diameter}
 
 
-def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
+def edge_expansion_exact(g: Graph) -> Fraction:
     """Exact expansion: min over nonempty S, |S| <= n/2, of cut(S)/|S|.
 
     cut(S) = cut(V - S), so it suffices to range S over the 2^(n-1)
     subsets of vertices 1..n-1 and score S when |S| <= n/2 and otherwise
     its complement, which holds vertex n and has n - |S| <= n/2 vertices;
     every subset of size at most n/2 is some S or the complement of one.
-    The vertex count is capped (default 24).
+    The vertex count is capped by errors.CAPS.
 
     The subsets are split meet-in-the-middle: S = A | B with A among the
     2^a subsets of the low vertices 1..a, a = max(0, (n-1)//2 - 1), and B
@@ -484,7 +481,7 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
     only then are the fields read out and scanned in order.  The empty S
     has side 0 and cut 0, so it never fires.
     """
-    check_cap("edge_expansion_exact", g.n, cap, EXPANSION_CAP_DEFAULT)
+    check_cap("edge_expansion_exact", g.n)
     n = g.n
     if n == 1:
         raise ValueError("expansion undefined on a single vertex")
@@ -548,7 +545,7 @@ def edge_expansion_exact(g: Graph, cap: int | None = None) -> Fraction:
     return Fraction(best_cut, best_size)
 
 
-def separation_number_exact(g: Graph, cap: int | None = None) -> int:
+def separation_number_exact(g: Graph) -> int:
     """Exact separation number by double subset enumeration.
 
     s = max over H of min over A subset of H with |H|/4 <= |A| <= 3|H|/4 of
@@ -560,9 +557,9 @@ def separation_number_exact(g: Graph, cap: int | None = None) -> int:
     admit no valid A and are skipped.  The vertices adjacent to a vertex
     set m are read from a table built once over all 2^n masks, each from
     the mask without its least vertex, so |delta(A)| is one AND and one
-    bit count.  The vertex count is capped (default 14).
+    bit count.  The vertex count is capped by errors.CAPS.
     """
-    check_cap("separation_number_exact", g.n, cap, SEPARATION_CAP_DEFAULT)
+    check_cap("separation_number_exact", g.n)
     n = g.n
     adj_mask = [0] * (n + 1)
     for u, v in g.edges:

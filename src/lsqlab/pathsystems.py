@@ -24,7 +24,7 @@ as bfs_tree's visit order; SourceTrees streams them one source at a time.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
@@ -33,7 +33,6 @@ from . import graphs
 from .errors import check_cap
 from .graphs import Graph, Group, XorGroup, bfs_tree, tree_path
 
-ORACLE_CAP_DEFAULT = 6
 ORACLE_PATHS_PER_PAIR_CAP = 512
 # SourceTrees caches at most this many list entries of trees, 2(n + 1) per
 # tree: every tree up to n = 1447, 127 trees at n = 2^14 (32 MiB of slots)
@@ -135,64 +134,45 @@ class SourceTrees(PathSystem):
     built when first read.
 
     Trees are cached as (parent, size) pairs, 2(n + 1) list entries each,
-    up to TREE_CACHE_ENTRIES entries; path drops the oldest tree to make
-    room.  Congestion streams the sources one tree at a time and keeps
-    trees only while there is room, so it needs O(n) memory besides the
-    cache and the counts.
+    up to TREE_CACHE_ENTRIES entries; every read goes through the cache,
+    which drops its oldest tree to make room.  Congestion streams the
+    sources one tree at a time, so it needs O(n) memory besides the cache
+    and the counts.
     """
 
     graph: Graph = field(repr=False)
-    # _trees[u]: u's (parent, size) while cached, else None; _kept: the
-    # cached sources, oldest first
-    _trees: list = field(init=False, repr=False, compare=False)
-    _kept: deque = field(init=False, repr=False, compare=False,
-                         default_factory=deque)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_trees", [None] * (self.n + 1))
-
-    def _capacity(self) -> int:
-        return TREE_CACHE_ENTRIES // (2 * (self.n + 1))
-
-    def _build(self, u: int) -> tuple:
-        parent, order = bfs_tree(self.graph, u)
-        return parent, _subtree_sizes(parent, order)
+    # source -> its (parent, size), oldest first
+    _trees: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def path(self, u: int, v: int) -> tuple:
-        tree = self._trees[u]
-        if tree is None:
-            tree = self._keep(u)
-        return tree_path(tree[0], u, v)
+        try:
+            parent = self._trees[u][0]
+        except KeyError:
+            parent = self._tree(u)[0]
+        return tree_path(parent, u, v)
 
-    def _keep(self, u: int) -> tuple:
-        """Build u's tree and cache it, dropping the oldest trees to make
-        room."""
-        tree = self._build(u)
-        kept, capacity = self._kept, self._capacity()
-        if capacity:
-            while len(kept) >= capacity:
-                self._trees[kept.popleft()] = None
-            self._trees[u] = tree
-            kept.append(u)
+    def _tree(self, u: int) -> tuple:
+        """u's (parent, size), built and cached on a miss."""
+        trees = self._trees
+        tree = trees.get(u)
+        if tree is None:
+            parent, order = bfs_tree(self.graph, u)
+            trees[u] = tree = parent, _subtree_sizes(parent, order)
+            if len(trees) > TREE_CACHE_ENTRIES // (2 * (self.n + 1)):
+                del trees[next(iter(trees))]  # the oldest, u if no room
         return tree
 
-    def _stream(self):
-        """Every source's (parent, size) in source order: cached trees as
-        they are, the others built and kept while the cache has room."""
-        trees, kept, capacity = self._trees, self._kept, self._capacity()
-        for u in range(1, self.n + 1):
-            tree = trees[u]
-            if tree is None:
-                tree = self._build(u)
-                if len(kept) < capacity:
-                    trees[u] = tree
-                    kept.append(u)
-            yield tree
+    def _sources(self) -> list:
+        """Every source, the cached ones first: a stream uses each cached
+        tree before a miss can drop it."""
+        trees = self._trees
+        return [*trees, *(u for u in range(1, self.n + 1) if u not in trees)]
 
     def _vertex_counts(self) -> dict:
         load = [0] * (self.n + 1)
-        for _, size in self._stream():
-            load = list(map(add, load, size))
+        for u in self._sources():
+            load = list(map(add, load, self._tree(u)[1]))
         return {v: load[v] for v in range(1, self.n + 1)}
 
     def _edge_counts(self) -> dict:
@@ -201,14 +181,15 @@ class SourceTrees(PathSystem):
         # edge {a, b} is the tree edge above b in a's tree.
         n1 = self.n + 1
         up = defaultdict(int)
-        for parent, size in self._stream():
+        for u in self._sources():
+            parent, size = self._tree(u)
             for k, s in zip(map(add, range(0, n1 * n1, n1), parent), size):
                 up[k] += s
         return {(a, b): up[a * n1 + b] + up[b * n1 + a]
                 for a, b in self.graph.edges}
 
     def _through(self, v: int) -> dict:
-        return {u: size[v] for u, (_, size) in enumerate(self._stream(), 1)}
+        return dict(sorted((u, self._tree(u)[1][v]) for u in self._sources()))
 
 
 @dataclass(frozen=True)
@@ -367,7 +348,7 @@ def _all_simple_paths(g: Graph, u: int, v: int, limit: int) -> list:
     return paths
 
 
-def min_congestion_oracle(g: Graph, cap: int | None = None):
+def min_congestion_oracle(g: Graph):
     """Exhaustive branch-and-bound for the graph's true vertex congestion.
 
     Returns (g_star, PathTable) where g_star is the minimum achievable
@@ -389,7 +370,7 @@ def min_congestion_oracle(g: Graph, cap: int | None = None):
     the same improving leaves in the same order and returns the same
     system as a search without them.
     """
-    check_cap("min_congestion_oracle", g.n, cap, ORACLE_CAP_DEFAULT)
+    check_cap("min_congestion_oracle", g.n)
     n = g.n
     pairs = []
     for u in g.vertices():

@@ -177,10 +177,11 @@ def test_variant_bound_two_point_family():
     assert vb.bound == Fraction(1, 100)
 
 
-def test_variant_bound_cap():
+def test_variant_bound_cap(monkeypatch):
     fam, rel = L.family_matrix_game(4)
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "variant_bound_exhaustive=4")
     with pytest.raises(CapabilityError):
-        L.variant_bound_exhaustive(fam, rel, cap=4)
+        L.variant_bound_exhaustive(fam, rel)
 
 
 def test_aaronson_matrix_game():
@@ -254,11 +255,12 @@ def test_family_staircase_rejects_negative_L():
     assert (fam.name, fam.size) == ("staircase_n5_L0", 2)
 
 
-def test_family_staircase_cap():
+def test_family_staircase_cap(monkeypatch):
     g = L.clique_graph(4)
     ps = L.shortest_path_system(g)
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "family_staircase=16")
     with pytest.raises(CapabilityError):
-        L.family_staircase(g, ps, 2, cap=16)
+        L.family_staircase(g, ps, 2)
 
 
 def test_diagonal_solver_examples():

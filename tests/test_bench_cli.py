@@ -1,10 +1,12 @@
 """Bench harness determinism and the CLI surface end to end."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,28 +292,60 @@ def test_cli_env_cap_override(tmp_path):
     run_cli("gen", "--kind", "ring", "--n", "6", "--out", str(gfile))
     r = run_cli("metrics", "--graph", str(gfile), "--expansion")
     assert r.returncode == 0  # inside the default cap
-    env = dict(os.environ, LSQLAB_MAX_EXHAUSTIVE="5")
+    env = dict(os.environ,
+               LSQLAB_MAX_EXHAUSTIVE=" edge_expansion_exact = 5 ")
     r2 = subprocess.run(
         [sys.executable, "-m", "lsqlab.cli", "metrics", "--graph", str(gfile),
          "--expansion"],
         capture_output=True, text=True, env=env,
     )
-    assert r2.returncode != 0
-    assert "cap" in r2.stderr
+    assert r2.returncode == 1 and "Traceback" not in r2.stderr
+    assert ("edge_expansion_exact: size 6 exceeds exhaustive cap 5 (raise it "
+            "with LSQLAB_MAX_EXHAUSTIVE=edge_expansion_exact=N)") in r2.stderr
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_cap_defaults():
+    assert L.errors.CAPS == {
+        "edge_expansion_exact": 24,
+        "separation_number_exact": 14,
+        "min_congestion_oracle": 6,
+        "variant_bound_exhaustive": 16,
+        "family_staircase": 10_000,
+    }
+
+
+def test_one_cap_entry_leaves_the_others_at_their_defaults(monkeypatch, capsys):
+    # Each cap is in its routine's own unit: lowering the expansion cap to
+    # 5 vertices must not lower the other four below what these need.
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "edge_expansion_exact=5")
+    ring6 = ["--kind", "ring", "--n", "6"]
+    assert cli_main(["metrics", *ring6, "--expansion"]) == 1
+    assert "edge_expansion_exact: size 6 exceeds exhaustive cap 5" \
+        in capsys.readouterr().err
+    assert cli_main(["metrics", *ring6, "--separation"]) == 0
+    assert cli_main(["paths", *ring6, "--strategy", "brute"]) == 0
+    assert cli_main(["adversary", "--family", "matrix", "--k", "4"]) == 0
+    capsys.readouterr()
+    g = L.clique_graph(4)
+    fam, _, _ = L.family_staircase(g, L.shortest_path_system(g), 2)
+    assert fam.size == 32
+
+
+@pytest.mark.parametrize("value", [
+    "abc", "-1", "", "16", "edge_expansion_exact", "expansion=30",
+    "edge_expansion_exact=-1", "edge_expansion_exact=2.5",
+    "edge_expansion_exact=30,", "edge_expansion_exact=30,edge_expansion_exact=30",
+])
 def test_cli_rejects_malformed_cap_variable(value, monkeypatch):
-    from lsqlab.errors import resolve_cap
+    from lsqlab.errors import CAPS, check_cap
 
     monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", value)
     with pytest.raises(ValueError, match="LSQLAB_MAX_EXHAUSTIVE"):
-        resolve_cap(None, 6)
-    assert resolve_cap(3, 6) == 3  # an explicit cap never reads it
+        check_cap("separation_number_exact", 1)
     r = run_cli("metrics", "--kind", "ring", "--n", "5", "--expansion")
     assert r.returncode == 1 and "Traceback" not in r.stderr
-    assert f"LSQLAB_MAX_EXHAUSTIVE must be a nonnegative integer, got {value!r}" \
-        in r.stderr
+    assert f"LSQLAB_MAX_EXHAUSTIVE={value!r}: " in r.stderr
+    assert "routines " + ", ".join(CAPS) in r.stderr
 
 
 def test_verify_budget_zero_skips_checks_without_cases():
@@ -569,6 +603,21 @@ def test_cli_kind_choices_are_the_family_registry(capsys):
     assert "invalid choice: 'petersen'" in capsys.readouterr().err
 
 
+def test_cli_strategy_choices_are_the_strategy_registry(capsys):
+    assert list(bench.STRATEGIES) == ["bfs", "hypercube", "cayley", "brute"]
+    for strategy in bench.STRATEGIES:  # each parses, then needs a graph
+        assert cli_main(["paths", "--strategy", strategy]) == 1
+        assert "provide --graph FILE or --kind KIND" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli_main(["paths", "--kind", "ring", "--n", "4", "--strategy", "dfs"])
+    assert "invalid choice: 'dfs'" in capsys.readouterr().err
+    g = L.ring_graph(4)
+    with pytest.raises(ValueError, match="unknown path-system strategy 'dfs'"):
+        bench.build_path_system(g, "dfs")
+    with pytest.raises(ValueError, match="cayley strategy needs a group table"):
+        bench.build_path_system(g, "cayley")
+
+
 # sha256 of `solve` stdout and of its --transcript file (rows [vertex,
 # value, flag]) for each solver on a dimension-5 hypercube instance
 # (L = 5, instance seed 3).
@@ -764,3 +813,39 @@ def test_benchmark_call_sites(tmp_path, monkeypatch, capsys):
         assert cli_main(argv) == 0
         assert counts == {attr: expected}, argv
     capsys.readouterr()
+
+
+class _HookRecorder:
+    """A stand-in tracer that records each patch or replace target and
+    checks that the attribute exists, without setting it."""
+
+    def __init__(self):
+        self.targets = []
+
+    def replace(self, module, attr, new):
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"
+        self.targets.append((module.__name__, attr))
+
+    def patch(self, module, attr, name, after=None):
+        self.replace(module, attr, None)
+
+
+def test_benchmark_trace_hooks_exist(tmp_path, monkeypatch):
+    # benchmarks/run.py --trace 1 wraps lsqlab's functions at these module
+    # attributes, and every run marks routine entries through mark_points:
+    # a renamed attribute must fail here, not as an AttributeError there.
+    here = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location("benchmark_run",
+                                                  here / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # for its dataclasses
+    spec.loader.exec_module(run)
+    for name, cls in run.WORKLOADS.items():
+        wl = cls(L, run.DEFAULT_SEED, tmp_path, run.default_pins(name))
+        marks = _HookRecorder()
+        wl.install_marks(marks)
+        assert len(marks.targets) == len(wl.mark_points())
+        hooks = _HookRecorder()
+        run.install_trace(wl, hooks)
+        assert ("lsqlab.bench", "build_path_system") in hooks.targets

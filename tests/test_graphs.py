@@ -63,12 +63,16 @@ def test_expansion_closed_forms_at_the_cap():
     assert L.edge_expansion_exact(L.barbell_graph(24)) == Fraction(1, 12)
 
 
-def test_expansion_cap():
+def test_expansion_cap(monkeypatch):
     g = L.ring_graph(25)
     with pytest.raises(CapabilityError):
         L.edge_expansion_exact(g)
-    # explicit cap raise works
-    assert L.edge_expansion_exact(L.ring_graph(12), cap=12) > 0
+    # the variable's entry moves the cap both ways
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "edge_expansion_exact=25")
+    assert L.edge_expansion_exact(g) == Fraction(1, 6)
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "edge_expansion_exact=11")
+    with pytest.raises(CapabilityError):
+        L.edge_expansion_exact(L.ring_graph(12))
 
 
 def test_separation_examples():

@@ -315,8 +315,7 @@ def test_source_trees_match_a_table_of_their_paths(g, trees):
         L.congestion(ps)
         assert ps.table() == before
         assert_same_system(ps, ref)
-        cached = sum(tree is not None for tree in ps._trees)
-        assert cached == len(ps._kept) <= (g.n if trees is None else trees)
+        assert len(ps._trees) <= (g.n if trees is None else trees)
 
 
 def test_congestion_streams_source_trees(monkeypatch):
@@ -330,6 +329,11 @@ def test_congestion_streams_source_trees(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+    # the edge pass reuses the 8 trees the vertex pass left cached
+    built = []
+    monkeypatch.setattr(pathsystems, "bfs_tree",
+                        lambda g, u: built.append(u) or bfs_tree(g, u))
+    assert prof.max_edge > 0 and len(built) == g.n - 8
     # every path from u to v holds dist(u, v) + 1 vertices
     assert sum(prof.per_vertex.values()) == sum(
         sum(L.bfs_distances(g, u)[1:]) + g.n for u in g.vertices())
