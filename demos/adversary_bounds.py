@@ -18,7 +18,7 @@ for k in (2, 3, 4):
     ab = L.aaronson_vmin(fam, rel)
     closed = Fraction(k * k, 2 * k - 1)
     print(f"k={k}: |family|={fam.size}")
-    print(f"  exhaustive min M(Z)/q(Z) = {vb.min_ratio} "
+    print(f"  exact min M(Z)/q(Z) = {vb.min_ratio} "
           f"(closed form k^2/(2k-1) = {closed})")
     print(f"  argmin subset: {list(vb.argmin)}")
     print(f"  subset-ratio bound: {vb.bound};  v_min = {ab.v_min}, "
@@ -51,7 +51,7 @@ for i, inst in enumerate(insts):
           f"M({{F}}) = {L.big_m(fam, rel, [i])}")
 vb = L.variant_bound_exhaustive(fam, rel)
 ab = L.aaronson_vmin(fam, rel)
-print(f"exhaustive min M/q = {vb.min_ratio} at Z = {list(vb.argmin)}")
+print(f"exact min M/q = {vb.min_ratio} at Z = {list(vb.argmin)}")
 print(f"subset-ratio bound {vb.bound}; v_min = {ab.v_min} "
       f"-> pairwise bound {ab.bound}")
 print(f"check min M/q >= 1/(2 v_min): {vb.min_ratio} >= {1 / (2 * ab.v_min)}")

@@ -7,7 +7,11 @@ whole family, and q(Z) is the largest single-point distinguishing mass
 within Z.  Both double sums run over ordered pairs, so a symmetric pair
 contributes twice; this matches the matrix-game arithmetic.
 
-All weights are exact integers and all ratios exact fractions.
+The variant bound is found exactly without a subset sweep: one small
+parametric min cut per group of domain points (Dinkelbach's method over
+Goldberg's densest-subgraph network), so the family's cap is 40 functions
+rather than the 16 a 2^F sweep allowed.  All weights are exact integers,
+all capacities integers and all ratios exact fractions.
 """
 
 from __future__ import annotations
@@ -113,81 +117,193 @@ class VariantBound:
     argmin: tuple
 
 
+def _min_cut(size: int, pairs: list, g: list):
+    """Edmonds-Karp max flow over functions 0..size-1, s = size and
+    t = size + 1, with integer capacities: an arc each way of capacity c
+    for each (i, j, c) in pairs, s -> i of capacity g[i] where g[i] > 0
+    and i -> t of capacity -g[i] where g[i] < 0.
+
+    Returns the flow value, the residual capacities res[u][v], the
+    adjacency lists and the functions reachable from s in the residual
+    graph, which are the source side of the least min cut.
+    """
+    s, t = size, size + 1
+    res = [[0] * (size + 2) for _ in range(size + 2)]
+    adj = [[] for _ in range(size + 2)]
+    for i, j, c in pairs:
+        res[i][j] = res[j][i] = c
+        adj[i].append(j)
+        adj[j].append(i)
+    for i, gi in enumerate(g):
+        if gi > 0:
+            res[s][i] = gi
+        elif gi < 0:
+            res[i][t] = -gi
+        if gi:
+            end = s if gi > 0 else t
+            adj[i].append(end)
+            adj[end].append(i)
+    flow = 0
+    while True:
+        parent = [-1] * (size + 2)
+        parent[s] = s
+        queue = [s]
+        for u in queue:
+            row = res[u]
+            for v in adj[u]:
+                if parent[v] < 0 and row[v]:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        if parent[t] < 0:
+            return flow, res, adj, queue[1:]
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(res[u][v] for u, v in path)
+        for u, v in path:
+            res[u][v] -= push
+            res[v][u] += push
+        flow += push
+
+
+def _closures(size: int, res: list, adj: list) -> list:
+    """The closure R(x), as a bitmask, of each function x that cannot
+    reach t in the residual graph: every function reachable from x."""
+    t = size + 1
+    reaches_t = [False] * (size + 2)
+    reaches_t[t] = True
+    queue = [t]
+    for v in queue:
+        for u in adj[v]:
+            if not reaches_t[u] and res[u][v]:
+                reaches_t[u] = True
+                queue.append(u)
+    out = [sum(1 << v for v in adj[u] if v < size and res[u][v])
+           for u in range(size)]
+    closure = {}  # x -> R(x), reused by every later search that meets x
+    for x in range(size):
+        if reaches_t[x]:
+            continue
+        seen = 1 << x
+        todo = [x]
+        for u in todo:
+            if u in closure:  # closed already: no member needs a search
+                seen |= closure[u]
+                continue
+            new = out[u] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                todo.append(low.bit_length() - 1)
+                new ^= low
+        closure[x] = seen
+    return list(closure.values())
+
+
 def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound:
     """Exact min of M(Z)/q(Z) over all subsets with q(Z) > 0, and /100.
 
-    Iterates subsets in Gray-code order, maintaining M(Z) and the per-point
-    ordered distinguishing sums d[a] incrementally; q(Z) is max over a of
-    d[a].  Every d[a] is at most total, the sum of all row masses, so the
-    sums are packed into one integer d with a field of B = bits(total) + 1
-    bits per point, the top bit of each field always clear.  Z is a
-    bitmask of function indices; toggling function i adds or subtracts,
-    for each related j in Z, the precomputed vector 2 r(i, j) times the
-    field unit of every point where i and j differ.  Fields never carry
-    or borrow, since every sum stays within [0, total].
+    The result is the optimum over all 2^F subsets, with the argmin that
+    a sweep of them in Gray-code order finds first, but no subset sweep
+    is made.  Since q = max_a D_a, with D_a(Z) the ordered distinguishing
+    sum at point a, the minimum is min over a of min_Z M(Z)/D_a(Z).
+    Points at which the same related pairs differ pose the same inner
+    problem, so the points are grouped by that set of pairs and each
+    group is solved once.
 
-    The best ratio is kept as an integer pair (best_m, best_q) and a
-    subset replaces it only when m_z * best_q < best_m * q, i.e. M(Z)/q(Z)
-    is strictly smaller, so argmin is the first minimizer in Gray-code
-    order; one Fraction is built at the end.  For integer q that rule is
-    q > t with t = floor(m_z * best_q / best_m).  No sum exceeds total,
-    so nothing can fire when t >= total; otherwise adding 2^(B-1) - 1 - t
-    to every field sets a field's top bit exactly when its sum exceeds t,
-    so "some field exceeds t" is one addition and one AND.  q itself is
-    read from the fields only when that test fires.
+    Dinkelbach's method keeps the running best ratio num/den as a
+    Fraction, starting from the whole family.  For a group, twice the largest
+    num * D_a(Z) - den * M(Z) is the sum of the positive g_i minus one s-t
+    min cut over Goldberg's densest-subgraph network: an arc i <-> j of
+    capacity 2 num r(i, j) for each pair that differs at the group's
+    points, and g_i, the sum of i's arc capacities minus 2 den M({i}), on
+    an arc s -> i or i -> t.  While that is positive, the source side Z of the least
+    min cut has M(Z)/D_a(Z) < num/den and becomes the new best.  All
+    capacities are integers.
+
+    A group whose largest value is 0 at the final ratio lam* has as its
+    minimizers exactly the subsets of positive mass that are unions of
+    closures R(x) in the residual graph, for the functions x that cannot
+    reach t (a function of mass 0 is a closure of its own).  A group
+    checked only at an earlier, larger ratio has none.  The argmin is
+    the minimizer whose mask has the least inverse Gray code, its rank in
+    the sweep.  The rank's bits are fixed from the top, each 0 when some
+    group can still meet the mask bits fixed so far: the union U of its
+    closures that avoid every function forced out holds every function
+    forced in, and U has positive mass.
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size)
-    npoints = len(fam.domain)
-    row_mass = [sum(rel.weights[i]) for i in range(size)]
-    total = sum(row_mass)
-    width = total.bit_length() + 1
-    field_mask = (1 << width) - 1
-    ones = sum(1 << (width * a) for a in range(npoints))  # 1 in every field
-    high_bits = ones << (width - 1)
-    fill = (1 << (width - 1)) - 1
-    # Per function, the related functions and the vector of 2 r(i, j) at
-    # the points where they differ; pairs with zero weight or no
-    # differing point never change a sum.
-    related = [[] for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = rel.weights[i][j]
-            pts = [a for a in range(npoints)
-                   if w and fam.functions[i][a] != fam.functions[j][a]]
-            if pts:
-                vec = 2 * w * sum(1 << (width * a) for a in pts)
-                related[i].append((1 << j, vec))
-                related[j].append((1 << i, vec))
-
-    members = 0
-    m_z = 0
-    d = 0  # packed ordered distinguishing sums, one field per point
-    best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
-    argmin = None
-    for step in range(1, 1 << size):
-        i = (step & -step).bit_length() - 1
-        members ^= 1 << i
-        if members >> i & 1:
-            m_z += row_mass[i]
-            for bit, vec in related[i]:
-                if members & bit:
-                    d += vec
-        else:
-            m_z -= row_mass[i]
-            for bit, vec in related[i]:
-                if members & bit:
-                    d -= vec
-        t = m_z * best_q // best_m
-        if t < total and (d + (fill - t) * ones) & high_bits:
-            best_q = max((d >> (width * a)) & field_mask
-                         for a in range(npoints))
-            best_m = m_z
-            argmin = members
-    if argmin is None:
+    mass = [sum(row) for row in rel.weights]
+    related = [(i, j, rel.weights[i][j]) for i in range(size)
+               for j in range(i + 1, size) if rel.weights[i][j]]
+    groups = dict.fromkeys(
+        tuple(p for p in related
+              if fam.functions[p[0]][a] != fam.functions[p[1]][a])
+        for a in range(len(fam.domain)))
+    groups.pop((), None)
+    if not groups:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")
-    best = Fraction(best_m, best_q)
-    subset = tuple(i for i in range(size) if (argmin >> i) & 1)
+
+    def cut(group):
+        """Twice the group's largest num D_a(Z) - den M(Z), the residual
+        graph and the source side of the least min cut, at num/den = best."""
+        num, den = best.numerator, best.denominator
+        g = [-2 * den * m for m in mass]
+        pairs = []
+        for i, j, w in group:
+            c = 2 * num * w
+            g[i] += c
+            g[j] += c
+            pairs.append((i, j, c))
+        flow, res, adj, side = _min_cut(size, pairs, g)
+        return sum(x for x in g if x > 0) - flow, res, adj, side
+
+    best = Fraction(
+        sum(mass), 2 * max(sum(w for *_, w in group) for group in groups))
+    tied = []  # closures of each group whose largest value is 0 at best
+    for group in groups:
+        value, res, adj, side = cut(group)
+        if value:
+            tied = []
+        while value:
+            inside = set(side)
+            best = Fraction(
+                sum(mass[i] for i in side),
+                2 * sum(w for i, j, w in group
+                        if i in inside and j in inside))
+            value, res, adj, side = cut(group)
+        tied.append(_closures(size, res, adj))
+
+    positive = sum(1 << i for i in range(size) if mass[i])
+
+    def feasible(forced_in, forced_out):
+        for closures in tied:
+            union = 0
+            for c in closures:
+                if not c & forced_out:
+                    union |= c
+            if union & positive and not forced_in & ~union:
+                return True
+        return False
+
+    forced_in = forced_out = 0
+    rank_bit = 0  # the rank's bit above bit k; 0 before the top bit
+    for k in reversed(range(size)):
+        bit = 1 << k
+        choices = ((forced_in, forced_out | bit), (forced_in | bit, forced_out))
+        # rank bit k is 0 when mask bit k equals the rank bit above it
+        if feasible(*choices[rank_bit]):
+            forced_in, forced_out = choices[rank_bit]
+            rank_bit = 0
+        else:
+            forced_in, forced_out = choices[1 - rank_bit]
+            rank_bit = 1
+    subset = tuple(i for i in range(size) if (forced_in >> i) & 1)
     return VariantBound(best, best / 100, subset)
 
 
@@ -204,35 +320,42 @@ def aaronson_vmin(fam: FunctionFamily, rel: Relation) -> AaronsonBound:
     theta is only evaluated at visited triples, i.e. pairs with positive
     weight that disagree at the queried point; the pair's own weight sits
     in both theta denominators, and the relation is validated first, so no
-    weight is negative and neither denominator can vanish there.
+    weight is negative and neither denominator can vanish there.  Each
+    function's per-point sums are computed once, the thetas are compared
+    as integer cross products and one Fraction is built at the end.
     """
     rel.validate(fam)
-    a_set = [i for i in range(fam.size) if fam.labels[i] == 0]
-    b_set = [i for i in range(fam.size) if fam.labels[i] == 1]
-    denom_a = {i: sum(rel.weights[i][j] for j in b_set) for i in a_set}
-    denom_b = {j: sum(rel.weights[i][j] for i in a_set) for j in b_set}
+    w, f = rel.weights, fam.functions
+    points = range(len(fam.domain))
+    mass = [sum(row) for row in w]
+    # away[i][a]: the weight between i and the functions that disagree with
+    # it at a; weights vanish on equal labels, so it sums over the other
+    # label class only
+    away = []
+    for i, row in enumerate(w):
+        related = [(j, wij) for j, wij in enumerate(row) if wij]
+        away.append([sum(wij for j, wij in related if f[j][a] != f[i][a])
+                     for a in points])
 
-    v_min = None
-    for i in a_set:
-        row = rel.weights[i]
-        for j in b_set:
-            if not row[j]:
+    best_n, best_d = 0, 1  # every visited theta is positive
+    for i in range(fam.size):
+        if fam.labels[i]:
+            continue
+        for j, wij in enumerate(w[i]):
+            if not wij:
                 continue
-            for a in range(len(fam.domain)):
-                fia = fam.functions[i][a]
-                fja = fam.functions[j][a]
-                if fia == fja:
+            for a in points:
+                if f[i][a] == f[j][a]:
                     continue
-                num_i = sum(row[j2] for j2 in b_set
-                            if fam.functions[j2][a] != fia)
-                num_j = sum(rel.weights[i2][j] for i2 in a_set
-                            if fam.functions[i2][a] != fja)
-                theta = min(Fraction(num_i, denom_a[i]),
-                            Fraction(num_j, denom_b[j]))
-                if v_min is None or theta > v_min:
-                    v_min = theta
-    if v_min is None or v_min == 0:
+                # theta = min(away_i / mass_i, away_j / mass_j)
+                n, d = away[i][a], mass[i]
+                if away[j][a] * d < n * mass[j]:
+                    n, d = away[j][a], mass[j]
+                if n * best_d > best_n * d:
+                    best_n, best_d = n, d
+    if not best_n:
         raise ValueError("no distinguishing triple with positive relation")
+    v_min = Fraction(best_n, best_d)
     return AaronsonBound(v_min, Fraction(1, 5) / v_min)
 
 

@@ -115,9 +115,119 @@ def test_variant_bound_matches_direct_subset_sweep():
     assert 0 < degenerate < len(cases) // 2
 
 
+def _variant_bound_packed(fam, rel):
+    """(min M/q, argmin) by a Gray-code sweep over packed integers, fast
+    enough for 16 functions; None if no subset has q > 0.
+
+    The per-point distinguishing sums are fields of one integer d, of
+    B = bits(total) + 1 bits each, total the sum of all row masses, so no
+    field carries or borrows.  Toggling function i adds or subtracts, per
+    related j in Z, 2 r(i, j) times the field unit of every point where i
+    and j differ.  A subset replaces the best only when M(Z)/q(Z) is
+    strictly smaller, i.e. when some field exceeds
+    t = floor(m_z * best_q / best_m); adding 2^(B-1) - 1 - t to every
+    field sets a field's top bit exactly then, so that test is one
+    addition and one AND, and q is read out only when it fires.
+    """
+    size = fam.size
+    npoints = len(fam.domain)
+    row_mass = [sum(rel.weights[i]) for i in range(size)]
+    total = sum(row_mass)
+    width = total.bit_length() + 1
+    field_mask = (1 << width) - 1
+    ones = sum(1 << (width * a) for a in range(npoints))  # 1 in every field
+    high_bits = ones << (width - 1)
+    fill = (1 << (width - 1)) - 1
+    related = [[] for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            w = rel.weights[i][j]
+            pts = [a for a in range(npoints)
+                   if w and fam.functions[i][a] != fam.functions[j][a]]
+            if pts:
+                vec = 2 * w * sum(1 << (width * a) for a in pts)
+                related[i].append((1 << j, vec))
+                related[j].append((1 << i, vec))
+    members = m_z = d = 0
+    best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
+    argmin = None
+    for step in range(1, 1 << size):
+        i = (step & -step).bit_length() - 1
+        members ^= 1 << i
+        sign = 1 if members >> i & 1 else -1
+        m_z += sign * row_mass[i]
+        for bit, vec in related[i]:
+            if members & bit:
+                d += sign * vec
+        t = m_z * best_q // best_m
+        if t < total and (d + (fill - t) * ones) & high_bits:
+            best_q = max((d >> (width * a)) & field_mask
+                         for a in range(npoints))
+            best_m, argmin = m_z, members
+    if argmin is None:
+        return None
+    return (Fraction(best_m, best_q),
+            tuple(i for i in range(size) if (argmin >> i) & 1))
+
+
+def _wide_random_family(rng):
+    """11-16 functions over 1-4 random points, with up to 3 of them
+    repeated (so points share their tuple of differing pairs), up to 3
+    functions related to no other (mass 0) and weights drawn up to 1
+    (ties are common), 3 or 2^70."""
+    size = rng.randint(11, 16)
+    columns = [[rng.randint(0, 2) for _ in range(size)]
+               for _ in range(rng.randint(1, 4))]
+    columns += rng.choices(columns, k=rng.randint(0, 3))
+    rng.shuffle(columns)
+    labels = [0, 1] + [rng.randint(0, 1) for _ in range(size - 2)]
+    rng.shuffle(labels)
+    fam = FunctionFamily("wide", tuple(range(len(columns))),
+                         tuple(zip(*columns)), tuple(labels))
+    isolated = set(rng.sample(range(size), rng.randint(0, 3)))
+    max_weight = rng.choice((1, 3, 2 ** 70))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)
+             if labels[i] != labels[j] and not {i, j} & isolated]
+    if not pairs:
+        return _wide_random_family(rng)
+    weights = {p: rng.randint(0, max_weight) for p in pairs}
+    weights[pairs[0]] = weights[pairs[0]] or 1
+    return fam, Relation.build(fam, lambda i, j: weights.get((i, j), 0))
+
+
+def test_variant_bound_matches_packed_sweep_on_wide_families():
+    rng = random.Random(19)
+    seen = {"mass 0": 0, "repeated point": 0, "past 2^64": 0}
+    for _ in range(24):
+        fam, rel = _wide_random_family(rng)
+        seen["mass 0"] += 0 in map(sum, rel.weights)
+        seen["repeated point"] += len(set(zip(*fam.functions))) < len(
+            fam.domain)
+        seen["past 2^64"] += max(map(max, rel.weights)) >= 2 ** 64
+        vb = L.variant_bound_exhaustive(fam, rel)
+        assert (vb.min_ratio, vb.argmin) == _variant_bound_packed(fam, rel)
+    assert min(seen.values()) > 0, seen
+
+
+def test_packed_sweep_matches_direct_subset_sweep():
+    rng = random.Random(20)
+    for _ in range(60):
+        fam, rel = _random_family(rng, max_weight=rng.choice((1, 2 ** 70)))
+        assert _variant_bound_packed(fam, rel) == _variant_bound_reference(
+            fam, rel)
+
+
+def test_variant_bound_matrix_closed_form_up_to_k12():
+    for k in range(2, 13):
+        fam, rel = L.family_matrix_game(k)
+        vb = L.variant_bound_exhaustive(fam, rel)
+        assert vb.min_ratio == Fraction(k * k, 2 * k - 1)
+        assert vb.argmin == tuple(range(2 * k))
+
+
 def test_variant_bound_with_weights_beyond_64_bits():
-    # the per-point sums share one integer, a field of bits(total) + 1
-    # bits each; weights this large put them far past a machine word
+    # weights this large put every sum, capacity and ratio term far past
+    # a machine word
     rng = random.Random(9)
     cases = [_random_family(rng, max_weight=2 ** 70) for _ in range(60)]
     # q(Z) = total exactly: both functions differ at every point
@@ -182,6 +292,16 @@ def test_variant_bound_cap(monkeypatch):
     monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "variant_bound_exhaustive=4")
     with pytest.raises(CapabilityError):
         L.variant_bound_exhaustive(fam, rel)
+
+
+def test_variant_bound_default_cap_is_40_functions():
+    fam, rel = L.family_matrix_game(20)
+    assert L.variant_bound_exhaustive(fam, rel).min_ratio == Fraction(400, 39)
+    labels = (0, 1) * 20 + (0,)
+    big = FunctionFamily("big", (0,), tuple((lab,) for lab in labels), labels)
+    big_rel = Relation.build(big, lambda i, j: int((i, j) == (0, 1)))
+    with pytest.raises(CapabilityError, match="size 41 exceeds"):
+        L.variant_bound_exhaustive(big, big_rel)
 
 
 def test_aaronson_matrix_game():
