@@ -5,7 +5,9 @@ the variant bound is min over subsets Z with q(Z) > 0 of
 M(Z) / (100 * q(Z)), where M(Z) sums r(F1, F2) over F1 in Z and F2 in the
 whole family, and q(Z) is the largest single-point distinguishing mass
 within Z.  Both double sums run over ordered pairs, so a symmetric pair
-contributes twice; this matches the matrix-game arithmetic.
+contributes twice; this matches the matrix-game arithmetic.  Both bounds
+read r only on pairs with different labels, so a Relation holds just its
+related pairs, and each reader works per point from the pairs that differ.
 
 The variant bound is found exactly without a subset sweep: one small
 parametric min cut per group of domain points (Dinkelbach's method over
@@ -55,59 +57,61 @@ class FunctionFamily:
 
 @dataclass(frozen=True)
 class Relation:
-    """Symmetric nonnegative integer weights, zero on equal labels."""
+    """A symmetric integer relation over functions with these labels, held
+    as its related pairs (i, j, w): i < j, w > 0, ascending in (i, j); any
+    other pair weighs 0.  Validated here, once.  mass[i] is r(i, .) summed."""
 
-    weights: tuple = field(repr=False)
+    labels: tuple
+    pairs: tuple = field(repr=False)
+    mass: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = len(self.labels)
+        mass = [0] * size
+        last = (-1, -1)
+        for i, j, w in self.pairs:
+            if w < 0:
+                raise ValueError("relation weights must be nonnegative")
+            if not (w and 0 <= i < j < size and (i, j) > last):
+                raise ValueError(
+                    f"relation pair ({i}, {j}) must have 0 <= i < j < {size},"
+                    " a positive weight and come after the pair before it")
+            if self.labels[i] == self.labels[j]:
+                raise ValueError("relation must vanish on equal labels")
+            mass[i] += w
+            mass[j] += w
+            last = (i, j)
+        if not self.pairs:
+            raise ValueError("relation is identically zero")
+        object.__setattr__(self, "mass", tuple(mass))
 
     @staticmethod
     def build(fam: FunctionFamily, weight_fn) -> "Relation":
-        size = fam.size
-        w = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                w[i][j] = w[j][i] = weight_fn(i, j)
-        rel = Relation(tuple(tuple(row) for row in w))
-        rel.validate(fam)
-        return rel
+        pairs = ((i, j, weight_fn(i, j)) for i in range(fam.size)
+                 for j in range(i + 1, fam.size))
+        return Relation(fam.labels, tuple(p for p in pairs if p[2]))
 
-    def validate(self, fam: FunctionFamily) -> None:
-        size = fam.size
-        if len(self.weights) != size or any(len(r) != size for r in self.weights):
-            raise ValueError("relation shape does not match the family")
-        nonzero = False
-        for i in range(size):
-            for j in range(size):
-                wij = self.weights[i][j]
-                if wij < 0:
-                    raise ValueError("relation weights must be nonnegative")
-                if wij != self.weights[j][i]:
-                    raise ValueError("relation is not symmetric")
-                if wij and fam.labels[i] == fam.labels[j]:
-                    raise ValueError("relation must vanish on equal labels")
-                nonzero = nonzero or wij > 0
-        if not nonzero:
-            raise ValueError("relation is identically zero")
+
+def _split_pairs(fam: FunctionFamily, rel: Relation) -> list:
+    """For each domain point, the related pairs (in rel.pairs order) whose
+    two functions differ there."""
+    if rel.labels != fam.labels:
+        raise ValueError("relation labels do not match the family")
+    f = fam.functions
+    return [[p for p in rel.pairs if f[p[0]][a] != f[p[1]][a]]
+            for a in range(len(fam.domain))]
 
 
 def big_m(fam: FunctionFamily, rel: Relation, z) -> int:
     """M(Z) = sum over F1 in Z, F2 in the whole family of r(F1, F2)."""
-    return sum(sum(rel.weights[i]) for i in z)
+    return sum(rel.mass[i] for i in z)
 
 
 def big_q(fam: FunctionFamily, rel: Relation, z) -> int:
     """q(Z) = max over domain points of the ordered distinguishing sum."""
-    z = list(z)
-    best = 0
-    for a in range(len(fam.domain)):
-        total = 0
-        for i in z:
-            fi = fam.functions[i][a]
-            row = rel.weights[i]
-            for j in z:
-                if row[j] and fi != fam.functions[j][a]:
-                    total += row[j]
-        best = max(best, total)
-    return best
+    z = set(z)
+    return max((2 * sum(w for i, j, w in differ if i in z and j in z)
+                for differ in _split_pairs(fam, rel)), default=0)
 
 
 @dataclass(frozen=True)
@@ -238,13 +242,8 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size)
-    mass = [sum(row) for row in rel.weights]
-    related = [(i, j, rel.weights[i][j]) for i in range(size)
-               for j in range(i + 1, size) if rel.weights[i][j]]
-    groups = dict.fromkeys(
-        tuple(p for p in related
-              if fam.functions[p[0]][a] != fam.functions[p[1]][a])
-        for a in range(len(fam.domain)))
+    mass = rel.mass
+    groups = dict.fromkeys(map(tuple, _split_pairs(fam, rel)))
     groups.pop((), None)
     if not groups:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")
@@ -317,42 +316,29 @@ def aaronson_vmin(fam: FunctionFamily, rel: Relation) -> AaronsonBound:
     """v_min and 1/(5 v_min) of the original relational adversary over the
     label classes A (label 0) and B (label 1).
 
-    theta is only evaluated at visited triples, i.e. pairs with positive
-    weight that disagree at the queried point; the pair's own weight sits
-    in both theta denominators, and the relation is validated first, so no
-    weight is negative and neither denominator can vanish there.  Each
-    function's per-point sums are computed once, the thetas are compared
-    as integer cross products and one Fraction is built at the end.
+    theta is only evaluated at visited triples, i.e. related pairs that
+    disagree at the queried point; the pair's own weight, positive in a
+    Relation, sits in both theta denominators, so neither can vanish there.
+    Per point, each function's sum over the pairs that differ there is
+    computed once, the thetas are compared as integer cross products and
+    one Fraction is built at the end.
     """
-    rel.validate(fam)
-    w, f = rel.weights, fam.functions
-    points = range(len(fam.domain))
-    mass = [sum(row) for row in w]
-    # away[i][a]: the weight between i and the functions that disagree with
-    # it at a; weights vanish on equal labels, so it sums over the other
-    # label class only
-    away = []
-    for i, row in enumerate(w):
-        related = [(j, wij) for j, wij in enumerate(row) if wij]
-        away.append([sum(wij for j, wij in related if f[j][a] != f[i][a])
-                     for a in points])
-
+    mass = rel.mass
     best_n, best_d = 0, 1  # every visited theta is positive
-    for i in range(fam.size):
-        if fam.labels[i]:
-            continue
-        for j, wij in enumerate(w[i]):
-            if not wij:
-                continue
-            for a in points:
-                if f[i][a] == f[j][a]:
-                    continue
-                # theta = min(away_i / mass_i, away_j / mass_j)
-                n, d = away[i][a], mass[i]
-                if away[j][a] * d < n * mass[j]:
-                    n, d = away[j][a], mass[j]
-                if n * best_d > best_n * d:
-                    best_n, best_d = n, d
+    for differ in _split_pairs(fam, rel):
+        # away[i]: the weight between i and the functions that disagree
+        # with it at this point
+        away = [0] * fam.size
+        for i, j, w in differ:
+            away[i] += w
+            away[j] += w
+        for i, j, _ in differ:
+            # theta = min(away_i / mass_i, away_j / mass_j)
+            n, d = away[i], mass[i]
+            if away[j] * d < n * mass[j]:
+                n, d = away[j], mass[j]
+            if n * best_d > best_n * d:
+                best_n, best_d = n, d
     if not best_n:
         raise ValueError("no distinguishing triple with positive relation")
     v_min = Fraction(best_n, best_d)

@@ -33,7 +33,6 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        adj = [[] for _ in range(self.n + 1)]
         for u, v in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{self.n}")
@@ -41,6 +40,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not normalized u < v")
+        # n vertices need n - 1 edges to connect; check before allocating
+        if len(self.edges) < self.n - 1:
+            raise ValueError("graph is not connected")
+        adj = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(

@@ -131,7 +131,7 @@ def _variant_bound_packed(fam, rel):
     """
     size = fam.size
     npoints = len(fam.domain)
-    row_mass = [sum(rel.weights[i]) for i in range(size)]
+    row_mass = rel.mass
     total = sum(row_mass)
     width = total.bit_length() + 1
     field_mask = (1 << width) - 1
@@ -139,15 +139,13 @@ def _variant_bound_packed(fam, rel):
     high_bits = ones << (width - 1)
     fill = (1 << (width - 1)) - 1
     related = [[] for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            w = rel.weights[i][j]
-            pts = [a for a in range(npoints)
-                   if w and fam.functions[i][a] != fam.functions[j][a]]
-            if pts:
-                vec = 2 * w * sum(1 << (width * a) for a in pts)
-                related[i].append((1 << j, vec))
-                related[j].append((1 << i, vec))
+    for i, j, w in rel.pairs:
+        pts = [a for a in range(npoints)
+               if fam.functions[i][a] != fam.functions[j][a]]
+        if pts:
+            vec = 2 * w * sum(1 << (width * a) for a in pts)
+            related[i].append((1 << j, vec))
+            related[j].append((1 << i, vec))
     members = m_z = d = 0
     best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
     argmin = None
@@ -174,7 +172,8 @@ def _wide_random_family(rng):
     """11-16 functions over 1-4 random points, with up to 3 of them
     repeated (so points share their tuple of differing pairs), up to 3
     functions related to no other (mass 0) and weights drawn up to 1
-    (ties are common), 3 or 2^70."""
+    (ties are common), 3 or 2^70.  Returns the family and its weight
+    function r(i, j), i < j."""
     size = rng.randint(11, 16)
     columns = [[rng.randint(0, 2) for _ in range(size)]
                for _ in range(rng.randint(1, 4))]
@@ -192,18 +191,23 @@ def _wide_random_family(rng):
         return _wide_random_family(rng)
     weights = {p: rng.randint(0, max_weight) for p in pairs}
     weights[pairs[0]] = weights[pairs[0]] or 1
-    return fam, Relation.build(fam, lambda i, j: weights.get((i, j), 0))
+    return fam, lambda i, j: weights.get((i, j), 0)
+
+
+def _coverage(seen, fam, rel):
+    """Count the features of a wide family that the tests must meet."""
+    seen["mass 0"] += 0 in rel.mass
+    seen["repeated point"] += len(set(zip(*fam.functions))) < len(fam.domain)
+    seen["past 2^64"] += max(w for *_, w in rel.pairs) >= 2 ** 64
 
 
 def test_variant_bound_matches_packed_sweep_on_wide_families():
     rng = random.Random(19)
     seen = {"mass 0": 0, "repeated point": 0, "past 2^64": 0}
     for _ in range(24):
-        fam, rel = _wide_random_family(rng)
-        seen["mass 0"] += 0 in map(sum, rel.weights)
-        seen["repeated point"] += len(set(zip(*fam.functions))) < len(
-            fam.domain)
-        seen["past 2^64"] += max(map(max, rel.weights)) >= 2 ** 64
+        fam, weight = _wide_random_family(rng)
+        rel = Relation.build(fam, weight)
+        _coverage(seen, fam, rel)
         vb = L.variant_bound_exhaustive(fam, rel)
         assert (vb.min_ratio, vb.argmin) == _variant_bound_packed(fam, rel)
     assert min(seen.values()) > 0, seen
@@ -215,6 +219,63 @@ def test_packed_sweep_matches_direct_subset_sweep():
         fam, rel = _random_family(rng, max_weight=rng.choice((1, 2 ** 70)))
         assert _variant_bound_packed(fam, rel) == _variant_bound_reference(
             fam, rel)
+
+
+def _dense(fam, weight):
+    """The F x F symmetric matrix of a weight function, for dense sums."""
+    r = [[0] * fam.size for _ in range(fam.size)]
+    for i in range(fam.size):
+        for j in range(i + 1, fam.size):
+            r[i][j] = r[j][i] = weight(i, j)
+    return r
+
+
+def test_sparse_relation_matches_dense_double_sums():
+    # big_m, big_q and v_min against their double-sum definitions over the
+    # dense matrix of the same weight function
+    rng = random.Random(21)
+    seen = {"mass 0": 0, "repeated point": 0, "past 2^64": 0}
+    for _ in range(40):
+        fam, weight = _wide_random_family(rng)
+        rel = Relation.build(fam, weight)
+        _coverage(seen, fam, rel)
+        r, f, size = _dense(fam, weight), fam.functions, fam.size
+        everyone, points = range(size), range(len(fam.domain))
+        subsets = [everyone, []] + [rng.sample(everyone, rng.randint(1, size))
+                                    for _ in range(20)]
+        for z in subsets:
+            assert L.big_m(fam, rel, z) == sum(r[i][j] for i in z
+                                               for j in everyone)
+            assert L.big_q(fam, rel, z) == max(
+                (sum(r[i][j] for i in z for j in z if f[i][a] != f[j][a])
+                 for a in points), default=0)
+
+        def share(x, a):
+            return Fraction(sum(r[x][y] for y in everyone
+                                if f[y][a] != f[x][a]), sum(r[x]))
+
+        thetas = [min(share(x, a), share(y, a))
+                  for x in everyone if fam.labels[x] == 0
+                  for y in everyone if fam.labels[y] == 1 and r[x][y]
+                  for a in points if f[x][a] != f[y][a]]
+        if thetas:
+            assert L.aaronson_vmin(fam, rel).v_min == max(thetas)
+        else:
+            with pytest.raises(ValueError, match="no distinguishing triple"):
+                L.aaronson_vmin(fam, rel)
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("pairs", [
+    ((0, 1, 1), (0, 1, 2)),  # repeated
+    ((0, 3, 1), (0, 1, 1)),  # not ascending
+    ((1, 0, 1),),  # not i < j
+    ((2, 4, 1),),  # out of range
+    ((-1, 1, 1),),  # out of range
+])
+def test_relation_rejects_malformed_pairs(pairs):
+    with pytest.raises(ValueError, match=r"relation pair \(-?\d+, \d+\) must"):
+        Relation((0, 1, 0, 1), pairs)
 
 
 def test_variant_bound_matrix_closed_form_up_to_k12():
@@ -260,8 +321,8 @@ def test_variant_bound_argmin_among_tied_ratios():
                   if (q := L.big_q(fam, rel, z))]
         tied += ratios.count(ref[0]) > 1
         for factor in (1, 3, 2 ** 66 + 1):
-            scaled = Relation.build(
-                fam, lambda i, j: factor * rel.weights[i][j])
+            scaled = Relation(
+                rel.labels, tuple((i, j, factor * w) for i, j, w in rel.pairs))
             vb = L.variant_bound_exhaustive(fam, scaled)
             assert (vb.min_ratio, vb.argmin) == ref
     assert tied >= 20
@@ -341,14 +402,25 @@ def test_row_and_column_matrices_differ_at_2k_minus_1_cells():
 
 
 def test_relation_validation():
-    fam = FunctionFamily("toy", (0,), ((0,), (1,)), (0, 1))
-    with pytest.raises(ValueError):
-        Relation(((0, 1), (0, 0))).validate(fam)  # not symmetric
-    with pytest.raises(ValueError):
-        Relation(((0, 0), (0, 0))).validate(fam)  # identically zero
-    same = FunctionFamily("toy2", (0,), ((0,), (1,)), (0, 0))
-    with pytest.raises(ValueError):
-        Relation(((0, 1), (1, 0))).validate(same)  # nonzero on equal labels
+    rel = Relation((0, 1, 1), ((0, 1, 2), (0, 2, 3)))
+    assert rel.mass == (5, 2, 3)
+    with pytest.raises(ValueError, match="identically zero"):
+        Relation((0, 1), ())
+    with pytest.raises(ValueError, match="vanish on equal labels"):
+        Relation((0, 0), ((0, 1, 1),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Relation((0, 1), ((0, 1, -1),))
+    with pytest.raises(ValueError, match="relation pair"):
+        Relation((0, 1), ((0, 1, 0),))  # listed, but not related
+    # built from a weight function, the relation keeps only related pairs
+    fam = FunctionFamily("toy", (0,), ((0,), (1,), (1,)), (0, 1, 1))
+    built = Relation.build(fam, lambda i, j: {(0, 1): 2, (0, 2): 3}.get(
+        (i, j), 0))
+    assert built == rel and built.mass == rel.mass
+    for weight, message in ((-1, "nonnegative"), (0, "identically zero"),
+                            (1, "vanish on equal labels")):
+        with pytest.raises(ValueError, match=message):
+            Relation.build(fam, lambda i, j: weight)
 
 
 def test_family_staircase_small():
@@ -416,7 +488,10 @@ def test_aaronson_requires_distinguishing_triple():
     with pytest.raises(ValueError, match="no distinguishing triple"):
         L.aaronson_vmin(fam, rel)
     # a negative weight could cancel a visited pair's own weight in a theta
-    # denominator; the relation is validated before any triple is visited
-    negative = Relation(((0, 1, -1), (1, 0, 0), (-1, 0, 0)))
+    # denominator; a Relation that holds one cannot be constructed
     with pytest.raises(ValueError, match="nonnegative"):
-        L.aaronson_vmin(fam, negative)
+        Relation(fam.labels, ((0, 1, 1), (0, 2, -1)))
+    # a relation over other labels is not the family's
+    other = Relation((0, 1, 0), ((0, 1, 1),))
+    with pytest.raises(ValueError, match="labels do not match"):
+        L.aaronson_vmin(fam, other)

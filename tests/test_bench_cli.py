@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -429,6 +430,23 @@ def test_cli_rejects_malformed_graph_json(tmp_path, text, field):
     r = run_cli("metrics", "--graph", str(gfile))
     assert r.returncode != 0
     assert field in r.stderr and "Traceback" not in r.stderr
+
+
+def test_cli_rejects_a_huge_sparse_graph_before_allocating(tmp_path):
+    # one edge cannot connect 10^9 vertices; the address-space limit turns
+    # an adjacency allocated first into a MemoryError, not a swapping host
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    gfile = tmp_path / "g.json"
+    gfile.write_text('{"n": 1000000000, "edges": [[1, 2]]}')
+    r = subprocess.run(
+        [sys.executable, "-m", "lsqlab.cli", "metrics", "--graph", str(gfile)],
+        capture_output=True, text=True, preexec_fn=limit)
+    assert r.returncode == 1
+    assert "graph is not connected" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert L.Graph(1, frozenset()).n == 1  # one vertex, no edges, connected
 
 
 @pytest.mark.parametrize("command, text, field", [
