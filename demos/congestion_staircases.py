@@ -68,7 +68,7 @@ for b in (1, 2, 3, 4):
 
 z5 = L.TableGroup(L.cyclic_group(5))
 c5 = L.cayley_graph(z5, {2, 5})
-prof = L.congestion(L.cayley_path_system(c5, z5))
+prof = L.congestion(L.cayley_path_system(c5))
 diam = L.graph_metrics(c5)["diameter"]
 print(f"C5 as a Cayley graph: every vertex has congestion "
       f"{set(prof.per_vertex.values())}, bound (diam+1)*n = {(diam + 1) * 5}")

@@ -124,21 +124,19 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
 
-# strategy -> builder(g, group), reading this module's globals per call
+# strategy -> builder(g), reading this module's globals per call
 STRATEGIES = {
-    "bfs": lambda g, group: shortest_path_system(g),
-    "hypercube": lambda g, group: hypercube_path_system(g),
-    "cayley": lambda g, group: cayley_path_system(g, group),
-    "brute": lambda g, group: min_congestion_oracle(g)[1],
+    "bfs": lambda g: shortest_path_system(g),
+    "hypercube": lambda g: hypercube_path_system(g),
+    "cayley": lambda g: cayley_path_system(g),
+    "brute": lambda g: min_congestion_oracle(g)[1],
 }
 
 
-def build_path_system(g: Graph, strategy: str, group=None) -> PathSystem:
+def build_path_system(g: Graph, strategy: str) -> PathSystem:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown path-system strategy {strategy!r}")
-    if strategy == "cayley" and group is None:
-        raise ValueError("cayley strategy needs a group table")
-    return STRATEGIES[strategy](g, group)
+    return STRATEGIES[strategy](g)
 
 
 def _run_trial(cfg: BenchConfig, sampler, delta: int, g_cong: int,
@@ -169,7 +167,7 @@ def _percentile_90(sorted_vals: list) -> int:
     return sorted_vals[idx]
 
 
-def run_bench(cfg: BenchConfig, group=None) -> BenchReport:
+def run_bench(cfg: BenchConfig) -> BenchReport:
     """Run all trials and aggregate; deterministic under the master seed.
 
     In arrangement mode (c >= 1) instances are cluster staircases over the
@@ -185,7 +183,7 @@ def run_bench(cfg: BenchConfig, group=None) -> BenchReport:
         g_cong = 0
         sampler = lambda seed: sample_separation_instance(pa, cfg.c, seed)
     else:
-        ps = build_path_system(cfg.graph, cfg.strategy, group=group)
+        ps = build_path_system(cfg.graph, cfg.strategy)
         g_cong = congestion(ps).max_vertex
         sampler = lambda seed: sample_hard_instance(cfg.graph, ps, cfg.L, seed)
     rows = [row for t in range(cfg.trials)

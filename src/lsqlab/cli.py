@@ -8,6 +8,7 @@ modules and exits nonzero on any validation or invariant failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,23 +21,19 @@ from .errors import CapabilityError
 
 
 def _load_or_build_graph(args) -> tuple:
-    """Returns (kind, Graph, graphs.Group or None).  A ring's cyclic group
-    is implicit, built after the ring only for the cayley strategy."""
+    """(kind, Graph); a --group file's group becomes the graph's group."""
     params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
               if getattr(args, name, None) is not None}
-    group = None
     if getattr(args, "group", None):
         params["group"] = serialize.load_group(args.group)
-        group = params["group"][0]
-    if getattr(args, "graph", None):
-        return "file", serialize.load_graph(args.graph), group
-    kind = getattr(args, "kind", None)
+    kind = "file" if getattr(args, "graph", None) else getattr(args, "kind", None)
     if kind is None:
         raise ValueError("provide --graph FILE or --kind KIND")
-    g = graphs.build_graph(graphs.GraphSpec(kind, params))
-    if kind == "ring" and getattr(args, "strategy", None) == "cayley":
-        group = group or graphs.CyclicGroup(g.n)
-    return kind, g, group
+    g = (serialize.load_graph(args.graph) if kind == "file"
+         else graphs.build_graph(graphs.GraphSpec(kind, params)))
+    if "group" in params and g.group is not params["group"][0]:
+        g = dataclasses.replace(g, group=params["group"][0])
+    return kind, g
 
 
 def _emit(args, data) -> None:
@@ -48,13 +45,13 @@ def _emit(args, data) -> None:
 
 
 def cmd_gen(args):
-    kind, g, _ = _load_or_build_graph(args)
+    _, g = _load_or_build_graph(args)
     _emit(args, serialize.graph_to_dict(g))
     return 0
 
 
 def cmd_metrics(args):
-    _, g, _ = _load_or_build_graph(args)
+    _, g = _load_or_build_graph(args)
     data = {"n": g.n}
     data.update(graphs.graph_metrics(g))
     if args.expansion:
@@ -73,10 +70,10 @@ def _load_paths(path, g):
 
 
 def _build_paths(args):
-    kind, g, group = _load_or_build_graph(args)
+    kind, g = _load_or_build_graph(args)
     if getattr(args, "paths", None):
         return kind, g, _load_paths(args.paths, g)
-    return kind, g, bench.build_path_system(g, args.strategy, group=group)
+    return kind, g, bench.build_path_system(g, args.strategy)
 
 
 def cmd_paths(args):
@@ -147,13 +144,13 @@ def cmd_solve(args):
 
 
 def cmd_bench(args):
-    kind, g, group = _load_or_build_graph(args)
+    kind, g = _load_or_build_graph(args)
     specs = tuple(bench.SolverSpec(name, t=args.t) if name == "warm-start"
                   else bench.SolverSpec(name) for name in args.solver)
     cfg = bench.BenchConfig(kind, g, args.strategy, args.L or 0, specs,
                             trials=args.trials, master_seed=args.seed,
                             workers=args.workers, c=args.c or 0)
-    report = bench.run_bench(cfg, group=group)
+    report = bench.run_bench(cfg)
     text = (bench.report_to_csv(report) if args.format == "csv"
             else bench.report_to_json(report))
     if args.out:
@@ -174,8 +171,8 @@ def cmd_adversary(args):
     if args.family == "matrix":
         fam, rel = adversary.family_matrix_game(args.k)
     else:
-        _, g, group = _load_or_build_graph(args)
-        ps = bench.build_path_system(g, args.strategy, group=group)
+        _, g = _load_or_build_graph(args)
+        ps = bench.build_path_system(g, args.strategy)
         fam, rel, _ = adversary.family_staircase(g, ps, args.L)
     vb = adversary.variant_bound_exhaustive(fam, rel)
     ab = adversary.aaronson_vmin(fam, rel)

@@ -20,11 +20,13 @@ class Graph:
     """Connected undirected graph on vertices 1..n.
 
     edges is a frozenset of (u, v) pairs with u < v; adjacency lists are
-    sorted ascending.  Instances are immutable and safe to share.
+    sorted ascending.  group is the group whose Cayley graph this is, set
+    by cayley_graph and ring_graph.  Instances are immutable, safe to share.
     """
 
     n: int
     edges: frozenset
+    group: Group | None = field(default=None, repr=False, compare=False)
     adjacency: tuple = field(init=False, repr=False, compare=False)
     max_degree: int = field(init=False, repr=False, compare=False)
     _distances: dict = field(init=False, repr=False, compare=False,
@@ -311,7 +313,7 @@ def ring_graph(n: int) -> Graph:
         raise ValueError("ring needs n >= 3")
     edges = {(i, i + 1) for i in range(1, n)}
     edges.add((1, n))
-    return Graph(n, frozenset(edges))
+    return Graph(n, frozenset(edges), CyclicGroup(n))
 
 
 def barbell_graph(n: int) -> Graph:
@@ -331,8 +333,8 @@ def barbell_graph(n: int) -> Graph:
 
 
 def cayley_graph(group: Group, generators) -> Graph:
-    """Cayley graph (right multiplication) of a group."""
-    return Graph(group.order, frozenset(cayley_edges(group, generators)))
+    """Cayley graph (right multiplication) of a group, carrying it."""
+    return Graph(group.order, frozenset(cayley_edges(group, generators)), group)
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -364,30 +366,63 @@ def random_regular_graph(n: int, d: int, seed: int) -> Graph:
             continue
 
 
-# kind -> (required params, builder); random_regular also reads an
-# optional seed, and cayley's group is a (Group, generators) pair.
-# Builders are looked up by name at call time.
+# build_graph refuses a family graph with more edges than this before
+# building it: it admits hypercube dimension 18 and cliques up to n = 2896.
+MAX_FAMILY_EDGES = 1 << 22
+
+
+def _pairs(k: int) -> int:
+    """Edges of a clique on k vertices; 0 when k < 2."""
+    return k * (k - 1) // 2 if k >= 2 else 0
+
+
+# kind -> (required params, edge count, builder).  The count is exact for
+# valid parameters and small for invalid ones, which the builder rejects.
+# random_regular also reads an optional seed, and cayley's group is a
+# (Group, generators) pair.  Builders are looked up by name at call time.
 FAMILIES = {
-    "hypercube": (("dim",), lambda p: hypercube_graph(p["dim"])),
-    "grid": (("side",), lambda p: grid_graph(p["side"])),
-    "clique": (("n",), lambda p: clique_graph(p["n"])),
-    "ring": (("n",), lambda p: ring_graph(p["n"])),
-    "barbell": (("n",), lambda p: barbell_graph(p["n"])),
-    "cayley": (("group",), lambda p: cayley_graph(*p["group"])),
-    "random_regular": (("n", "d"), lambda p: random_regular_graph(
-        p["n"], p["d"], p.get("seed", 0))),
+    "hypercube": (("dim",),
+                  lambda p: p["dim"] << p["dim"] - 1 if p["dim"] >= 1 else 0,
+                  lambda p: hypercube_graph(p["dim"])),
+    "grid": (("side",),
+             lambda p: 4 * _pairs(p["side"]),
+             lambda p: grid_graph(p["side"])),
+    "clique": (("n",),
+               lambda p: _pairs(p["n"]),
+               lambda p: clique_graph(p["n"])),
+    "ring": (("n",),
+             lambda p: p["n"],
+             lambda p: ring_graph(p["n"])),
+    "barbell": (("n",),
+                lambda p: 2 * _pairs(p["n"] // 2) + 1,
+                lambda p: barbell_graph(p["n"])),
+    "cayley": (("group",),
+               lambda p: p["group"][0].order * len(set(p["group"][1] or ())) // 2,
+               lambda p: cayley_graph(*p["group"])),
+    "random_regular": (("n", "d"),
+                       lambda p: p["n"] * p["d"] // 2 if 0 < p["d"] < p["n"] else 0,
+                       lambda p: random_regular_graph(p["n"], p["d"],
+                                                      p.get("seed", 0))),
 }
 
 
 def build_graph(spec: GraphSpec) -> Graph:
-    """Construct the canonical graph of a family; deterministic per spec."""
+    """Construct the canonical graph of a family; deterministic per spec.
+    A spec of more than MAX_FAMILY_EDGES edges is refused before building."""
     try:
-        required, builder = FAMILIES[spec.kind]
+        required, edge_count, builder = FAMILIES[spec.kind]
     except KeyError:
         raise ValueError(f"unknown graph kind {spec.kind!r}") from None
     if any(name not in spec.params for name in required):
         flags = " and ".join(f"--{name}" for name in required)
         raise ValueError(f"--kind {spec.kind} needs {flags}")
+    edges = edge_count(spec.params)
+    if edges > MAX_FAMILY_EDGES:
+        flags = " ".join(f"--{name} {spec.params[name]}"
+                         if isinstance(spec.params[name], int) else f"--{name}"
+                         for name in required)
+        raise ValueError(f"--kind {spec.kind} {flags} gives {edges} edges, "
+                         f"more than the limit of {MAX_FAMILY_EDGES}")
     return builder(spec.params)
 
 

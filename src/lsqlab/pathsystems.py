@@ -12,9 +12,9 @@ Three representations share the PathSystem interface:
                   when first read and kept in a bounded cache: path(u, v)
                   is v's path in u's tree;
   TranslateTrees  left translates u * base(u^-1 v) of one tree rooted at
-                  the identity 1 in a graphs.Group: a validated table or
-                  the implicit cyclic group (the cayley strategy), or XOR
-                  on v - 1 (the hypercube strategy).
+                  the identity 1 in a graphs.Group: the group the graph
+                  carries (the cayley strategy), or XOR on v - 1 (the
+                  hypercube strategy).
 Every built-in strategy is prefix-closed from each source, so the number of
 paths from u through v is the size of v's subtree in u's tree; congestion is
 counted from subtree sizes, never by walking n^2 paths.  The sizes come from
@@ -293,20 +293,23 @@ def hypercube_path_system(g: Graph) -> TranslateTrees:
     return TranslateTrees(n, (parent, range(1, n + 1)), XorGroup(n))
 
 
-def cayley_path_system(g: Graph, group: Group) -> TranslateTrees:
-    """Translate a base system of shortest paths from the identity.
+def cayley_path_system(g: Graph) -> TranslateTrees:
+    """Translate shortest paths from the identity of g.group, the graph's.
 
     Edges must be graphs.cayley_edges(group, generators), with the
     generators read off as the identity's neighbors; then left translation
     u * P(1, w) maps each edge {x, x*s} to an edge and so paths to paths,
     and every vertex sees identical congestion, at most (diameter + 1) * n.
     """
-    n = group.order
+    if g.group is None:
+        raise ValueError("graph carries no group: the cayley strategy needs "
+                         "a ring, a Cayley graph or --group FILE")
+    n = g.group.order
     if n != g.n:
         raise ValueError("group order does not match vertex count")
-    if n > 1 and graphs.cayley_edges(group, g.neighbors(1)) != g.edges:
+    if n > 1 and graphs.cayley_edges(g.group, g.neighbors(1)) != g.edges:
         raise ValueError("graph is not the Cayley graph of the supplied group")
-    return TranslateTrees(n, bfs_tree(g, 1), group)
+    return TranslateTrees(n, bfs_tree(g, 1), g.group)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +372,12 @@ def min_congestion_oracle(g: Graph):
     remove only branches without an improving leaf, so the search meets
     the same improving leaves in the same order and returns the same
     system as a search without them.
+
+    ORACLE_PATHS_PER_PAIR_CAP is a limit, not a cap of errors.CAPS: a pair
+    with more simple paths than it raises ValueError ("more than 512 simple
+    paths between u and v"), and no variable raises it.  Within the default
+    6-vertex cap no pair has more than 65 simple paths (K6), so it fires
+    only once the cap is raised to 8 or more (K8 has 1957 per pair).
     """
     check_cap("min_congestion_oracle", g.n)
     n = g.n

@@ -194,7 +194,7 @@ def check_cayley_uniform():
     ]
     for name, group, gen_set in cases:
         g = graphs.cayley_graph(group, gen_set)
-        ps = pathsystems.cayley_path_system(g, group)
+        ps = pathsystems.cayley_path_system(g)
         prof = pathsystems.congestion(ps)
         per = set(prof.per_vertex.values())
         if len(per) != 1:

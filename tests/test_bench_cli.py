@@ -449,6 +449,25 @@ def test_cli_rejects_a_huge_sparse_graph_before_allocating(tmp_path):
     assert L.Graph(1, frozenset()).n == 1  # one vertex, no edges, connected
 
 
+@pytest.mark.parametrize("argv, flags, edges", [
+    (("gen", "--kind", "hypercube", "--dim", "40"), "--dim 40", 40 << 39),
+    (("gen", "--kind", "ring", "--n", "1000000000"), "--n 1000000000", 10**9),
+    (("metrics", "--kind", "clique", "--n", "100000"), "--n 100000",
+     100000 * 99999 // 2),
+])
+def test_cli_refuses_huge_family_sizes_before_allocating(argv, flags, edges):
+    # under the address-space limit, building the graph first would end in
+    # a MemoryError traceback
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    r = subprocess.run([sys.executable, "-m", "lsqlab.cli", *argv],
+                       capture_output=True, text=True, preexec_fn=limit)
+    assert r.returncode == 1
+    assert r.stderr == (f"lsqlab {argv[0]}: --kind {argv[2]} {flags} gives "
+                        f"{edges} edges, more than the limit of 4194304\n")
+
+
 @pytest.mark.parametrize("command, text, field", [
     (("solve", "--instance"), '[1]', "instance must be a JSON object"),
     (("solve", "--instance"),
@@ -629,10 +648,10 @@ def test_cli_strategy_choices_are_the_strategy_registry(capsys):
     with pytest.raises(SystemExit):
         cli_main(["paths", "--kind", "ring", "--n", "4", "--strategy", "dfs"])
     assert "invalid choice: 'dfs'" in capsys.readouterr().err
-    g = L.ring_graph(4)
+    g = L.clique_graph(4)
     with pytest.raises(ValueError, match="unknown path-system strategy 'dfs'"):
         bench.build_path_system(g, "dfs")
-    with pytest.raises(ValueError, match="cayley strategy needs a group table"):
+    with pytest.raises(ValueError, match="graph carries no group"):
         bench.build_path_system(g, "cayley")
 
 
@@ -776,6 +795,55 @@ def test_cayley_bench_validates_its_group_table_once(monkeypatch, tmp_path):
                      "--L", "2", "--solver", "descent", "--trials", "2",
                      "--out", str(tmp_path / "b.csv")]) == 0
     assert built == [L.cyclic_group(6)]
+
+
+def test_cli_group_file_attaches_to_a_loaded_graph(monkeypatch, capsys,
+                                                   tmp_path):
+    group = _cyclic_group_file(tmp_path, 8)
+    graph = str(tmp_path / "g.json")
+    assert cli_main(["gen", "--kind", "cayley", "--group", group,
+                     "--out", graph]) == 0
+    init, built = L.graphs.Graph.__post_init__, []
+    monkeypatch.setattr(L.graphs.Graph, "__post_init__",
+                        lambda self: built.append(self.n) or init(self))
+    assert cli_main(["paths", "--kind", "cayley", "--group", group,
+                     "--strategy", "cayley"]) == 0
+    assert built == [8]  # the Cayley graph already carries the file's group
+    built_paths = capsys.readouterr().out
+    assert cli_main(["paths", "--graph", graph, "--group", group,
+                     "--strategy", "cayley"]) == 0
+    assert capsys.readouterr().out == built_paths
+
+    cycle = tmp_path / "cycle.json"  # an 8-cycle, but not in Z8's order
+    order = (1, 2, 3, 5, 4, 6, 7, 8)
+    cycle.write_text(json.dumps(L.serialize.graph_to_dict(L.from_edges(
+        8, zip(order, order[1:] + order[:1])))))
+    assert cli_main(["paths", "--graph", str(cycle), "--group", group,
+                     "--strategy", "cayley"]) == 1
+    assert capsys.readouterr().err == ("lsqlab paths: graph is not the "
+                                       "Cayley graph of the supplied group\n")
+    assert cli_main(["paths", "--kind", "hypercube", "--dim", "3",
+                     "--strategy", "cayley"]) == 1
+    assert "lsqlab paths: graph carries no group" in capsys.readouterr().err
+
+
+def test_bench_config_carries_the_ring_group(capsys):
+    trials = ("--L", "3", "--solver", "descent", "--solver", "warm-start",
+              "--trials", "6", "--seed", "5")
+    assert cli_main(["bench", "--kind", "ring", "--n", "8",
+                     "--strategy", "cayley", *trials]) == 0
+    cfg = BenchConfig("ring", L.ring_graph(8), "cayley", 3,
+                      (SolverSpec("descent"), SolverSpec("warm-start")),
+                      trials=6, master_seed=5)
+    assert report_to_csv(run_bench(cfg)) == capsys.readouterr().out
+
+
+def test_oracle_path_limit_fires_once_its_cap_is_raised(monkeypatch, capsys):
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "min_congestion_oracle=8")
+    assert cli_main(["paths", "--kind", "clique", "--n", "8",
+                     "--strategy", "brute"]) == 1
+    assert capsys.readouterr().err == ("lsqlab paths: more than 512 simple "
+                                       "paths between 1 and 2\n")
 
 
 def _count_calls(monkeypatch, module, attr, counts):

@@ -117,6 +117,55 @@ def test_build_graph_cayley_family():
         L.build_graph(GraphSpec("petersen"))
 
 
+def test_graph_carries_its_group():
+    z5 = L.TableGroup(L.cyclic_group(5))
+    cayley, ring = L.cayley_graph(z5, {2, 5}), L.ring_graph(5)
+    assert cayley.group is z5
+    assert type(ring.group) is L.graphs.CyclicGroup and ring.group.order == 5
+    assert ring == cayley and hash(ring) == hash(cayley)  # group not compared
+    for g in (L.hypercube_graph(2), L.grid_graph(2), L.clique_graph(4),
+              L.barbell_graph(4), L.random_regular_graph(6, 3, 0),
+              L.from_edges(2, [(1, 2)]), relabel(ring, {1: 1, 2: 3, 3: 2,
+                                                        4: 4, 5: 5})):
+        assert g.group is None
+
+
+def test_family_edge_counts_match_the_graphs_built():
+    z6 = L.TableGroup(L.cyclic_group(6))
+    specs = ([("hypercube", {"dim": d}) for d in range(1, 6)]
+             + [("grid", {"side": k}) for k in range(2, 6)]
+             + [(kind, {"n": n}) for kind in ("clique", "ring", "barbell")
+                for n in range(4, 11, 2)]
+             + [("cayley", {"group": (z6, gens)})
+                for gens in ([2, 6], [3, 4, 5], [2, 4, 6], [2, 3, 5, 6])]
+             + [("random_regular", {"n": n, "d": d, "seed": 1})
+                for n, d in ((8, 3), (12, 4), (10, 5))])
+    for kind, params in specs:
+        _, edge_count, _ = L.graphs.FAMILIES[kind]
+        g = L.build_graph(GraphSpec(kind, params))
+        assert edge_count(params) == len(g.edges), (kind, params)
+    # as many edges as a clique on n = 2896, the largest one within the
+    # limit; the count is read, the graph is never built
+    assert L.graphs.FAMILIES["clique"][1]({"n": 2896}) \
+        <= L.graphs.MAX_FAMILY_EDGES \
+        < L.graphs.FAMILIES["clique"][1]({"n": 2897})
+
+
+def test_invalid_family_sizes_keep_their_own_errors():
+    for kind, params, message in [
+            ("hypercube", {"dim": -40}, "dimension must be >= 1"),
+            ("grid", {"side": -5000}, "grid side must be >= 2"),
+            ("clique", {"n": -100000}, "clique needs n >= 2"),
+            ("ring", {"n": -10**9}, "ring needs n >= 3"),
+            ("barbell", {"n": -100001}, "barbell needs even n >= 4"),
+            ("random_regular", {"n": 10, "d": 10**9}, "need 1 <= d < n")]:
+        with pytest.raises(ValueError, match=message):
+            L.build_graph(GraphSpec(kind, params))
+    with pytest.raises(ValueError, match=r"^--kind random_regular --n 8000 "
+                       r"--d 2000 gives 8000000 edges, more than the limit"):
+        L.build_graph(GraphSpec("random_regular", {"n": 8000, "d": 2000}))
+
+
 def test_random_regular_parity_error():
     with pytest.raises(ValueError):
         L.random_regular_graph(5, 3, seed=0)

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -55,7 +56,7 @@ def test_shortest_system_k4():
 def test_congestion_counts_edges_only_when_read(monkeypatch):
     g = L.ring_graph(5)
     for ps in (L.shortest_path_system(g),
-               L.cayley_path_system(g, L.TableGroup(L.cyclic_group(5))),
+               L.cayley_path_system(replace(g, group=L.TableGroup(L.cyclic_group(5)))),
                PathTable(5, L.shortest_path_system(g).table())):
         calls = []
         edge_counts = type(ps)._edge_counts
@@ -109,7 +110,7 @@ def test_hypercube_system_rejects_other_graphs():
 def test_one_vertex_path_systems():
     g = L.from_edges(1, [])
     for ps in (L.hypercube_path_system(g),
-               L.cayley_path_system(g, L.TableGroup(((1,),)))):
+               L.cayley_path_system(L.Graph(1, frozenset(), L.TableGroup(((1,),))))):
         assert ps.n == 1 and ps.table() == {(1, 1): (1,)}
 
 
@@ -126,27 +127,27 @@ def test_path_system_check_graph():
 def test_cayley_system_examples():
     z5 = L.TableGroup(L.cyclic_group(5))
     g5 = L.cayley_graph(z5, {2, 5})
-    prof = L.congestion(L.cayley_path_system(g5, z5))
+    prof = L.congestion(L.cayley_path_system(g5))
     assert set(prof.per_vertex.values()) == {11}
     assert prof.max_vertex <= (L.graph_metrics(g5)["diameter"] + 1) * 5
 
     z2 = L.TableGroup(L.cyclic_group(2))
     g2 = L.cayley_graph(z2, {2})
-    assert L.congestion(L.cayley_path_system(g2, z2)).max_vertex == 3
+    assert L.congestion(L.cayley_path_system(g2)).max_vertex == 3
 
     z4 = L.TableGroup(L.cyclic_group(4))
     g4 = L.cayley_graph(z4, {2, 4})
-    per = L.congestion(L.cayley_path_system(g4, z4)).per_vertex
+    per = L.congestion(L.cayley_path_system(g4)).per_vertex
     assert len(set(per.values())) == 1
 
 
 def test_cayley_system_rejects_mismatch():
     z5 = L.TableGroup(L.cyclic_group(5))
     with pytest.raises(ValueError):
-        L.cayley_path_system(L.ring_graph(4), z5)  # order mismatch
+        L.cayley_path_system(replace(L.ring_graph(4), group=z5))  # order mismatch
     star5 = L.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     with pytest.raises(ValueError):
-        L.cayley_path_system(star5, z5)  # not the Cayley edge set
+        L.cayley_path_system(replace(star5, group=z5))  # not the Cayley edge set
 
 
 def _symmetric_group_3():
@@ -174,7 +175,7 @@ def test_cayley_system_nonabelian():
     gens = {index[(1, 0, 2)], index[(0, 2, 1)]}
     g = L.cayley_graph(s3, gens)
     assert g.n == 6
-    ps = L.cayley_path_system(g, s3)
+    ps = L.cayley_path_system(g)
     for (u, v), p in ps.table().items():
         assert p[0] == u and p[-1] == v
         for a, b in zip(p, p[1:]):
@@ -449,7 +450,7 @@ def test_translate_systems_match_a_table_of_their_paths():
             (u, v): tuple(table[u - 1][p - 1]
                           for p in tree_path(base, 1, table[inv[u] - 1][v - 1]))
             for u in vs for v in vs})
-        assert_same_system(L.cayley_path_system(g, group), ref)
+        assert_same_system(L.cayley_path_system(g), ref)
 
 
 def test_implicit_groups_match_their_tables():
@@ -461,8 +462,8 @@ def test_implicit_groups_match_their_tables():
     for n in range(1, 13):
         table = L.TableGroup(L.cyclic_group(n))
         g = L.cayley_graph(table, {2, n}) if n > 1 else L.from_edges(1, [])
-        assert_same_system(L.cayley_path_system(g, CyclicGroup(n)),
-                           L.cayley_path_system(g, table))
+        assert_same_system(L.cayley_path_system(replace(g, group=CyclicGroup(n))),
+                           L.cayley_path_system(replace(g, group=table)))
 
 
 SCALE_SCRIPT = """
