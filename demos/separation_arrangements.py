@@ -6,6 +6,8 @@ through it, and shows the grid arrangement plus the parameter arithmetic
 that connects separation number to arrangement size.
 """
 
+import os
+
 import lsqlab as L
 from lsqlab.separation import PathArrangement, cluster_staircase
 
@@ -58,5 +60,7 @@ for s, delta in ((162, 1), (8, 1), (0, 5), (200, 2)):
 print()
 print("Barbell separation numbers (boundary restricted to the chosen subset):")
 print("  s(barbell 8)  =", L.separation_number_exact(L.barbell_graph(8)))
-print("  s(barbell 16) =", L.separation_number_barbell_exact(16),
-      "(exhaustive up to clique symmetry)")
+# 16 vertices is above the routine's default cap of 14; the variable
+# raises it (about 0.25 s here)
+os.environ[L.errors.ENV_CAP] = "separation_number_exact=16"
+print("  s(barbell 16) =", L.separation_number_exact(L.barbell_graph(16)))

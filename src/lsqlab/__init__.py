@@ -25,7 +25,6 @@ from .graphs import (
     hypercube_graph,
     random_regular_graph,
     ring_graph,
-    separation_number_barbell_exact,
     separation_number_exact,
 )
 from .pathsystems import (

@@ -11,6 +11,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import check_cap
 
@@ -585,7 +586,7 @@ def edge_expansion_exact(g: Graph) -> Fraction:
 
 
 def separation_number_exact(g: Graph) -> int:
-    """Exact separation number by double subset enumeration.
+    """Exact separation number by a size-ordered subset search.
 
     s = max over H of min over A subset of H with |H|/4 <= |A| <= 3|H|/4 of
     |delta(A)|, where delta(A) collects the vertices of H outside A that
@@ -593,10 +594,19 @@ def separation_number_exact(g: Graph) -> int:
     barbell value n/8: an unrestricted boundary would let two-vertex
     subsets H push the maximum up to nearly the maximum degree.  The size
     window is a real inequality on integer |A|, so subsets H of size < 2
-    admit no valid A and are skipped.  The vertices adjacent to a vertex
-    set m are read from a table built once over all 2^n masks, each from
-    the mask without its least vertex, so |delta(A)| is one AND and one
-    bit count.  The vertex count is capped by errors.CAPS.
+    admit no valid A and are skipped.  The vertex count is capped by
+    errors.CAPS.
+
+    Lemma: for |H| >= 2 every A of size floor(3|H|/4) is in the window and
+    delta(A) lies in H - A, so inner(H) <= ceil(|H|/4), a bound that never
+    decreases with |H|.  H is therefore visited by size from n down to 2,
+    each size's masks drawn by itertools.combinations, and the search
+    stops at the first size h with ceil(h/4) <= best; within an H, the
+    scan of its subsets A stops once the minimum falls to best.  The max
+    does not depend on the visiting order.  The vertices adjacent to a
+    vertex set m are read from a table built by doubling, one vertex at a
+    time (the masks holding vertex k are those without it, or-ed with k's
+    neighbors), so |delta(A)| is one AND and one bit count.
     """
     check_cap("separation_number_exact", g.n)
     n = g.n
@@ -604,80 +614,28 @@ def separation_number_exact(g: Graph) -> int:
     for u, v in g.edges:
         adj_mask[u] |= 1 << (v - 1)
         adj_mask[v] |= 1 << (u - 1)
-    reach = array("Q", bytes(8 << n))  # vertex mask -> its neighbors' mask
-    for m in range(1, 1 << n):
-        low = m & -m
-        reach[m] = reach[m ^ low] | adj_mask[low.bit_length()]
+    reach = array("Q", [0])  # vertex mask -> its neighbors' mask
+    for adj_k in adj_mask[1:]:
+        reach.extend([r | adj_k for r in reach])
+    bits = [1 << k for k in range(n)]
     best = 0
-    for h_mask in range(1, 1 << n):
-        h_size = h_mask.bit_count()
-        if h_size < 2:
-            continue
-        inner = None
-        a_mask = h_mask
-        while True:
-            a_size = a_mask.bit_count()
-            if 4 * a_size >= h_size and 4 * a_size <= 3 * h_size:
-                d = (reach[a_mask] & h_mask & ~a_mask).bit_count()
-                if inner is None or d < inner:
-                    inner = d
-                    if inner <= best:
-                        break  # this H cannot improve the max
-            if a_mask == 0:
-                break
-            a_mask = (a_mask - 1) & h_mask
-        if inner is not None and inner > best:
-            best = inner
-    return best
-
-
-def separation_number_barbell_exact(n: int) -> int:
-    """Separation number of the barbell graph, exhaustive up to symmetry.
-
-    Subsets are invariant under permuting the non-bridge vertices within
-    each clique, so H and A are enumerated by the counts (non-bridge picks,
-    bridge flag) per side.  Agrees with separation_number_exact on sizes
-    where both run.
-    """
-    if n < 4 or n % 2 != 0:
-        raise ValueError("barbell needs even n >= 4")
-    h = n // 2  # clique size; bridge endpoints are vertex h and h+1
-
-    def delta(a1, i1, a2, i2, b1, j1, b2, j2):
-        # a/i: A's non-bridge count and bridge flag per side; b/j: H's.
-        # Boundary is restricted to H, mirroring separation_number_exact.
-        out = 0
-        if a1 + i1 > 0:
-            out += b1 - a1  # H's non-bridge clique-1 vertices outside A
-        if j1 == 1 and i1 == 0 and (a1 > 0 or i2 == 1):
-            out += 1  # bridge vertex h
-        if a2 + i2 > 0:
-            out += b2 - a2
-        if j2 == 1 and i2 == 0 and (a2 > 0 or i1 == 1):
-            out += 1  # bridge vertex h+1
-        return out
-
-    best = 0
-    for b1 in range(h):  # non-bridge count of H on side 1
-        for j1 in (0, 1):
-            for b2 in range(h):
-                for j2 in (0, 1):
-                    h_size = b1 + j1 + b2 + j2
-                    if h_size < 2:
-                        continue
-                    inner = None
-                    for a1 in range(b1 + 1):
-                        for i1 in range(j1 + 1):
-                            for a2 in range(b2 + 1):
-                                for i2 in range(j2 + 1):
-                                    a_size = a1 + i1 + a2 + i2
-                                    if 4 * a_size < h_size or 4 * a_size > 3 * h_size:
-                                        continue
-                                    d = delta(a1, i1, a2, i2, b1, j1, b2, j2)
-                                    if inner is None or d < inner:
-                                        inner = d
-                    if inner is not None and inner > best:
-                        best = inner
+    for h_size in range(n, 1, -1):
+        lo, hi = -(-h_size // 4), 3 * h_size // 4  # window on |A|
+        if lo <= best:
+            break  # inner(H) <= ceil(|H|/4) here and below
+        for h_mask in map(sum, combinations(bits, h_size)):
+            inner = h_size
+            a_mask = h_mask
+            while a_mask:  # the empty A is below the window
+                if lo <= a_mask.bit_count() <= hi:
+                    d = (reach[a_mask] & (h_mask ^ a_mask)).bit_count()
+                    if d < inner:
+                        inner = d
+                        if inner <= best:
+                            break  # this H cannot improve the max
+                a_mask = (a_mask - 1) & h_mask
+            if inner > best:
+                best = inner
     return best
 
 

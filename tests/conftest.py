@@ -8,7 +8,8 @@ fixture 3: a 9-vertex graph of three triangles across three clusters with
 a full inter-cluster path arrangement.
 
 connected_graphs is the hypothesis strategy for random connected graphs
-that the property tests share; test modules import it from here.
+that the property tests share, and two_cycle_graph the benchmark's graph
+shape; test modules import them from here.
 """
 
 import pytest
@@ -27,6 +28,17 @@ def connected_graphs(draw, max_n=12, min_n=1):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return L.from_edges(n, edges)
+
+
+def two_cycle_graph(n, rng):
+    """Union of two random Hamiltonian cycles on 1..n, drawn as
+    benchmarks/run.py's two_cycle_graph draws it."""
+    edges = set()
+    for _ in range(2):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        edges |= set(zip(order, order[1:] + order[:1]))
     return L.from_edges(n, edges)
 
 

@@ -114,11 +114,12 @@ def test_criterion_6_separation_suite():
             started, 60)
 
 
-def test_criterion_7_separation_number():
+def test_criterion_7_separation_number(monkeypatch):
     started = time.monotonic()
     assert L.separation_number_exact(L.barbell_graph(8)) == 1  # n/8
-    assert L.separation_number_barbell_exact(8) == 1
-    assert L.separation_number_barbell_exact(16) == 2  # n/8 via symmetry
+    # barbell 16 is above the default cap of 14
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "separation_number_exact=16")
+    assert L.separation_number_exact(L.barbell_graph(16)) == 2  # n/8
     # 20 relabelings each of barbell 8 and grid 3, drawn from Random(11)
     res = verify.check_separation_invariance(samples=200, seed=11)
     assert res.passed, res.detail

@@ -827,6 +827,17 @@ def test_cli_group_file_attaches_to_a_loaded_graph(monkeypatch, capsys,
     assert "lsqlab paths: graph carries no group" in capsys.readouterr().err
 
 
+def test_cli_metrics_diameter_ignores_an_attached_group(capsys, tmp_path):
+    # a --group file is attached to any graph without a Cayley check, so
+    # the diameter must not trust it: the star's center has eccentricity 1
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps(L.serialize.graph_to_dict(L.from_edges(
+        4, [(1, 2), (1, 3), (1, 4)]))))
+    assert cli_main(["metrics", "--graph", str(star), "--group",
+                     _cyclic_group_file(tmp_path, 4)]) == 0
+    assert json.loads(capsys.readouterr().out)["diameter"] == 2
+
+
 def test_bench_config_carries_the_ring_group(capsys):
     trials = ("--L", "3", "--solver", "descent", "--solver", "warm-start",
               "--trials", "6", "--seed", "5")

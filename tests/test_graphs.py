@@ -8,7 +8,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from conftest import connected_graphs
+from conftest import connected_graphs, two_cycle_graph
 from hypothesis import example, given, reject, settings, strategies as st
 
 import lsqlab as L
@@ -78,8 +78,8 @@ def test_expansion_cap(monkeypatch):
 def test_separation_examples():
     assert L.separation_number_exact(L.clique_graph(4)) == 1
     assert L.separation_number_exact(L.barbell_graph(8)) == 1
-    assert L.separation_number_barbell_exact(8) == 1
-    assert L.separation_number_barbell_exact(16) == 2
+    assert _barbell_separation(8) == 1
+    assert _barbell_separation(16) == 2
 
 
 def test_separation_cap():
@@ -547,10 +547,95 @@ def test_separation_matches_naive_enumeration():
         assert L.separation_number_exact(g) == _naive_separation(g)
 
 
-def test_barbell_symmetric_matches_generic():
-    for n in (4, 6, 8):
-        assert (L.separation_number_barbell_exact(n)
-                == L.separation_number_exact(L.barbell_graph(n)))
+def _barbell_separation(n):
+    """Separation number of the barbell graph, exhaustive up to symmetry:
+    the reference for barbells.
+
+    Subsets are invariant under permuting the non-bridge vertices within
+    each clique, so H and A are enumerated by the counts (non-bridge picks,
+    bridge flag) per side.
+    """
+    h = n // 2  # clique size; bridge endpoints are vertex h and h+1
+
+    def delta(a1, i1, a2, i2, b1, j1, b2, j2):
+        # a/i: A's non-bridge count and bridge flag per side; b/j: H's.
+        # Boundary is restricted to H, mirroring separation_number_exact.
+        out = 0
+        if a1 + i1 > 0:
+            out += b1 - a1  # H's non-bridge clique-1 vertices outside A
+        if j1 == 1 and i1 == 0 and (a1 > 0 or i2 == 1):
+            out += 1  # bridge vertex h
+        if a2 + i2 > 0:
+            out += b2 - a2
+        if j2 == 1 and i2 == 0 and (a2 > 0 or i1 == 1):
+            out += 1  # bridge vertex h+1
+        return out
+
+    best = 0
+    for b1 in range(h):  # non-bridge count of H on side 1
+        for j1 in (0, 1):
+            for b2 in range(h):
+                for j2 in (0, 1):
+                    h_size = b1 + j1 + b2 + j2
+                    if h_size < 2:
+                        continue
+                    inner = None
+                    for a1 in range(b1 + 1):
+                        for i1 in range(j1 + 1):
+                            for a2 in range(b2 + 1):
+                                for i2 in range(j2 + 1):
+                                    a_size = a1 + i1 + a2 + i2
+                                    if 4 * a_size < h_size or 4 * a_size > 3 * h_size:
+                                        continue
+                                    d = delta(a1, i1, a2, i2, b1, j1, b2, j2)
+                                    if inner is None or d < inner:
+                                        inner = d
+                    if inner is not None and inner > best:
+                        best = inner
+    return best
+
+
+def test_barbell_symmetric_matches_generic(monkeypatch):
+    # barbell 16 is above the default cap of 14
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "separation_number_exact=16")
+    for n in range(4, 17, 2):
+        assert _barbell_separation(n) == L.separation_number_exact(
+            L.barbell_graph(n))
+
+
+def test_separation_matches_reference_above_the_cap(monkeypatch):
+    # at the cap and two sizes above it, against a reference that sweeps
+    # every mask in ascending order and gathers delta(A) vertex by vertex;
+    # the star with its center last is the slowest value-1 case
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "separation_number_exact=16")
+    graphs = [L.from_edges(14, [(v, 14) for v in range(1, 14)]),
+              L.ring_graph(15), L.clique_graph(15),
+              two_cycle_graph(15, random.Random(1)),
+              two_cycle_graph(15, random.Random(2)),
+              L.ring_graph(16), L.barbell_graph(16), L.hypercube_graph(4),
+              L.grid_graph(4), L.clique_graph(16),
+              two_cycle_graph(16, random.Random(1)),
+              two_cycle_graph(16, random.Random(2))]
+    for g in graphs:
+        assert L.separation_number_exact(g) == _delta_size_separation(g)
+
+
+def test_separation_inner_minimum_at_most_a_quarter_of_h():
+    # every H with |H| >= 2 has min over its window of |delta(A)| at most
+    # ceil(|H|/4): the bound that stops the size-ordered search
+    graphs = ([L.ring_graph(n) for n in range(3, 9)]
+              + [L.clique_graph(n) for n in range(2, 9)]
+              + [L.barbell_graph(n) for n in (4, 6, 8)] + [L.grid_graph(3)])
+    for g in graphs:
+        for h_size in range(2, g.n + 1):
+            for h in itertools.combinations(g.vertices(), h_size):
+                inner = min(
+                    sum(1 for v in set(h) - set(a)
+                        if any(g.has_edge(u, v) for u in a))
+                    for a_size in range(1, h_size + 1)
+                    if h_size <= 4 * a_size <= 3 * h_size
+                    for a in itertools.combinations(h, a_size))
+                assert inner <= -(-h_size // 4), (g, h)
 
 
 def test_bfs_edge_lipschitz():

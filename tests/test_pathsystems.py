@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from conftest import two_cycle_graph
 from hypothesis import given, reject, settings, strategies as st
 
 import lsqlab as L
@@ -377,20 +378,9 @@ def test_oracle_matches_unpruned_search_on_five_vertices(g):
         reject()
 
 
-def _two_cycle_graph(n, rng):
-    """Union of two random Hamiltonian cycles on 1..n, drawn as
-    benchmarks/run.py's two_cycle_graph draws it."""
-    edges = set()
-    for _ in range(2):
-        order = list(range(1, n + 1))
-        rng.shuffle(order)
-        edges |= set(zip(order, order[1:] + order[:1]))
-    return L.from_edges(n, edges)
-
-
 def test_oracle_two_cycle_graph_seed3():
     # The search without the load-sum prune also finds 14, in about 77 s.
-    g = _two_cycle_graph(6, random.Random(3))
+    g = two_cycle_graph(6, random.Random(3))
     g_star, ps = L.min_congestion_oracle(g)
     assert g_star == 14
     assert L.congestion(ps).max_vertex == 14
@@ -419,7 +409,7 @@ def test_oracle_meets_the_set_load_lower_bound_on_two_cycle_graphs():
     # holds for every system, which certifies g*.
     stars = []
     for seed in range(1, 11):
-        g = _two_cycle_graph(6, random.Random(seed))
+        g = two_cycle_graph(6, random.Random(seed))
         g_star, ps = L.min_congestion_oracle(g)
         ps.check_graph(g)
         assert L.congestion(ps).max_vertex == g_star
