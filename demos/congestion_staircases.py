@@ -30,11 +30,11 @@ print(f"milestones: {x}")
 print(f"walk:       {stair.walk}")
 print(f"good sequence? {L.is_good(x)}")
 
-vals = L.value_function(x, ps, g)
+vals = L.make_instance(x, 0, ps, g).table
 print("values:", {v: vals[v] for v in g.vertices()})
 print("local minima:", L.local_minima(g, vals), "(walk end =", stair.end, ")")
 print("tail from segment 4:", L.tail(4, stair))
-print("vertex 6 appears", L.multiplicity(stair.walk, 6), "times")
+print("vertex 6 appears", stair.walk.count(6), "times")
 
 print()
 print("=" * 70)
@@ -49,7 +49,7 @@ p2[(11, 16)] = (11, 7, 8, 12, 16)
 ps2 = PathTable(16, p2)
 x2 = (1, 6, 11, 16)
 stair2 = L.build_staircase(x2, ps2)
-v2 = L.value_function(x2, ps2, g2)
+v2 = L.make_instance(x2, 0, ps2, g2).table
 print(f"walk: {stair2.walk}")
 print(f"f(v4) = {v2[4]} (off the walk: distance to the entrance)")
 print(f"f(v7) = {v2[7]} (on the walk, via its last quasi-segment)")

@@ -29,7 +29,7 @@ for k in (1, 2, 3):
                 inter[(k, i, j)] = (k + 3 * (i - 1), k + 3 * (mid - 1),
                                     k + 3 * (j - 1))
 pa = PathArrangement(g, 3, clusters, inter, v_start=1)
-print("arrangement valid:", L.verify_arrangement(pa, g))
+print("arrangement valid:", not L.arrangement_violations(pa, g))
 print("path 2 from cluster 2 to cluster 3:", pa.path(2, 2, 3))
 
 # odd entries select clusters, even entries select inter-cluster paths:
@@ -37,7 +37,7 @@ print("path 2 from cluster 2 to cluster 3:", pa.path(2, 2, 3))
 x = (1, 3, 3, 1, 2)
 walk = cluster_staircase(x, pa)
 print(f"cluster sequence {x} -> walk {walk.walk}")
-vals = L.separation_value_function(x, pa, g)
+vals = L.make_separation_instance(x, 0, pa, g).table
 print("values:", {v: vals[v] for v in g.vertices()})
 print("unique minimum:", L.local_minima(g, vals))
 print()
@@ -46,7 +46,8 @@ print("Grid arrangements: columns as clusters, rows as paths")
 print("-" * 70)
 for side in (2, 3, 4):
     pa = L.grid_path_arrangement(side)
-    print(f"side {side}: m = {pa.m}, valid = {L.verify_arrangement(pa, pa.graph)}")
+    valid = not L.arrangement_violations(pa, pa.graph)
+    print(f"side {side}: m = {pa.m}, valid = {valid}")
 pa3 = L.grid_path_arrangement(3)
 x3 = (1, 2, 3, 3, 2)
 w3 = cluster_staircase(x3, pa3)

@@ -17,7 +17,6 @@ from .graphs import (
     cayley_graph,
     clique_graph,
     cyclic_group,
-    direct_product_group,
     edge_expansion_exact,
     from_edges,
     graph_metrics,
@@ -46,25 +45,22 @@ from .staircase import (
     is_good,
     local_minima,
     make_instance,
-    multiplicity,
     relation_congestion,
     sample_hard_instance,
     tail,
     validate_function,
-    value_function,
 )
 from .separation import (
     Arrangement,
     GridArrangement,
     PathArrangement,
     arrangement_parameter_bound,
+    arrangement_violations,
     cluster_staircase,
     grid_path_arrangement,
     make_separation_instance,
     relation_separation,
     sample_separation_instance,
-    separation_value_function,
-    verify_arrangement,
 )
 from .adversary import (
     FunctionFamily,

@@ -59,6 +59,9 @@ def solver_seed(tseed: int, solver_index: int) -> int:
     return splitmix64((tseed + (solver_index + 1) * GOLDEN) & MASK64)
 
 
+SOLVERS = ("descent", "warm-start")
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """A named solver configuration: descent (from vertex 1) or warm-start."""
@@ -67,6 +70,8 @@ class SolverSpec:
     t: object = "auto"  # warm-start sample budget
 
     def __post_init__(self):
+        if self.name not in SOLVERS:
+            raise ValueError(f"unknown solver {self.name!r}")
         if self.name == "warm-start" and self.t != "auto" and not (
                 isinstance(self.t, int) and self.t >= 1):
             raise ValueError("warm start needs t >= 1")
@@ -74,9 +79,7 @@ class SolverSpec:
     def run(self, g: Graph, oracle: QueryOracle, seed: int):
         if self.name == "descent":
             return steepest_descent(g, oracle, 1)
-        if self.name == "warm-start":
-            return warm_start_descent(g, oracle, t=self.t, seed=seed)
-        raise ValueError(f"unknown solver {self.name!r}")
+        return warm_start_descent(g, oracle, t=self.t, seed=seed)
 
 
 @dataclass(frozen=True)

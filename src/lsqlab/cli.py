@@ -20,9 +20,17 @@ from . import adversary, bench, graphs, pathsystems, serialize, \
 from .errors import CapabilityError
 
 
+def _family_params() -> tuple:
+    """Each required parameter of graphs.FAMILIES once, in registry order,
+    except group, which is read from --group FILE."""
+    return tuple(dict.fromkeys(
+        name for required, _, _ in graphs.FAMILIES.values()
+        for name in required if name != "group"))
+
+
 def _load_or_build_graph(args) -> tuple:
     """(kind, Graph); a --group file's group becomes the graph's group."""
-    params = {name: getattr(args, name) for name in ("dim", "side", "n", "d", "seed")
+    params = {name: getattr(args, name) for name in (*_family_params(), "seed")
               if getattr(args, name, None) is not None}
     if getattr(args, "group", None):
         params["group"] = serialize.load_group(args.group)
@@ -224,10 +232,8 @@ def _warm_start_t(text: str):
 def _add_graph_args(p, with_strategy=False):
     p.add_argument("--graph", help="graph JSON file")
     p.add_argument("--kind", choices=list(graphs.FAMILIES))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--side", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    for name in _family_params():
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--group", help="group JSON file: {table, generators}")
     if with_strategy:
         p.add_argument("--strategy", default="bfs",
@@ -281,8 +287,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="run a solver on an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--solver", default="descent",
-                   choices=["descent", "warm-start"])
+    p.add_argument("--solver", default="descent", choices=bench.SOLVERS)
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--t", default="auto", type=_warm_start_t)
     p.add_argument("--seed", type=int, default=0)
@@ -296,7 +301,7 @@ def main(argv=None) -> int:
     p.add_argument("--c", type=int,
                    help="cluster staircase legs (grid arrangement mode)")
     p.add_argument("--solver", action="append", required=True,
-                   choices=["descent", "warm-start"])
+                   choices=bench.SOLVERS)
     p.add_argument("--t", default="auto", type=_warm_start_t)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -76,9 +76,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
 
 def from_edges(n: int, edges) -> Graph:
     """Build a Graph from any iterable of vertex pairs (normalizing order)."""
@@ -208,27 +205,6 @@ def cyclic_group(k: int) -> tuple:
     return tuple(
         tuple(((a + b) % k) + 1 for b in range(k)) for a in range(k)
     )
-
-
-def direct_product_group(t1: tuple, t2: tuple) -> tuple:
-    """Multiplication table of the direct product of two groups.
-
-    Element (a, b) maps to index (a - 1) * |G2| + b.
-    """
-    n1, n2 = len(t1), len(t2)
-
-    def idx(a, b):
-        return (a - 1) * n2 + b
-
-    table = []
-    for a1 in range(1, n1 + 1):
-        for b1 in range(1, n2 + 1):
-            row = []
-            for a2 in range(1, n1 + 1):
-                for b2 in range(1, n2 + 1):
-                    row.append(idx(t1[a1 - 1][a2 - 1], t2[b1 - 1][b2 - 1]))
-            table.append(tuple(row))
-    return tuple(table)
 
 
 def cayley_edges(group: Group, generators) -> set:

@@ -190,12 +190,6 @@ def arrangement_violations(pa: Arrangement, g: Graph) -> list:
     return problems
 
 
-def verify_arrangement(pa: Arrangement, g: Graph) -> bool:
-    """True iff disjointness, connectivity, endpoints, and the collective
-    once-visitation condition all hold."""
-    return not arrangement_violations(pa, g)
-
-
 def _induced_connected(g: Graph, cluster) -> bool:
     _, order = graphs.bfs_tree(g, next(iter(cluster)), within=cluster)
     return len(order) == len(cluster)
@@ -245,12 +239,6 @@ def make_separation_instance(x, bit: int, pa: Arrangement,
         val -= 1
         table[v] = val
     return HiddenBitInstance(tuple(x), bit, s, table)
-
-
-def separation_value_function(x, pa: Arrangement, g: Graph) -> list:
-    """The separation value function as a dense table indexed by vertex
-    (index 0 is padding)."""
-    return make_separation_instance(x, 0, pa, g).table
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .pathsystems import PathSystem, PathTable
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
+    return {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges)]}
 
 
 def _field(data, name: str, where: str):

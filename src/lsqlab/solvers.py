@@ -35,11 +35,7 @@ class QueryOracle:
         return list(self.memo.items())
 
     def query(self, v: int):
-        self.raw_calls += 1
-        memo = self.memo
-        if v not in memo:
-            memo[v] = self._fn(v)
-        return memo[v]
+        return self.best((v,))[1]
 
     def best(self, vs) -> tuple:
         """Read the vertices of vs in order, each counted as a raw call, and

@@ -88,11 +88,6 @@ def good_sequences(n: int, L: int):
         yield (1, *rest)
 
 
-def multiplicity(q, u: int) -> int:
-    """Number of times vertex u appears in the sequence q."""
-    return sum(1 for v in q if v == u)
-
-
 def tail(j: int, s: Staircase) -> tuple:
     """Suffix of the walk from quasi-segment j, minus the first occurrence
     of milestone x_j; empty for j = L+1."""
@@ -162,13 +157,6 @@ def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
     return HiddenBitInstance(tuple(x), bit, chain(x[0], paths), table)
 
 
-def value_function(x, ps: PathSystem, g: Graph) -> list:
-    """The staircase value function as a dense table indexed by vertex
-    (index 0 is padding): dist(v, 1) off the walk, the make_instance rule
-    on it."""
-    return make_instance(x, 0, ps, g).table
-
-
 # ---------------------------------------------------------------------------
 # The relation and its refinements
 # ---------------------------------------------------------------------------
@@ -217,8 +205,7 @@ def distinguishing_weights(v: int, f1: HiddenBitInstance,
     r_v = r if f1.oracle(v) != f2.oracle(v) else 0
     if r_v == 0:
         return r, 0, 0
-    mu1 = multiplicity(f1.staircase.walk, v)
-    mu2 = multiplicity(f2.staircase.walk, v)
+    mu1, mu2 = f1.staircase.walk.count(v), f2.staircase.walk.count(v)
     r_tilde = r_v if mu1 <= mu2 else 0
     return r, r_v, r_tilde
 

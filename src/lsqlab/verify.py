@@ -189,8 +189,7 @@ def check_cayley_uniform():
     cases = [
         ("C5", graphs.TableGroup(graphs.cyclic_group(5)), {2, 5}),
         ("C6", graphs.TableGroup(graphs.cyclic_group(6)), {2, 6}),
-        ("Z2xZ2", graphs.TableGroup(graphs.direct_product_group(
-            graphs.cyclic_group(2), graphs.cyclic_group(2))), {2, 3}),
+        ("Z2xZ2", graphs.XorGroup(4), {2, 3}),
     ]
     for name, group, gen_set in cases:
         g = graphs.cayley_graph(group, gen_set)

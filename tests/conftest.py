@@ -8,8 +8,9 @@ fixture 3: a 9-vertex graph of three triangles across three clusters with
 a full inter-cluster path arrangement.
 
 connected_graphs is the hypothesis strategy for random connected graphs
-that the property tests share, and two_cycle_graph the benchmark's graph
-shape; test modules import them from here.
+that the property tests share, two_cycle_graph the benchmark's graph shape
+and direct_product_group a reference for product group tables; test
+modules import them from here.
 """
 
 import pytest
@@ -40,6 +41,27 @@ def two_cycle_graph(n, rng):
         rng.shuffle(order)
         edges |= set(zip(order, order[1:] + order[:1]))
     return L.from_edges(n, edges)
+
+
+def direct_product_group(t1: tuple, t2: tuple) -> tuple:
+    """Multiplication table of the direct product of two groups.
+
+    Element (a, b) maps to index (a - 1) * |G2| + b.
+    """
+    n1, n2 = len(t1), len(t2)
+
+    def idx(a, b):
+        return (a - 1) * n2 + b
+
+    table = []
+    for a1 in range(1, n1 + 1):
+        for b1 in range(1, n2 + 1):
+            row = []
+            for a2 in range(1, n1 + 1):
+                for b2 in range(1, n2 + 1):
+                    row.append(idx(t1[a1 - 1][a2 - 1], t2[b1 - 1][b2 - 1]))
+            table.append(tuple(row))
+    return tuple(table)
 
 
 def override_paths(ps: PathSystem, overrides: dict) -> PathTable:

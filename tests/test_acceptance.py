@@ -37,7 +37,7 @@ def test_criterion_2_figure_reproduction(twelve_vertex_example,
     assert L.build_staircase(x, ps).walk == (1, 3, 5, 6, 7, 8, 9, 6, 10, 3, 11)
 
     g2, ps2, x2 = grid16_example
-    vals = L.value_function(x2, ps2, g2)
+    vals = L.make_instance(x2, 0, ps2, g2).table
     assert vals[4] == 3 and vals[7] == -50
 
     g9, pa = nine_vertex_arrangement

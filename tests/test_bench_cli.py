@@ -1,5 +1,6 @@
 """Bench harness determinism and the CLI surface end to end."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lsqlab as L
-from lsqlab import bench
+from lsqlab import bench, cli
 from lsqlab.bench import (
     BenchConfig,
     SolverSpec,
@@ -596,6 +597,14 @@ def test_bench_rejects_bad_warm_start_t_before_any_work(monkeypatch, capsys):
         assert "warm start needs t >= 1" in capsys.readouterr().err
 
 
+def test_bench_rejects_unknown_solver_before_any_work(monkeypatch):
+    monkeypatch.setattr(bench, "build_path_system",
+                        lambda *a, **k: pytest.fail("path system built"))
+    with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+        run_bench(BenchConfig("ring", L.ring_graph(5), "bfs", 1,
+                              (SolverSpec("bogus"),), trials=1, master_seed=0))
+
+
 def test_python_dash_m_lsqlab(tmp_path):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(L.__file__)))
@@ -638,6 +647,22 @@ def test_cli_kind_choices_are_the_family_registry(capsys):
     with pytest.raises(SystemExit):
         cli_main(["gen", "--kind", "petersen"])
     assert "invalid choice: 'petersen'" in capsys.readouterr().err
+
+
+def test_cli_family_flags_are_the_family_parameters(monkeypatch, capsys):
+    parser = argparse.ArgumentParser()
+    cli._add_graph_args(parser)
+    flags = set(vars(parser.parse_args([]))) - {"graph", "kind", "group"}
+    params = {name for required, _, _ in L.graphs.FAMILIES.values()
+              for name in required} - {"group"}
+    assert flags == params == {"dim", "side", "n", "d"}
+    # a family added to the registry gets its flag with no CLI edit
+    monkeypatch.setitem(L.graphs.FAMILIES, "ring2", (
+        ("p",), lambda p: p["p"], lambda p: L.ring_graph(p["p"])))
+    assert cli_main(["gen", "--kind", "ring2", "--p", "5"]) == 0
+    ring2 = capsys.readouterr().out
+    assert cli_main(["gen", "--kind", "ring", "--n", "5"]) == 0
+    assert ring2 == capsys.readouterr().out
 
 
 def test_cli_strategy_choices_are_the_strategy_registry(capsys):

@@ -8,7 +8,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from conftest import connected_graphs, two_cycle_graph
+from conftest import connected_graphs, direct_product_group, two_cycle_graph
 from hypothesis import example, given, reject, settings, strategies as st
 
 import lsqlab as L
@@ -225,12 +225,12 @@ def _symmetric_group_table(k):
 
 
 SMALL_GROUPS = ([L.cyclic_group(k) for k in range(1, 9)]
-                + [L.direct_product_group(L.cyclic_group(2), L.cyclic_group(k))
+                + [direct_product_group(L.cyclic_group(2), L.cyclic_group(k))
                    for k in (2, 4)]
-                + [L.direct_product_group(L.cyclic_group(2), L.direct_product_group(
+                + [direct_product_group(L.cyclic_group(2), direct_product_group(
                     L.cyclic_group(2), L.cyclic_group(2))),
                    _symmetric_group_table(3),
-                   L.direct_product_group(L.cyclic_group(2), _symmetric_group_table(3))])
+                   direct_product_group(L.cyclic_group(2), _symmetric_group_table(3))])
 
 
 @st.composite

@@ -10,12 +10,12 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from conftest import two_cycle_graph
+from conftest import direct_product_group, two_cycle_graph
 from hypothesis import given, reject, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError, pathsystems
-from lsqlab.graphs import CyclicGroup, bfs_tree, tree_path
+from lsqlab.graphs import CyclicGroup, XorGroup, bfs_tree, tree_path
 from lsqlab.pathsystems import (
     ORACLE_PATHS_PER_PAIR_CAP,
     PathTable,
@@ -427,7 +427,7 @@ def test_translate_systems_match_a_table_of_their_paths():
         assert_same_system(L.hypercube_path_system(g), ref)
 
     s3, index = _symmetric_group_3()
-    z2z2 = L.direct_product_group(L.cyclic_group(2), L.cyclic_group(2))
+    z2z2 = direct_product_group(L.cyclic_group(2), L.cyclic_group(2))
     for table, gens in [(L.cyclic_group(5), {2, 5}), (L.cyclic_group(6), {2, 6}),
                         (L.cyclic_group(6), {2, 4, 6}), (z2z2, {2, 3}),
                         (s3, {index[(1, 0, 2)], index[(0, 2, 1)]})]:
@@ -449,6 +449,10 @@ def test_implicit_groups_match_their_tables():
         ps = L.hypercube_path_system(L.hypercube_graph(dim))
         xor = tuple(tuple((a ^ b) + 1 for b in range(n)) for a in range(n))
         assert_same_system(ps, TranslateTrees(n, ps.base, L.TableGroup(xor)))
+    # verify's Z2xZ2 case is XorGroup(4): the same table as the product's
+    z2z2 = direct_product_group(L.cyclic_group(2), L.cyclic_group(2))
+    assert z2z2 == tuple(tuple(XorGroup(4).mul(a, b) for b in range(1, 5))
+                         for a in range(1, 5))
     for n in range(1, 13):
         table = L.TableGroup(L.cyclic_group(n))
         g = L.cayley_graph(table, {2, n}) if n > 1 else L.from_edges(1, [])

@@ -20,7 +20,7 @@ from lsqlab.staircase import count_good_with_prefix, shared_prefix_length
 
 def test_nine_vertex_arrangement_verifies(nine_vertex_arrangement):
     g, pa = nine_vertex_arrangement
-    assert L.verify_arrangement(pa, g)
+    assert not arrangement_violations(pa, g)
 
 
 def test_duplicate_interior_vertex_fails(nine_vertex_arrangement):
@@ -29,14 +29,14 @@ def test_duplicate_interior_vertex_fails(nine_vertex_arrangement):
     bad[(2, 1, 3)] = bad[(1, 1, 3)]  # reuse path 1's interior vertex
     broken = L.PathArrangement(g, pa.m, pa.clusters, bad, pa.v_start)
     problems = arrangement_violations(broken, g)
-    assert problems and not L.verify_arrangement(broken, g)
+    assert problems
 
 
 def test_grid_arrangements_verify():
     for side in (2, 3, 4):
         pa = L.grid_path_arrangement(side)
         assert pa.m == side
-        assert L.verify_arrangement(pa, pa.graph)
+        assert not arrangement_violations(pa, pa.graph)
     pa3 = L.grid_path_arrangement(3)
     assert pa3.clusters[0] == frozenset({1, 4, 7})
 
@@ -65,7 +65,7 @@ def test_cluster_staircase_grid_edge_consecutive():
 def test_separation_values_nine_vertex(nine_vertex_arrangement):
     g, pa = nine_vertex_arrangement
     x = (1, 3, 3, 1, 2)
-    vals = L.separation_value_function(x, pa, g)
+    vals = make_separation_instance(x, 0, pa, g).table
     assert vals[1] == -8   # first walk vertex, revisited at position 8
     assert vals[4] == -9   # walk end
     assert vals[5] == 2    # off-walk distance
@@ -85,7 +85,7 @@ def test_separation_validity_exhaustive_side3():
 def test_separation_walk_single_vertex_values():
     pa = L.grid_path_arrangement(3)
     g = pa.graph
-    vals = L.separation_value_function((1,), pa, g)
+    vals = make_separation_instance((1,), 0, pa, g).table
     assert vals[pa.v_start] == -1
     assert all(v == pa.v_start or vals[v] > 0 for v in g.vertices())
 

@@ -59,7 +59,7 @@ def test_degenerate_staircase():
 
 def test_value_function_grid_values(grid16_example):
     g, ps, x = grid16_example
-    vals = L.value_function(x, ps, g)
+    vals = make_instance(x, 0, ps, g).table
     assert vals[4] == 3
     assert vals[7] == -3 * 16 - 2 == -50
     assert vals[16] == -3 * 16 - 5 == -53
@@ -68,7 +68,7 @@ def test_value_function_grid_values(grid16_example):
 
 def test_value_function_off_walk_entrance_neighbor(twelve_vertex_example):
     g, ps, x = twelve_vertex_example
-    vals = L.value_function(x, ps, g)
+    vals = make_instance(x, 0, ps, g).table
     assert vals[2] == 1  # adjacent to the entrance, not on the walk
     assert L.local_minima(g, vals) == {11}
 
@@ -103,14 +103,6 @@ def test_tail_examples(twelve_vertex_example):
     assert L.tail(1, s) == s.walk[1:]
     with pytest.raises(ValueError):
         L.tail(6, s)
-
-
-def test_multiplicity(twelve_vertex_example):
-    g, ps, x = twelve_vertex_example
-    s = L.build_staircase(x, ps)
-    assert L.multiplicity(s.walk, 6) == 2
-    assert L.multiplicity(s.walk, 3) == 2
-    assert L.multiplicity(s.walk, 12) == 0
 
 
 def test_relation_examples():

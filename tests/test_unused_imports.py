@@ -5,8 +5,10 @@ No linter ships with the project, so this walks each module's syntax tree:
 an import binds names, and every bound name must appear as a Name node
 elsewhere in the module.  Lines marked `# noqa: F401` are re-exports and
 exempt.  `__init__.py` only re-exports and is skipped by the import check;
-its re-exports count as reads for the definition check, and a decorated
-definition (such as a registered `verify` check) is read by its decorator.
+its re-exports do not count as reads for the definition check, so a public
+function no library module calls is caught even when it is exported.  A
+decorated definition (such as a registered `verify` check) is read by its
+decorator.
 """
 
 import ast
@@ -53,11 +55,14 @@ def test_unused_import_is_caught():
 
 def unread_definitions(sources: dict) -> list:
     """(module, name) of each undecorated public top-level function or class
-    that no module reads: not as a name, an attribute or an import, which
-    covers the re-exports of __init__.py.  sources maps module to text."""
+    that no module other than __init__.py reads, as a name, an attribute or
+    an import: a re-export alone is not a read.  sources maps module to
+    text."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -84,5 +89,7 @@ def test_unread_definition_is_caught():
                         "def orphan():\n    return 2\n"
                         "@register\ndef hooked():\n    return 3\n"
                         "class Exported:\n    pass\n"),
+               "b.py": "from .a import used\n",
                "__init__.py": "from .a import Exported, used\n"}
-    assert unread_definitions(sources) == [("a.py", "orphan")]
+    assert unread_definitions(sources) == [("a.py", "orphan"),
+                                           ("a.py", "Exported")]
