@@ -9,7 +9,6 @@ small function families.
 from .errors import CapabilityError
 from .graphs import (
     Graph,
-    GraphSpec,
     TableGroup,
     barbell_graph,
     bfs_distances,

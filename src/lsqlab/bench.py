@@ -64,10 +64,11 @@ SOLVERS = ("descent", "warm-start")
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A named solver configuration: descent (from vertex 1) or warm-start."""
+    """A named solver configuration: descent (from vertex start) or warm-start."""
 
     name: str
     t: object = "auto"  # warm-start sample budget
+    start: int = 1  # descent's start vertex
 
     def __post_init__(self):
         if self.name not in SOLVERS:
@@ -78,7 +79,7 @@ class SolverSpec:
 
     def run(self, g: Graph, oracle: QueryOracle, seed: int):
         if self.name == "descent":
-            return steepest_descent(g, oracle, 1)
+            return steepest_descent(g, oracle, self.start)
         return warm_start_descent(g, oracle, t=self.t, seed=seed)
 
 

@@ -8,7 +8,6 @@ modules and exits nonzero on any validation or invariant failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -28,20 +27,29 @@ def _family_params() -> tuple:
         for name in required if name != "group"))
 
 
+def _refuse_unread(args, read, reader: str) -> None:
+    """Refuse, naming each, the graph flags given that reader does not read."""
+    unread = [f"--{name}" for name in ("graph", "kind", *_family_params(), "group")
+              if name not in read and getattr(args, name) is not None]
+    if unread:
+        raise ValueError(f"{reader} does not read {', '.join(unread)}")
+
+
 def _load_or_build_graph(args) -> tuple:
-    """(kind, Graph); a --group file's group becomes the graph's group."""
-    params = {name: getattr(args, name) for name in (*_family_params(), "seed")
-              if getattr(args, name, None) is not None}
-    if getattr(args, "group", None):
-        params["group"] = serialize.load_group(args.group)
-    kind = "file" if getattr(args, "graph", None) else getattr(args, "kind", None)
-    if kind is None:
+    """(kind, Graph) from --graph FILE, or from --kind K with K's parameters
+    and --seed; any other graph flag given is refused by name."""
+    if args.graph:
+        _refuse_unread(args, ("graph",), "--graph FILE")
+        return "file", serialize.load_graph(args.graph)
+    if args.kind is None:
         raise ValueError("provide --graph FILE or --kind KIND")
-    g = (serialize.load_graph(args.graph) if kind == "file"
-         else graphs.build_graph(graphs.GraphSpec(kind, params)))
-    if "group" in params and g.group is not params["group"][0]:
-        g = dataclasses.replace(g, group=params["group"][0])
-    return kind, g
+    required = graphs.FAMILIES[args.kind][0]
+    _refuse_unread(args, ("kind", *required), f"--kind {args.kind}")
+    params = {name: getattr(args, name) for name in (*required, "seed")
+              if getattr(args, name) is not None}
+    if "group" in params:
+        params["group"] = serialize.load_group(params["group"])
+    return args.kind, graphs.build_graph(args.kind, params)
 
 
 def _emit(args, data) -> None:
@@ -133,10 +141,8 @@ def _load_instance(path):
 def cmd_solve(args):
     g, inst = _load_instance(args.instance)
     oracle = solvers.QueryOracle(inst.value)
-    if args.solver == "descent":
-        result = solvers.steepest_descent(g, oracle, args.start)
-    else:
-        result = solvers.warm_start_descent(g, oracle, t=args.t, seed=args.seed)
+    spec = bench.SolverSpec(args.solver, t=args.t, start=args.start)
+    result = spec.run(g, oracle, args.seed)
     out = {
         "answer": result.answer,
         "queries": result.queries,
@@ -153,8 +159,7 @@ def cmd_solve(args):
 
 def cmd_bench(args):
     kind, g = _load_or_build_graph(args)
-    specs = tuple(bench.SolverSpec(name, t=args.t) if name == "warm-start"
-                  else bench.SolverSpec(name) for name in args.solver)
+    specs = tuple(bench.SolverSpec(name, t=args.t) for name in args.solver)
     cfg = bench.BenchConfig(kind, g, args.strategy, args.L or 0, specs,
                             trials=args.trials, master_seed=args.seed,
                             workers=args.workers, c=args.c or 0)
@@ -177,6 +182,7 @@ def _frac(x: Fraction) -> str:
 
 def cmd_adversary(args):
     if args.family == "matrix":
+        _refuse_unread(args, (), "--family matrix")
         fam, rel = adversary.family_matrix_game(args.k)
     else:
         _, g = _load_or_build_graph(args)

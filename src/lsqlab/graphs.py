@@ -21,13 +21,15 @@ class Graph:
     """Connected undirected graph on vertices 1..n.
 
     edges is a frozenset of (u, v) pairs with u < v; adjacency lists are
-    sorted ascending.  group is the group whose Cayley graph this is, set
-    by cayley_graph and ring_graph.  Instances are immutable, safe to share.
+    sorted ascending.  group is set only by cayley_graph, so a graph with a
+    group is that group's Cayley graph.  Instances are immutable, safe to
+    share.
     """
 
     n: int
     edges: frozenset
-    group: Group | None = field(default=None, repr=False, compare=False)
+    group: Group | None = field(init=False, default=None, repr=False,
+                                compare=False)
     adjacency: tuple = field(init=False, repr=False, compare=False)
     max_degree: int = field(init=False, repr=False, compare=False)
     _distances: dict = field(init=False, repr=False, compare=False,
@@ -213,9 +215,7 @@ def cayley_edges(group: Group, generators) -> set:
     The generating set must exclude the identity and be closed under
     inverse so that the graph is undirected.
     """
-    if generators is None:
-        raise ValueError("a Cayley graph needs a generators list")
-    n, inv = group.order, group.inv
+    n, inv, mul = group.order, group.inv, group.mul
     gens = sorted(set(generators))
     if not gens:
         raise ValueError("empty generating set")
@@ -229,23 +229,14 @@ def cayley_edges(group: Group, generators) -> set:
     edges = set()
     for u in range(1, n + 1):
         for s in gens:
-            v = group.mul(u, s)
-            edges.add((min(u, v), max(u, v)))
+            v = mul(u, s)
+            edges.add((u, v) if u < v else (v, u))
     return edges
 
 
 # ---------------------------------------------------------------------------
 # Graph families
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Recipe for one of the built-in graph families: kind names a FAMILIES
-    entry and params holds its parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
 
 
 def hypercube_edges(dim: int) -> frozenset:
@@ -288,9 +279,7 @@ def clique_graph(n: int) -> Graph:
 def ring_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("ring needs n >= 3")
-    edges = {(i, i + 1) for i in range(1, n)}
-    edges.add((1, n))
-    return Graph(n, frozenset(edges), CyclicGroup(n))
+    return cayley_graph(CyclicGroup(n), (2, n))  # residues +1 and -1
 
 
 def barbell_graph(n: int) -> Graph:
@@ -311,7 +300,9 @@ def barbell_graph(n: int) -> Graph:
 
 def cayley_graph(group: Group, generators) -> Graph:
     """Cayley graph (right multiplication) of a group, carrying it."""
-    return Graph(group.order, frozenset(cayley_edges(group, generators)), group)
+    g = Graph(group.order, frozenset(cayley_edges(group, generators)))
+    object.__setattr__(g, "group", group)
+    return g
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -374,7 +365,7 @@ FAMILIES = {
                 lambda p: 2 * _pairs(p["n"] // 2) + 1,
                 lambda p: barbell_graph(p["n"])),
     "cayley": (("group",),
-               lambda p: p["group"][0].order * len(set(p["group"][1] or ())) // 2,
+               lambda p: p["group"][0].order * len(set(p["group"][1])) // 2,
                lambda p: cayley_graph(*p["group"])),
     "random_regular": (("n", "d"),
                        lambda p: p["n"] * p["d"] // 2 if 0 < p["d"] < p["n"] else 0,
@@ -383,24 +374,24 @@ FAMILIES = {
 }
 
 
-def build_graph(spec: GraphSpec) -> Graph:
-    """Construct the canonical graph of a family; deterministic per spec.
-    A spec of more than MAX_FAMILY_EDGES edges is refused before building."""
+def build_graph(kind: str, params: dict) -> Graph:
+    """Construct the canonical graph of a family; deterministic per params.
+    More than MAX_FAMILY_EDGES edges is refused before building."""
     try:
-        required, edge_count, builder = FAMILIES[spec.kind]
+        required, edge_count, builder = FAMILIES[kind]
     except KeyError:
-        raise ValueError(f"unknown graph kind {spec.kind!r}") from None
-    if any(name not in spec.params for name in required):
+        raise ValueError(f"unknown graph kind {kind!r}") from None
+    if any(name not in params for name in required):
         flags = " and ".join(f"--{name}" for name in required)
-        raise ValueError(f"--kind {spec.kind} needs {flags}")
-    edges = edge_count(spec.params)
+        raise ValueError(f"--kind {kind} needs {flags}")
+    edges = edge_count(params)
     if edges > MAX_FAMILY_EDGES:
-        flags = " ".join(f"--{name} {spec.params[name]}"
-                         if isinstance(spec.params[name], int) else f"--{name}"
+        flags = " ".join(f"--{name} {params[name]}"
+                         if isinstance(params[name], int) else f"--{name}"
                          for name in required)
-        raise ValueError(f"--kind {spec.kind} {flags} gives {edges} edges, "
+        raise ValueError(f"--kind {kind} {flags} gives {edges} edges, "
                          f"more than the limit of {MAX_FAMILY_EDGES}")
-    return builder(spec.params)
+    return builder(params)
 
 
 # ---------------------------------------------------------------------------

@@ -296,20 +296,15 @@ def hypercube_path_system(g: Graph) -> TranslateTrees:
 def cayley_path_system(g: Graph) -> TranslateTrees:
     """Translate shortest paths from the identity of g.group, the graph's.
 
-    Edges must be graphs.cayley_edges(group, generators), with the
-    generators read off as the identity's neighbors; then left translation
-    u * P(1, w) maps each edge {x, x*s} to an edge and so paths to paths,
-    and every vertex sees identical congestion, at most (diameter + 1) * n.
+    Only graphs.cayley_graph gives a graph its group, so g is that group's
+    Cayley graph; then left translation u * P(1, w) maps each edge {x, x*s}
+    to an edge and so paths to paths, and every vertex sees identical
+    congestion, at most (diameter + 1) * n.
     """
     if g.group is None:
         raise ValueError("graph carries no group: the cayley strategy needs "
-                         "a ring, a Cayley graph or --group FILE")
-    n = g.group.order
-    if n != g.n:
-        raise ValueError("group order does not match vertex count")
-    if n > 1 and graphs.cayley_edges(g.group, g.neighbors(1)) != g.edges:
-        raise ValueError("graph is not the Cayley graph of the supplied group")
-    return TranslateTrees(n, bfs_tree(g, 1), g.group)
+                         "--kind ring or --kind cayley --group FILE")
+    return TranslateTrees(g.n, bfs_tree(g, 1), g.group)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Graph files: {"n": int, "edges": [[u, v], ...]} with 1-indexed vertices
 and edges sorted with u < v.  Path-system files list all n^2 ordered
 pairs sorted by (u, v).  Instance files reference their graph and path
 files by paths relative to the instance file rather than inlining them.
-Group files: {"table": [[...], ...], "generators": [...]}, generators
-optional unless the group builds a Cayley graph.
+Group files: {"table": [[...], ...], "generators": [...]}, both required:
+a group file is read only to build its Cayley graph.
 Files of the wrong shape raise a ValueError that names the field.
 """
 
@@ -109,12 +109,11 @@ def instance_from_dict(data: dict) -> tuple:
 
 
 def group_from_dict(data: dict) -> tuple:
-    """(TableGroup, generators or None) of a group file."""
+    """(TableGroup, generators) of a group file."""
     table = _list(_field(data, "table", "group"), "table")
-    generators = data.get("generators")
+    generators = _ints(_field(data, "generators", "group"), "generators")
     return (TableGroup(tuple(_ints(row, f"table[{i}]")
-                            for i, row in enumerate(table))),
-            None if generators is None else _ints(generators, "generators"))
+                            for i, row in enumerate(table))), generators)
 
 
 def load_json(path):

@@ -500,7 +500,7 @@ def test_cli_refuses_huge_family_sizes_before_allocating(argv, flags, edges):
      '{"table": [[1, 2], [2, 1]], "generators": ["2"]}',
      "generators must be an integer, got '2'"),
     (("gen", "--kind", "cayley", "--group"), '{"table": [[1, 2], [2, 1]]}',
-     "a Cayley graph needs a generators list"),
+     "group has no 'generators' field"),
 ])
 def test_cli_rejects_malformed_instance_and_group_json(tmp_path, command, text,
                                                        field):
@@ -711,6 +711,29 @@ def test_solve_bytes_pinned(tmp_path, capsys):
             == transcript_sha
 
 
+def test_solve_runs_through_the_solver_spec(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["gen", "--kind", "hypercube", "--dim", "4", "--out", "g.json"],
+                 ["paths", "--graph", "g.json", "--strategy", "hypercube",
+                  "--out", "p.json"],
+                 ["instance", "--graph", "g.json", "--paths", "p.json",
+                  "--L", "3", "--seed", "2", "--out", "i.json"]):
+        assert cli_main(argv) == 0
+    g, inst = cli._load_instance("i.json")
+    oracle = L.QueryOracle(inst.value)
+    expected = L.steepest_descent(g, oracle, 3)
+    run, calls = SolverSpec.run, []
+    monkeypatch.setattr(SolverSpec, "run",
+                        lambda self, *a: calls.append(self) or run(self, *a))
+    capsys.readouterr()
+    assert cli_main(["solve", "--instance", "i.json", "--solver", "descent",
+                     "--start", "3"]) == 0
+    assert calls == [SolverSpec("descent", start=3)]
+    assert json.loads(capsys.readouterr().out) == {
+        "answer": expected.answer, "queries": expected.queries,
+        "raw_calls": oracle.raw_calls, "correct": True}
+
+
 # sha256 of `instance --materialize` on a dimension-4 hypercube (L = 3,
 # seed 0), on stdout and as an --out file one directory down, which names
 # the graph and path files relative to itself.
@@ -822,8 +845,8 @@ def test_cayley_bench_validates_its_group_table_once(monkeypatch, tmp_path):
     assert built == [L.cyclic_group(6)]
 
 
-def test_cli_group_file_attaches_to_a_loaded_graph(monkeypatch, capsys,
-                                                   tmp_path):
+def test_cli_group_file_is_read_only_by_kind_cayley(monkeypatch, capsys,
+                                                    tmp_path):
     group = _cyclic_group_file(tmp_path, 8)
     graph = str(tmp_path / "g.json")
     assert cli_main(["gen", "--kind", "cayley", "--group", group,
@@ -834,33 +857,60 @@ def test_cli_group_file_attaches_to_a_loaded_graph(monkeypatch, capsys,
     assert cli_main(["paths", "--kind", "cayley", "--group", group,
                      "--strategy", "cayley"]) == 0
     assert built == [8]  # the Cayley graph already carries the file's group
-    built_paths = capsys.readouterr().out
+    capsys.readouterr()
+    # the same graph from a file carries no group, and --group is refused
+    # beside it rather than attached to it
     assert cli_main(["paths", "--graph", graph, "--group", group,
-                     "--strategy", "cayley"]) == 0
-    assert capsys.readouterr().out == built_paths
-
-    cycle = tmp_path / "cycle.json"  # an 8-cycle, but not in Z8's order
-    order = (1, 2, 3, 5, 4, 6, 7, 8)
-    cycle.write_text(json.dumps(L.serialize.graph_to_dict(L.from_edges(
-        8, zip(order, order[1:] + order[:1])))))
-    assert cli_main(["paths", "--graph", str(cycle), "--group", group,
                      "--strategy", "cayley"]) == 1
-    assert capsys.readouterr().err == ("lsqlab paths: graph is not the "
-                                       "Cayley graph of the supplied group\n")
+    assert capsys.readouterr().err == ("lsqlab paths: --graph FILE does not "
+                                       "read --group\n")
     assert cli_main(["paths", "--kind", "hypercube", "--dim", "3",
                      "--strategy", "cayley"]) == 1
     assert "lsqlab paths: graph carries no group" in capsys.readouterr().err
 
 
-def test_cli_metrics_diameter_ignores_an_attached_group(capsys, tmp_path):
-    # a --group file is attached to any graph without a Cayley check, so
-    # the diameter must not trust it: the star's center has eccentricity 1
+def test_cli_metrics_refuses_a_group_beside_a_graph(capsys, tmp_path):
+    # a star carrying Z4 would let a diameter that trusts the group read
+    # the center's eccentricity 1; the group is refused instead
     star = tmp_path / "star.json"
     star.write_text(json.dumps(L.serialize.graph_to_dict(L.from_edges(
         4, [(1, 2), (1, 3), (1, 4)]))))
     assert cli_main(["metrics", "--graph", str(star), "--group",
-                     _cyclic_group_file(tmp_path, 4)]) == 0
+                     _cyclic_group_file(tmp_path, 4)]) == 1
+    assert capsys.readouterr().err == ("lsqlab metrics: --graph FILE does "
+                                       "not read --group\n")
+    assert cli_main(["metrics", "--graph", str(star)]) == 0
     assert json.loads(capsys.readouterr().out)["diameter"] == 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("gen", "--kind", "hypercube", "--dim", "2", "--n", "7", "--side", "9"),
+     "gen: --kind hypercube does not read --side, --n"),
+    (("gen", "--graph", "r.json", "--n", "40", "--dim", "3"),
+     "gen: --graph FILE does not read --dim, --n"),
+    (("gen", "--graph", "r.json", "--kind", "ring"),
+     "gen: --graph FILE does not read --kind"),
+    (("paths", "--graph", "r.json", "--group", "z8.json",
+      "--strategy", "cayley"), "paths: --graph FILE does not read --group"),
+    (("metrics", "--kind", "ring", "--n", "8", "--group", "z8.json"),
+     "metrics: --kind ring does not read --group"),
+    (("bench", "--kind", "cayley", "--group", "z8.json", "--n", "8",
+      "--L", "2", "--solver", "descent"),
+     "bench: --kind cayley does not read --n"),
+    (("adversary", "--family", "matrix", "--kind", "ring", "--n", "8"),
+     "adversary: --family matrix does not read --kind, --n"),
+    (("gen", "--kind", "cayley", "--group", "nogen.json"),
+     "gen: group has no 'generators' field"),
+])
+def test_cli_refuses_graph_flags_it_does_not_read(argv, error, monkeypatch,
+                                                  capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["gen", "--kind", "ring", "--n", "3",
+                     "--out", "r.json"]) == 0
+    _cyclic_group_file(tmp_path, 8)
+    (tmp_path / "nogen.json").write_text('{"table": [[1, 2], [2, 1]]}')
+    assert cli_main(list(argv)) == 1  # a traceback would raise here instead
+    assert capsys.readouterr() == ("", f"lsqlab {error}\n")
 
 
 def test_bench_config_carries_the_ring_group(capsys):

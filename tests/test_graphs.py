@@ -5,6 +5,7 @@ import json
 import random
 import time
 from collections import deque
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError
-from lsqlab.graphs import GraphSpec, relabel
+from lsqlab.graphs import relabel
 from lsqlab.pathsystems import _subtree_sizes
 from lsqlab.serialize import graph_to_dict
 
@@ -99,22 +100,21 @@ def test_separation_relabeling_invariance():
 
 
 def test_build_graph_determinism_and_serialization():
-    spec = GraphSpec("random_regular", {"n": 12, "d": 3, "seed": 99})
-    g1, g2 = L.build_graph(spec), L.build_graph(spec)
+    params = {"n": 12, "d": 3, "seed": 99}
+    g1 = L.build_graph("random_regular", params)
+    g2 = L.build_graph("random_regular", params)
     assert json.dumps(graph_to_dict(g1)) == json.dumps(graph_to_dict(g2))
     assert all(g1.degree(v) == 3 for v in g1.vertices())
 
 
 def test_build_graph_cayley_family():
     group = (L.TableGroup(L.cyclic_group(5)), (2, 5))
-    g = L.build_graph(GraphSpec("cayley", {"group": group}))
+    g = L.build_graph("cayley", {"group": group})
     assert g.edges == L.cayley_graph(*group).edges
     with pytest.raises(ValueError, match="--kind cayley needs --group"):
-        L.build_graph(GraphSpec("cayley", {"n": 5}))
-    with pytest.raises(ValueError, match="needs a generators list"):
-        L.build_graph(GraphSpec("cayley", {"group": (group[0], None)}))
+        L.build_graph("cayley", {"n": 5})
     with pytest.raises(ValueError, match="unknown graph kind 'petersen'"):
-        L.build_graph(GraphSpec("petersen"))
+        L.build_graph("petersen", {})
 
 
 def test_graph_carries_its_group():
@@ -128,6 +128,27 @@ def test_graph_carries_its_group():
               L.from_edges(2, [(1, 2)]), relabel(ring, {1: 1, 2: 3, 3: 2,
                                                         4: 4, 5: 5})):
         assert g.group is None
+    # only cayley_graph attaches a group (test_cayley_system_rejects_mismatch
+    # covers the constructor and replace): a copy drops it
+    with pytest.raises(FrozenInstanceError):
+        relabel(ring, {v: v for v in ring.vertices()}).group = z5
+    assert replace(cayley, n=5).group is None
+
+
+def test_ring_is_the_explicit_cycle():
+    for n in range(3, 13):
+        cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+        assert L.ring_graph(n).edges == cycle
+
+
+def test_graph_rejects_malformed_edge_sets():
+    for n, edges, message in [
+            (0, [], "graph needs at least one vertex"),
+            (3, [(1, 2), (2, 4)], r"edge \(2,4\) out of range 1..3"),
+            (3, [(1, 2), (2, 3), (3, 3)], "self-loop at vertex 3"),
+            (3, [(1, 2), (3, 2)], r"edge \(3,2\) not normalized u < v")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            L.Graph(n, frozenset(edges))
 
 
 def test_family_edge_counts_match_the_graphs_built():
@@ -142,7 +163,7 @@ def test_family_edge_counts_match_the_graphs_built():
                 for n, d in ((8, 3), (12, 4), (10, 5))])
     for kind, params in specs:
         _, edge_count, _ = L.graphs.FAMILIES[kind]
-        g = L.build_graph(GraphSpec(kind, params))
+        g = L.build_graph(kind, params)
         assert edge_count(params) == len(g.edges), (kind, params)
     # as many edges as a clique on n = 2896, the largest one within the
     # limit; the count is read, the graph is never built
@@ -160,10 +181,10 @@ def test_invalid_family_sizes_keep_their_own_errors():
             ("barbell", {"n": -100001}, "barbell needs even n >= 4"),
             ("random_regular", {"n": 10, "d": 10**9}, "need 1 <= d < n")]:
         with pytest.raises(ValueError, match=message):
-            L.build_graph(GraphSpec(kind, params))
+            L.build_graph(kind, params)
     with pytest.raises(ValueError, match=r"^--kind random_regular --n 8000 "
                        r"--d 2000 gives 8000000 edges, more than the limit"):
-        L.build_graph(GraphSpec("random_regular", {"n": 8000, "d": 2000}))
+        L.build_graph("random_regular", {"n": 8000, "d": 2000})
 
 
 def test_random_regular_parity_error():

@@ -57,7 +57,8 @@ def test_shortest_system_k4():
 def test_congestion_counts_edges_only_when_read(monkeypatch):
     g = L.ring_graph(5)
     for ps in (L.shortest_path_system(g),
-               L.cayley_path_system(replace(g, group=L.TableGroup(L.cyclic_group(5)))),
+               L.cayley_path_system(
+                   L.cayley_graph(L.TableGroup(L.cyclic_group(5)), {2, 5})),
                PathTable(5, L.shortest_path_system(g).table())):
         calls = []
         edge_counts = type(ps)._edge_counts
@@ -109,10 +110,8 @@ def test_hypercube_system_rejects_other_graphs():
 
 
 def test_one_vertex_path_systems():
-    g = L.from_edges(1, [])
-    for ps in (L.hypercube_path_system(g),
-               L.cayley_path_system(L.Graph(1, frozenset(), L.TableGroup(((1,),))))):
-        assert ps.n == 1 and ps.table() == {(1, 1): (1,)}
+    ps = L.hypercube_path_system(L.from_edges(1, []))
+    assert ps.n == 1 and ps.table() == {(1, 1): (1,)}
 
 
 def test_path_system_check_graph():
@@ -143,12 +142,18 @@ def test_cayley_system_examples():
 
 
 def test_cayley_system_rejects_mismatch():
+    # cayley_path_system trusts g.group, so no graph may carry a group
+    # whose Cayley graph it is not: neither the wrong order nor wrong edges
     z5 = L.TableGroup(L.cyclic_group(5))
-    with pytest.raises(ValueError):
-        L.cayley_path_system(replace(L.ring_graph(4), group=z5))  # order mismatch
     star5 = L.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
-    with pytest.raises(ValueError):
-        L.cayley_path_system(replace(star5, group=z5))  # not the Cayley edge set
+    for g in (L.ring_graph(4), star5):
+        with pytest.raises(TypeError):
+            L.Graph(g.n, g.edges, z5)
+        with pytest.raises(ValueError):
+            replace(g, group=z5)
+    with pytest.raises(ValueError, match="graph carries no group"):
+        L.cayley_path_system(star5)
+    assert L.cayley_path_system(L.ring_graph(4)).group.order == 4
 
 
 def _symmetric_group_3():
@@ -453,11 +458,11 @@ def test_implicit_groups_match_their_tables():
     z2z2 = direct_product_group(L.cyclic_group(2), L.cyclic_group(2))
     assert z2z2 == tuple(tuple(XorGroup(4).mul(a, b) for b in range(1, 5))
                          for a in range(1, 5))
-    for n in range(1, 13):
+    for n in range(2, 13):
         table = L.TableGroup(L.cyclic_group(n))
-        g = L.cayley_graph(table, {2, n}) if n > 1 else L.from_edges(1, [])
-        assert_same_system(L.cayley_path_system(replace(g, group=CyclicGroup(n))),
-                           L.cayley_path_system(replace(g, group=table)))
+        assert_same_system(
+            L.cayley_path_system(L.cayley_graph(CyclicGroup(n), {2, n})),
+            L.cayley_path_system(L.cayley_graph(table, {2, n})))
 
 
 SCALE_SCRIPT = """

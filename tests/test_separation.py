@@ -32,6 +32,40 @@ def test_duplicate_interior_vertex_fails(nine_vertex_arrangement):
     assert problems
 
 
+def _clusters(text):
+    """Clusters written as "|"-separated digit strings, e.g. "12|345"."""
+    return tuple(frozenset(map(int, c)) for c in text.split("|"))
+
+
+def _broken(pa, m=None, clusters=None, paths=(), v_start=None, drop=()):
+    """pa with some fields replaced, paths overridden and keys dropped."""
+    inter = {**pa.inter_paths, **dict(paths)}
+    for key in drop:
+        del inter[key]
+    return L.PathArrangement(pa.graph, m or pa.m, clusters or pa.clusters,
+                             inter, v_start or pa.v_start)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"clusters": _clusters("123|456|789|")}, "cluster 4 is empty"),
+    ({"clusters": _clusters("123|4563|789")},
+     "cluster 2 overlaps an earlier cluster"),
+    ({"clusters": _clusters("123|456|79")}, "cluster 3 is not connected"),
+    ({"m": 2}, "expected 2 clusters, found 3"),
+    ({"v_start": 4}, "v_start is not in cluster 1"),
+    ({"drop": [(2, 1, 3)]}, "missing path P_2(1,3)"),
+    ({"paths": {(1, 1, 1): (1, 2, 1)}}, "P_1(1,1) repeats a vertex"),
+    ({"paths": {(1, 1, 2): (1, 5)}}, "P_1(1,2) uses non-edge (1,5)"),
+    ({"paths": {(1, 1, 2): (7, 4)}}, "P_1(1,2) does not start in cluster 1"),
+    ({"paths": {(1, 1, 2): (1, 7)}}, "P_1(1,2) does not end in cluster 2"),
+    ({"paths": {(1, 1, 3): (1, 4, 7, 8)}},
+     "P_1(1,3) interior vertex 7 inside a cluster"),
+])
+def test_arrangement_violation_kinds(nine_vertex_arrangement, change, message):
+    g, pa = nine_vertex_arrangement
+    assert message in arrangement_violations(_broken(pa, **change), g)
+
+
 def test_grid_arrangements_verify():
     for side in (2, 3, 4):
         pa = L.grid_path_arrangement(side)
