@@ -11,9 +11,10 @@ related pairs, and each reader works per point from the pairs that differ.
 
 The variant bound is found exactly without a subset sweep: one small
 parametric min cut per group of domain points (Dinkelbach's method over
-Goldberg's densest-subgraph network), so the family's cap is 40 functions
-rather than the 16 a 2^F sweep allowed.  All weights are exact integers,
-all capacities integers and all ratios exact fractions.
+Goldberg's densest-subgraph network, cut by Dinic's blocking flows), so
+the cap is 64 functions rather than the 16 a 2^F sweep allowed.  All
+weights are exact integers, all capacities integers and all ratios exact
+fractions.
 """
 
 from __future__ import annotations
@@ -121,91 +122,104 @@ class VariantBound:
     argmin: tuple
 
 
-def _min_cut(size: int, pairs: list, g: list):
-    """Edmonds-Karp max flow over functions 0..size-1, s = size and
-    t = size + 1, with integer capacities: an arc each way of capacity c
-    for each (i, j, c) in pairs, s -> i of capacity g[i] where g[i] > 0
-    and i -> t of capacity -g[i] where g[i] < 0.
-
-    Returns the flow value, the residual capacities res[u][v], the
-    adjacency lists and the functions reachable from s in the residual
-    graph, which are the source side of the least min cut.
-    """
-    s, t = size, size + 1
-    res = [[0] * (size + 2) for _ in range(size + 2)]
-    adj = [[] for _ in range(size + 2)]
-    for i, j, c in pairs:
-        res[i][j] = res[j][i] = c
-        adj[i].append(j)
-        adj[j].append(i)
-    for i, gi in enumerate(g):
-        if gi > 0:
-            res[s][i] = gi
-        elif gi < 0:
-            res[i][t] = -gi
-        if gi:
-            end = s if gi > 0 else t
-            adj[i].append(end)
-            adj[end].append(i)
-    flow = 0
+def _min_cut(mass: tuple, group: tuple, best: Fraction):
+    """Twice the group's largest num D_a(Z) - den M(Z) at num/den = best:
+    the positive g_i summed less a max flow, s = F, t = F + 1.  Arc a runs
+    to to[a] with residual capacity cap[a], a ^ 1 is its reverse, arcs[u]
+    lists u's arcs.  Flow goes greedily along each s -> i -> j -> t, then
+    by Dinic's blocking flows (BFS levels, a DFS keeping each node's next
+    arc) until t is out of reach.  Returns the value, the residual graph
+    and the functions s reaches in it, the least min cut's source side."""
+    s, t = len(mass), len(mass) + 1
+    num, den = 2 * best.numerator, 2 * best.denominator
+    g = [-den * m for m in mass]
+    to, cap, arcs = [], [], [[] for _ in range(t + 1)]
+    for i, j, w in group:
+        c = num * w
+        g[i] += c
+        g[j] += c
+        arcs[i].append(len(to))
+        arcs[j].append(len(to) + 1)
+        to += j, i
+        cap += c, c
+    rest = g[:]  # what is left of each g_i after the greedy pushes
+    for a in range(len(to)):
+        i, j = to[a ^ 1], to[a]
+        if rest[i] > 0 > rest[j]:  # push along s -> i -> j -> t
+            push = min(rest[i], cap[a], -rest[j])
+            rest[i], rest[j] = rest[i] - push, rest[j] + push
+            cap[a], cap[a ^ 1] = cap[a] - push, cap[a ^ 1] + push
+    for i, gi in enumerate(g):  # an arc s -> i if g_i > 0, else i -> t
+        u, v = (s, i) if gi > 0 else (i, t)
+        arcs[u].append(len(to))
+        arcs[v].append(len(to) + 1)
+        to += v, u
+        cap += abs(rest[i]), abs(gi - rest[i])
     while True:
-        parent = [-1] * (size + 2)
-        parent[s] = s
-        queue = [s]
+        level, queue = [-1] * s + [0, -1], [s]
         for u in queue:
-            row = res[u]
-            for v in adj[u]:
-                if parent[v] < 0 and row[v]:
-                    parent[v] = u
-                    queue.append(v)
-            if parent[t] >= 0:
+            for a in arcs[u]:
+                if cap[a] and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    queue.append(to[a])
+            if level[t] >= 0:
                 break
-        if parent[t] < 0:
-            return flow, res, adj, queue[1:]
-        path = []
-        v = t
-        while v != s:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(res[u][v] for u, v in path)
-        for u, v in path:
-            res[u][v] -= push
-            res[v][u] += push
-        flow += push
+        else:  # the value is what the arcs out of s have left
+            value = sum(cap[a] for a in arcs[s])
+            return value, (to, cap, arcs), set(queue[1:])
+        nxt, path, u = [0] * (s + 2), [], s
+        while u != s or nxt[s] < len(arcs[s]):
+            a = arcs[u][nxt[u]] if nxt[u] < len(arcs[u]) else None
+            if u == t:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                del path[next(k for k, a in enumerate(path) if not cap[a]):]
+                u = to[path[-1]] if path else s
+            elif a is not None and cap[a] and level[to[a]] == level[u] + 1:
+                path.append(a)
+                u = to[a]
+            else:  # a is of no use, or u is a dead end, left for good
+                if a is None:
+                    u = to[path.pop() ^ 1]
+                nxt[u] += 1
 
 
-def _closures(size: int, res: list, adj: list) -> list:
-    """The closure R(x), as a bitmask, of each function x that cannot
-    reach t in the residual graph: every function reachable from x."""
-    t = size + 1
-    reaches_t = [False] * (size + 2)
-    reaches_t[t] = True
-    queue = [t]
-    for v in queue:
-        for u in adj[v]:
-            if not reaches_t[u] and res[u][v]:
-                reaches_t[u] = True
-                queue.append(u)
-    out = [sum(1 << v for v in adj[u] if v < size and res[u][v])
-           for u in range(size)]
-    closure = {}  # x -> R(x), reused by every later search that meets x
-    for x in range(size):
-        if reaches_t[x]:
-            continue
-        seen = 1 << x
-        todo = [x]
-        for u in todo:
-            if u in closure:  # closed already: no member needs a search
-                seen |= closure[u]
-                continue
-            new = out[u] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                todo.append(low.bit_length() - 1)
-                new ^= low
-        closure[x] = seen
-    return list(closure.values())
+def _closures(size: int, to: list, cap: list, arcs: list) -> list:
+    """The distinct closures R(x) (all that x reaches, as a bitmask) of
+    the functions x that cannot reach t (bit size + 1) in the residual
+    graph.  One Tarjan pass from s, taken to lead to every function,
+    emits the strongly connected components sinks first, so a component's
+    closure is its members OR-ed with those of the components they reach."""
+    succ = [[to[a] for a in arcs[u] if cap[a] and to[a] != size]
+            for u in range(size)] + [list(range(size)), []]
+    index = [-1] * size + [0, -1]  # place on the stack, -1 before the visit
+    low, reach = [0] * (size + 2), [0] * (size + 2)
+    stack, calls = [size], [(size, iter(succ[size]))]
+    while calls:
+        u, todo = calls[-1]
+        for v in todo:
+            if index[v] < 0:
+                index[v] = low[v] = len(stack)
+                stack.append(v)
+                calls.append((v, iter(succ[v])))
+                break
+            if low[v] < low[u]:
+                low[u] = low[v]
+        else:
+            calls.pop()
+            if calls and low[u] < low[calls[-1][0]]:
+                low[calls[-1][0]] = low[u]
+            if low[u] == index[u]:
+                stack, members = stack[:index[u]], stack[index[u]:]
+                closure = sum(1 << v for v in members)
+                for v in members:
+                    for w in succ[v]:
+                        closure |= reach[w]
+                for v in members:
+                    low[v], reach[v] = size + 2, closure  # done: lowers no low
+    return [c for c in set(reach[:size]) if not c >> size]
 
 
 def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound:
@@ -220,25 +234,31 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound
     group is solved once.
 
     Dinkelbach's method keeps the running best ratio num/den as a
-    Fraction, starting from the whole family.  For a group, twice the largest
-    num * D_a(Z) - den * M(Z) is the sum of the positive g_i minus one s-t
-    min cut over Goldberg's densest-subgraph network: an arc i <-> j of
-    capacity 2 num r(i, j) for each pair that differs at the group's
-    points, and g_i, the sum of i's arc capacities minus 2 den M({i}), on
-    an arc s -> i or i -> t.  While that is positive, the source side Z of the least
-    min cut has M(Z)/D_a(Z) < num/den and becomes the new best.  All
-    capacities are integers.
+    Fraction, starting from the whole family.  For a group, twice the
+    largest num * D_a(Z) - den * M(Z) is the sum of the positive g_i less
+    one s-t min cut over Goldberg's densest-subgraph network: an arc
+    i <-> j of capacity 2 num r(i, j) for each pair that differs at the
+    group's points, and g_i, the sum of i's arc capacities minus
+    2 den M({i}), on an arc s -> i or i -> t.  While that is positive, the
+    source side Z of the least min cut has M(Z)/D_a(Z) < num/den and
+    becomes the new best.  All capacities are integers.
 
     A group whose largest value is 0 at the final ratio lam* has as its
     minimizers exactly the subsets of positive mass that are unions of
     closures R(x) in the residual graph, for the functions x that cannot
     reach t (a function of mass 0 is a closure of its own).  A group
-    checked only at an earlier, larger ratio has none.  The argmin is
-    the minimizer whose mask has the least inverse Gray code, its rank in
-    the sweep.  The rank's bits are fixed from the top, each 0 when some
-    group can still meet the mask bits fixed so far: the union U of its
-    closures that avoid every function forced out holds every function
-    forced in, and U has positive mass.
+    checked only at an earlier, larger ratio has none.  Any max flow will
+    do: in its residual graph the min cuts are exactly the sets holding s,
+    not t, and the head of each arc out of them (Picard & Queyranne, Math.
+    Programming Study 13, 1980), so the value, the least min cut and each
+    R(x) are fixed; at value 0 every s arc is full, and R(x) plus s is the
+    least such set that holds x.
+
+    The argmin is the minimizer whose mask has the least inverse Gray
+    code, its rank in the sweep.  The rank's bits are fixed from the top,
+    each 0 when some group can still meet the mask bits fixed so far:
+    the union U of its closures that avoid every function forced out
+    holds every function forced in, and U has positive mass.
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size)
@@ -248,35 +268,19 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound
     if not groups:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")
 
-    def cut(group):
-        """Twice the group's largest num D_a(Z) - den M(Z), the residual
-        graph and the source side of the least min cut, at num/den = best."""
-        num, den = best.numerator, best.denominator
-        g = [-2 * den * m for m in mass]
-        pairs = []
-        for i, j, w in group:
-            c = 2 * num * w
-            g[i] += c
-            g[j] += c
-            pairs.append((i, j, c))
-        flow, res, adj, side = _min_cut(size, pairs, g)
-        return sum(x for x in g if x > 0) - flow, res, adj, side
-
     best = Fraction(
         sum(mass), 2 * max(sum(w for *_, w in group) for group in groups))
     tied = []  # closures of each group whose largest value is 0 at best
     for group in groups:
-        value, res, adj, side = cut(group)
+        value, res, side = _min_cut(mass, group, best)
         if value:
             tied = []
         while value:
-            inside = set(side)
             best = Fraction(
                 sum(mass[i] for i in side),
-                2 * sum(w for i, j, w in group
-                        if i in inside and j in inside))
-            value, res, adj, side = cut(group)
-        tied.append(_closures(size, res, adj))
+                2 * sum(w for i, j, w in group if i in side and j in side))
+            value, res, side = _min_cut(mass, group, best)
+        tied.append(_closures(size, *res))
 
     positive = sum(1 << i for i in range(size) if mass[i])
 
@@ -284,8 +288,7 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound
         for closures in tied:
             union = 0
             for c in closures:
-                if not c & forced_out:
-                    union |= c
+                union |= 0 if c & forced_out else c
             if union & positive and not forced_in & ~union:
                 return True
         return False
@@ -295,13 +298,10 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound
     for k in reversed(range(size)):
         bit = 1 << k
         choices = ((forced_in, forced_out | bit), (forced_in | bit, forced_out))
-        # rank bit k is 0 when mask bit k equals the rank bit above it
-        if feasible(*choices[rank_bit]):
-            forced_in, forced_out = choices[rank_bit]
-            rank_bit = 0
-        else:
-            forced_in, forced_out = choices[1 - rank_bit]
-            rank_bit = 1
+        # rank bit k is mask bit k XOR the rank bit above it: 0 if it can be
+        mask_bit = rank_bit if feasible(*choices[rank_bit]) else 1 - rank_bit
+        forced_in, forced_out = choices[mask_bit]
+        rank_bit ^= mask_bit
     subset = tuple(i for i in range(size) if (forced_in >> i) & 1)
     return VariantBound(best, best / 100, subset)
 

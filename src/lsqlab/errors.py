@@ -18,7 +18,7 @@ CAPS = {  # routine -> default cap
     "edge_expansion_exact": 24,  # vertices
     "separation_number_exact": 14,  # vertices
     "min_congestion_oracle": 6,  # vertices
-    "variant_bound_exhaustive": 40,  # functions in the family
+    "variant_bound_exhaustive": 64,  # functions in the family
     "family_staircase": 10_000,  # functions materialized, 2 n^L
 }
 

@@ -155,7 +155,7 @@ def arrangement_violations(pa: Arrangement, g: Graph) -> list:
     if pa.cluster_of(pa.v_start) != 1:
         problems.append("v_start is not in cluster 1")
 
-    m = pa.m
+    m = min(pa.m, len(pa.clusters))  # P_k(i, j) needs clusters i and j
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             outside_visits = {}

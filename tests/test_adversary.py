@@ -355,14 +355,32 @@ def test_variant_bound_cap(monkeypatch):
         L.variant_bound_exhaustive(fam, rel)
 
 
-def test_variant_bound_default_cap_is_40_functions():
-    fam, rel = L.family_matrix_game(20)
-    assert L.variant_bound_exhaustive(fam, rel).min_ratio == Fraction(400, 39)
-    labels = (0, 1) * 20 + (0,)
+def test_variant_bound_default_cap_is_64_functions():
+    fam, rel = L.family_matrix_game(32)
+    assert L.variant_bound_exhaustive(fam, rel).min_ratio == Fraction(1024, 63)
+    labels = (0, 1) * 32 + (0,)
     big = FunctionFamily("big", (0,), tuple((lab,) for lab in labels), labels)
     big_rel = Relation.build(big, lambda i, j: int((i, j) == (0, 1)))
-    with pytest.raises(CapabilityError, match="size 41 exceeds"):
+    with pytest.raises(CapabilityError, match="size 65 exceeds"):
         L.variant_bound_exhaustive(big, big_rel)
+
+
+def test_variant_bound_staircase_values_beyond_the_packed_sweep(monkeypatch):
+    # F = 2 n^L up to 686 functions, against ROADMAP's baseline table; the
+    # argmin is Z_a, of size 2 (n-2)...(n-L)
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "variant_bound_exhaustive=686")
+    cases = [(L.ring_graph(n), 2,
+              Fraction((3 * n - 4) * (n - 1), n * n + n - 3))
+             for n in range(4, 11)]
+    cases += [(L.clique_graph(4), 3, Fraction(72, 65)),
+              (L.ring_graph(5), 3, Fraction(94, 67)),
+              (L.ring_graph(6), 3, Fraction(130, 79)),
+              (L.ring_graph(7), 3, Fraction(351, 190))]
+    for g, depth, ratio in cases:
+        fam, rel, _ = L.family_staircase(g, L.shortest_path_system(g), depth)
+        vb = L.variant_bound_exhaustive(fam, rel)
+        argmin_size = 2 * (g.n - 2) * (g.n - 3 if depth == 3 else 1)
+        assert (vb.min_ratio, len(vb.argmin)) == (ratio, argmin_size), fam.name
 
 
 def test_aaronson_matrix_game():

@@ -311,7 +311,7 @@ def test_cap_defaults():
         "edge_expansion_exact": 24,
         "separation_number_exact": 14,
         "min_congestion_oracle": 6,
-        "variant_bound_exhaustive": 40,
+        "variant_bound_exhaustive": 64,
         "family_staircase": 10_000,
     }
 

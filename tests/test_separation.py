@@ -60,6 +60,7 @@ def _broken(pa, m=None, clusters=None, paths=(), v_start=None, drop=()):
     ({"paths": {(1, 1, 2): (1, 7)}}, "P_1(1,2) does not end in cluster 2"),
     ({"paths": {(1, 1, 3): (1, 4, 7, 8)}},
      "P_1(1,3) interior vertex 7 inside a cluster"),
+    ({"m": 4}, "expected 4 clusters, found 3"),
 ])
 def test_arrangement_violation_kinds(nine_vertex_arrangement, change, message):
     g, pa = nine_vertex_arrangement
