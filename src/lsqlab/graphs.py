@@ -209,49 +209,18 @@ def cyclic_group(k: int) -> tuple:
     )
 
 
-def cayley_edges(group: Group, generators) -> set:
-    """Edge set {u, u*s} of the (right-multiplication) Cayley graph.
-
-    The generating set must exclude the identity and be closed under
-    inverse so that the graph is undirected.
-    """
-    n, inv, mul = group.order, group.inv, group.mul
-    gens = sorted(set(generators))
-    if not gens:
-        raise ValueError("empty generating set")
-    for s in gens:
-        if not (1 <= s <= n):
-            raise ValueError(f"generator {s} outside 1..{n}")
-        if s == 1:
-            raise ValueError("identity cannot be a generator")
-        if inv[s] not in gens:
-            raise ValueError("generating set is not closed under inverse")
-    edges = set()
-    for u in range(1, n + 1):
-        for s in gens:
-            v = mul(u, s)
-            edges.add((u, v) if u < v else (v, u))
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # Graph families
 # ---------------------------------------------------------------------------
 
 
-def hypercube_edges(dim: int) -> frozenset:
-    """Edge set of the dimension-dim hypercube on 1..2^dim: vertices whose
-    labels minus one differ in one bit."""
-    return frozenset((x + 1, (x | 1 << b) + 1)
-                     for x in range(1 << dim) for b in range(dim)
-                     if not x >> b & 1)
-
-
 def hypercube_graph(dim: int) -> Graph:
-    """Boolean hypercube of the given dimension; vertex v <-> bits of v-1."""
+    """Boolean hypercube of the given dimension; vertex v <-> bits of v-1.
+    It is the Cayley graph of XOR on dim bits, generated by the one-bit
+    strings, and carries that group."""
     if dim < 1:
         raise ValueError("hypercube dimension must be >= 1")
-    return Graph(1 << dim, hypercube_edges(dim))
+    return cayley_graph(XorGroup(1 << dim), [(1 << b) + 1 for b in range(dim)])
 
 
 def grid_edges(side: int) -> frozenset:
@@ -299,8 +268,25 @@ def barbell_graph(n: int) -> Graph:
 
 
 def cayley_graph(group: Group, generators) -> Graph:
-    """Cayley graph (right multiplication) of a group, carrying it."""
-    g = Graph(group.order, frozenset(cayley_edges(group, generators)))
+    """Cayley graph of a group, carrying it: the edges {u, u*s} for every
+    vertex u and generator s, each taken once, from its lower end.
+
+    The generating set must exclude the identity and be closed under
+    inverse so that the graph is undirected.
+    """
+    n, inv, mul = group.order, group.inv, group.mul
+    gens = sorted(set(generators))
+    if not gens:
+        raise ValueError("empty generating set")
+    for s in gens:
+        if not (1 <= s <= n):
+            raise ValueError(f"generator {s} outside 1..{n}")
+        if s == 1:
+            raise ValueError("identity cannot be a generator")
+        if inv[s] not in gens:
+            raise ValueError("generating set is not closed under inverse")
+    g = Graph(n, frozenset([(u, v) for u in range(1, n + 1) for s in gens
+                            if u < (v := mul(u, s))]))
     object.__setattr__(g, "group", group)
     return g
 
@@ -454,8 +440,12 @@ def bfs_distances(g: Graph, src: int) -> list:
 
 
 def graph_metrics(g: Graph) -> dict:
-    """Max degree and exact diameter (all-sources BFS)."""
-    diameter = max(max(bfs_distances(g, v)) for v in g.vertices())
+    """Max degree and exact diameter.  A graph that carries a group is its
+    Cayley graph, which left multiplication maps onto itself taking 1 to
+    any vertex, so one BFS from 1 gives the diameter; any other graph
+    takes a BFS from every vertex."""
+    sources = (1,) if g.group is not None else g.vertices()
+    diameter = max(max(bfs_distances(g, v)) for v in sources)
     return {"max_degree": g.max_degree, "diameter": diameter}
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
-from . import graphs
 from .errors import check_cap
 from .graphs import Graph, Group, XorGroup, bfs_tree, tree_path
 
@@ -282,11 +281,15 @@ def hypercube_path_system(g: Graph) -> TranslateTrees:
     parent clears the lowest set bit of w - 1: every path toggles the most
     significant differing bit first.  Congestion is exactly N*(1+dim/2).
 
-    g must be graphs.hypercube_graph(dim), or the one-vertex graph (dim 0).
+    g must be graphs.hypercube_graph(dim), or the one-vertex graph (dim 0),
+    built or read from a file.  It is recognized by its n = 2^dim vertices
+    and dim * n / 2 edges, each flipping one bit of v - 1: the hypercube's
+    edges are all such pairs, and there are that many of them.
     """
     n = g.n
     dim = n.bit_length() - 1
-    if n != 1 << dim or g.edges != graphs.hypercube_edges(dim):
+    if (n != 1 << dim or len(g.edges) != dim * n // 2
+            or any(((u - 1) ^ (v - 1)).bit_count() != 1 for u, v in g.edges)):
         raise ValueError("graph is not the canonical labelled hypercube")
     # parent[w] < w, so ascending ids list every vertex after its parent
     parent = [0, 0] + [((w - 1) & (w - 2)) + 1 for w in range(2, n + 1)]
@@ -303,7 +306,8 @@ def cayley_path_system(g: Graph) -> TranslateTrees:
     """
     if g.group is None:
         raise ValueError("graph carries no group: the cayley strategy needs "
-                         "--kind ring or --kind cayley --group FILE")
+                         "--kind ring, --kind hypercube or --kind cayley "
+                         "--group FILE")
     return TranslateTrees(g.n, bfs_tree(g, 1), g.group)
 
 

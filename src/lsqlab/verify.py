@@ -11,6 +11,7 @@ all sampled is skipped, neither passed nor failed, when the budget is 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -45,28 +46,24 @@ SUITES: dict = {}  # scope -> registered checks, in definition order
 
 
 def check(scope: str, name: str, samples: int | None = None,
-          sampled: bool = False, uses_memo: bool = False):
+          sampled: bool = False):
     """Register a check as scope/name.
 
     A check with a default samples budget is called as body(samples, seed),
     one without as body().  sampled=True skips the check at budget 0, where
-    it would examine no case.  uses_memo=True passes the body one more
-    argument, last: the memo dict run_verify shares among one run's checks,
-    or a fresh one.  The registered function keeps the (samples=None,
-    seed=0, memo=None) call form, None meaning the default budget, and
+    it would examine no case.  The registered function keeps the
+    (samples=None, seed=0) call form, None meaning the default budget, and
     returns a CheckResult.  Only Violation is caught.
     """
     default = samples
 
     def register(body):
-        def run(samples=None, seed=0, memo=None):
+        def run(samples=None, seed=0):
             budget = default if samples is None else samples
             if sampled and not budget:
                 return CheckResult(scope, name, False, "no case examined",
                                    skipped=True)
             args = () if default is None else (budget, seed)
-            if uses_memo:
-                args += ({} if memo is None else memo,)
             try:
                 detail = body(*args)
             except Violation as v:
@@ -294,31 +291,30 @@ def check_unique_local_minimum(samples, seed):
     _check_instances(cases())
 
 
-def _pair_weights(memo, n, L):
+@functools.cache
+def _pair_weights(n, L):
     """(size, r_v, r~_v) for the good instances of K_n at L, built once per
-    memo.  Each table is dense: table[v][i][j] is what the pair {i, j}
-    adds to the double sum of the weight over ordered member pairs at v
-    once i and j are both members, r(i, j) + r(j, i).  An instance is
-    never paired with itself, so table[v][i][i] is 0."""
-    key = ("pair_weights", n, L)
-    if key not in memo:
-        g = graphs.clique_graph(n)
-        ps = pathsystems.shortest_path_system(g)
-        insts = [staircase.make_instance(x, b, ps, g)
-                 for x in staircase.good_sequences(n, L) for b in (0, 1)]
-        size = len(insts)
-        r_v = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
-        r_tilde_v = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
-        for i, j in itertools.permutations(range(size), 2):
-            for v in range(1, n + 1):
-                _, rv, rtv = staircase.distinguishing_weights(
-                    v, insts[i], insts[j])
-                r_v[v][i][j] += rv
-                r_v[v][j][i] += rv
-                r_tilde_v[v][i][j] += rtv
-                r_tilde_v[v][j][i] += rtv
-        memo[key] = size, r_v, r_tilde_v
-    return memo[key]
+    run_verify call (which clears the cache) and only read.  Each table is
+    dense: table[v][i][j] is what the pair {i, j} adds to the double sum
+    of the weight over ordered member pairs at v once i and j are both
+    members, r(i, j) + r(j, i).  An instance is never paired with itself,
+    so table[v][i][i] is 0."""
+    g = graphs.clique_graph(n)
+    ps = pathsystems.shortest_path_system(g)
+    insts = [staircase.make_instance(x, b, ps, g)
+             for x in staircase.good_sequences(n, L) for b in (0, 1)]
+    size = len(insts)
+    r_v = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
+    r_tilde_v = [[[0] * size for _ in range(size)] for _ in range(n + 1)]
+    for i, j in itertools.permutations(range(size), 2):
+        for v in range(1, n + 1):
+            _, rv, rtv = staircase.distinguishing_weights(
+                v, insts[i], insts[j])
+            r_v[v][i][j] += rv
+            r_v[v][j][i] += rv
+            r_tilde_v[v][i][j] += rtv
+            r_tilde_v[v][j][i] += rtv
+    return size, r_v, r_tilde_v
 
 
 def _member_sum(table, members):
@@ -356,12 +352,12 @@ def _sweep_rv_twice_rtilde(n, L, size, r_v, r_tilde_v):
                                 f"{lhs[v]} > 2*{rhs[v]}")
 
 
-@check("staircase", "rv_twice_rtilde", samples=1000, uses_memo=True)
-def check_rv_twice_rtilde(samples, seed, memo):
+@check("staircase", "rv_twice_rtilde", samples=1000)
+def check_rv_twice_rtilde(samples, seed):
     """sum r_v <= 2 sum r~_v over subsets of good functions: every subset
     of the (4, 1), (4, 2) and (5, 1) instances, sampled ones at (5, 2)."""
     for n, L, exhaustive in ((4, 1, True), (4, 2, True), (5, 1, True), (5, 2, False)):
-        size, r_v, r_tilde_v = _pair_weights(memo, n, L)
+        size, r_v, r_tilde_v = _pair_weights(n, L)
         if exhaustive:
             _sweep_rv_twice_rtilde(n, L, size, r_v, r_tilde_v)
             continue
@@ -454,14 +450,14 @@ def check_tail_count_bound():
                                                 f"{actual} > {bound}")
 
 
-@check("staircase", "qz_bound", samples=300, sampled=True, uses_memo=True)
-def check_qz_bound(samples, seed, memo):
+@check("staircase", "qz_bound", samples=300, sampled=True)
+def check_qz_bound(samples, seed):
     """q(Z) <= |Z| * 6 * g * n^L on good-only subsets."""
     rng = random.Random(seed)
     for n, L in ((4, 1), (4, 2), (5, 1), (5, 2)):
         g_cong = pathsystems.congestion(pathsystems.shortest_path_system(
             graphs.clique_graph(n))).max_vertex
-        size, r_v, _ = _pair_weights(memo, n, L)
+        size, r_v, _ = _pair_weights(n, L)
         for _ in range(samples):
             mask = rng.getrandbits(size)
             members = [i for i in range(size) if (mask >> i) & 1]
@@ -628,12 +624,11 @@ def check_staircase_family():
 @check("solvers", "correctness", samples=100)
 def check_solver_correctness(samples, seed):
     rng = random.Random(seed)
-    cases = [("K6", graphs.clique_graph(6), None),
-             ("grid3", graphs.grid_graph(3), None),
+    cases = [("K6", graphs.clique_graph(6), "bfs"),
+             ("grid3", graphs.grid_graph(3), "bfs"),
              ("hypercube4", graphs.hypercube_graph(4), "hypercube")]
     for name, g, strat in cases:
-        ps = (pathsystems.hypercube_path_system(g) if strat == "hypercube"
-              else pathsystems.shortest_path_system(g))
+        ps = bench.build_path_system(g, strat)
         delta = g.max_degree
         for _ in range(max(1, samples // 3)):
             L = rng.randrange(1, min(4, g.n))
@@ -722,6 +717,7 @@ def run_verify(scope: str = "all", budget: int | None = None, seed: int = 0):
     else:
         raise ValueError(f"unknown scope {scope!r}; choose from "
                          f"{['all', *SUITES]}")
-    memo = {}
-    return [fn(samples=budget, seed=seed, memo=memo)
+    # a run reads tables built from the staircase functions it runs with
+    _pair_weights.cache_clear()
+    return [fn(samples=budget, seed=seed)
             for sc in scopes for fn in SUITES[sc]]

@@ -864,9 +864,10 @@ def test_cli_group_file_is_read_only_by_kind_cayley(monkeypatch, capsys,
                      "--strategy", "cayley"]) == 1
     assert capsys.readouterr().err == ("lsqlab paths: --graph FILE does not "
                                        "read --group\n")
+    # the hypercube is XOR's Cayley graph and carries that group
     assert cli_main(["paths", "--kind", "hypercube", "--dim", "3",
-                     "--strategy", "cayley"]) == 1
-    assert "lsqlab paths: graph carries no group" in capsys.readouterr().err
+                     "--strategy", "cayley"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_metrics_refuses_a_group_beside_a_graph(capsys, tmp_path):

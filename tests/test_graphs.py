@@ -123,7 +123,9 @@ def test_graph_carries_its_group():
     assert cayley.group is z5
     assert type(ring.group) is L.graphs.CyclicGroup and ring.group.order == 5
     assert ring == cayley and hash(ring) == hash(cayley)  # group not compared
-    for g in (L.hypercube_graph(2), L.grid_graph(2), L.clique_graph(4),
+    q3 = L.hypercube_graph(3)
+    assert type(q3.group) is L.graphs.XorGroup and q3.group.order == 8
+    for g in (L.grid_graph(2), L.clique_graph(4),
               L.barbell_graph(4), L.random_regular_graph(6, 3, 0),
               L.from_edges(2, [(1, 2)]), relabel(ring, {1: 1, 2: 3, 3: 2,
                                                         4: 4, 5: 5})):
@@ -139,6 +141,46 @@ def test_ring_is_the_explicit_cycle():
     for n in range(3, 13):
         cycle = {(i, i + 1) for i in range(1, n)} | {(1, n)}
         assert L.ring_graph(n).edges == cycle
+
+
+def test_hypercube_is_the_one_bit_pairs():
+    for dim in range(1, 9):
+        one_bit = {(x + 1, (x | 1 << b) + 1)
+                   for x in range(1 << dim) for b in range(dim)
+                   if not x >> b & 1}
+        assert L.hypercube_graph(dim).edges == one_bit
+
+
+def _all_source_diameter(g):
+    return max(max(L.bfs_distances(g, v)) for v in g.vertices())
+
+
+def test_cayley_diameter_from_one_source_matches_all_sources():
+    s3 = _symmetric_group_table(3)  # 2, 3 and 6 are its transpositions
+    z2z2 = direct_product_group(L.cyclic_group(2), L.cyclic_group(2))
+    cayleys = ([L.ring_graph(n) for n in range(3, 12)]
+               + [L.hypercube_graph(d) for d in range(1, 9)]
+               + [L.cayley_graph(L.TableGroup(s3), {2, 3, 6}),
+                  L.cayley_graph(L.TableGroup(z2z2), {2, 3})])
+    for g in cayleys:
+        assert g.group is not None
+        assert L.graph_metrics(g)["diameter"] == _all_source_diameter(g)
+
+
+def test_graph_metrics_runs_one_bfs_on_a_cayley_graph(monkeypatch):
+    calls = []
+    bfs = L.graphs.bfs_distances
+    monkeypatch.setattr(L.graphs, "bfs_distances",
+                        lambda g, v: calls.append(v) or bfs(g, v))
+    for g in (L.ring_graph(9), L.hypercube_graph(4)):
+        calls.clear()
+        L.graph_metrics(g)
+        assert calls == [1]
+    for g in (L.grid_graph(3), L.barbell_graph(6), relabel(L.ring_graph(9), {
+            v: v for v in range(1, 10)})):
+        calls.clear()
+        L.graph_metrics(g)
+        assert calls == list(g.vertices())
 
 
 def test_graph_rejects_malformed_edge_sets():

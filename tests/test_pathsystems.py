@@ -15,6 +15,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 import lsqlab as L
 from lsqlab import CapabilityError, pathsystems
+from lsqlab.cli import main as cli_main
 from lsqlab.graphs import CyclicGroup, XorGroup, bfs_tree, tree_path
 from lsqlab.pathsystems import (
     ORACLE_PATHS_PER_PAIR_CAP,
@@ -112,6 +113,39 @@ def test_hypercube_system_rejects_other_graphs():
 def test_one_vertex_path_systems():
     ps = L.hypercube_path_system(L.from_edges(1, []))
     assert ps.n == 1 and ps.table() == {(1, 1): (1,)}
+
+
+def test_hypercube_recognizer_accepts_gen_files(tmp_path):
+    # a graph read from a file carries no group; the recognizer reads edges
+    for dim in range(1, 6):
+        out = tmp_path / f"q{dim}.json"
+        assert cli_main(["gen", "--kind", "hypercube", "--dim", str(dim),
+                         "--out", str(out)]) == 0
+        g = L.serialize.load_graph(out)
+        assert g.group is None
+        assert_same_system(L.hypercube_path_system(g),
+                           L.hypercube_path_system(L.hypercube_graph(dim)))
+    assert L.hypercube_path_system(L.from_edges(1, [])).n == 1
+
+
+def test_hypercube_recognizer_rejects_a_two_bit_edge():
+    # Q3 with the one-bit edge 000-001 traded for the two-bit edge 000-011:
+    # same vertex and edge counts, still connected; and Q3 without it, all
+    # of whose edges flip one bit
+    one_bit = set(L.hypercube_graph(3).edges) - {(1, 2)}
+    for edges in (one_bit | {(1, 4)}, one_bit):
+        with pytest.raises(ValueError, match="canonical labelled hypercube"):
+            L.hypercube_path_system(L.Graph(8, frozenset(edges)))
+
+
+def test_cayley_system_on_hypercubes_matches_bit_fixing_congestion():
+    for dim in range(1, 7):
+        g = L.hypercube_graph(dim)
+        per = L.congestion(L.cayley_path_system(g)).per_vertex
+        assert set(per.values()) == {g.n * (2 + dim) // 2}
+    q2 = L.hypercube_graph(2)
+    g_star, _ = L.min_congestion_oracle(q2)
+    assert g_star == 8 == L.congestion(L.cayley_path_system(q2)).max_vertex
 
 
 def test_path_system_check_graph():
