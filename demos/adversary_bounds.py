@@ -13,9 +13,9 @@ import lsqlab as L
 print("Matrix game: k row matrices vs k column matrices, indicator relation")
 print("-" * 70)
 for k in (2, 3, 4):
-    fam, rel = L.family_matrix_game(k)
-    vb = L.variant_bound_exhaustive(fam, rel)
-    ab = L.aaronson_vmin(fam, rel)
+    fam = L.family_matrix_game(k)
+    vb = L.variant_bound_exhaustive(fam)
+    ab = L.aaronson_vmin(fam)
     closed = Fraction(k * k, 2 * k - 1)
     print(f"k={k}: |family|={fam.size}")
     print(f"  exact min M(Z)/q(Z) = {vb.min_ratio} "
@@ -31,7 +31,7 @@ print("at 1: on this family the subset method is strictly stronger.")
 print()
 
 print("Diagonal queries solve the game in at most k queries:")
-fam, _ = L.family_matrix_game(4)
+fam = L.family_matrix_game(4)
 idx = {cell: i for i, cell in enumerate(fam.domain)}
 for fi in (0, 5):
     label, queries = L.matrix_game_diagonal_solver(
@@ -44,13 +44,13 @@ print("Staircase family on K4 with L = 1 (8 functions)")
 print("-" * 70)
 g = L.clique_graph(4)
 ps = L.shortest_path_system(g)
-fam, rel, insts = L.family_staircase(g, ps, 1)
+fam, insts = L.family_staircase(g, ps, 1)
 for i, inst in enumerate(insts):
     tag = "good" if L.is_good(inst.milestones) else "bad "
     print(f"  F{i}: milestones {inst.milestones} bit {inst.bit} ({tag}) "
-          f"M({{F}}) = {L.big_m(fam, rel, [i])}")
-vb = L.variant_bound_exhaustive(fam, rel)
-ab = L.aaronson_vmin(fam, rel)
+          f"M({{F}}) = {L.big_m(fam, [i])}")
+vb = L.variant_bound_exhaustive(fam)
+ab = L.aaronson_vmin(fam)
 print(f"exact min M/q = {vb.min_ratio} at Z = {list(vb.argmin)}")
 print(f"subset-ratio bound {vb.bound}; v_min = {ab.v_min} "
       f"-> pairwise bound {ab.bound}")

@@ -62,19 +62,19 @@ print("=" * 70)
 
 for b in (1, 2, 3, 4):
     h = L.hypercube_graph(b)
-    got = L.congestion(L.hypercube_path_system(h)).max_vertex
+    got = L.congestion(L.hypercube_path_system(h))
     print(f"hypercube dim {b}: vertex congestion {got} "
           f"= N*(1 + dim/2) = {h.n}*{1 + b / 2}")
 
 z5 = L.TableGroup(L.cyclic_group(5))
 c5 = L.cayley_graph(z5, {2, 5})
-prof = L.congestion(L.cayley_path_system(c5))
+per_vertex = L.cayley_path_system(c5).vertex_counts()
 diam = L.graph_metrics(c5)["diameter"]
 print(f"C5 as a Cayley graph: every vertex has congestion "
-      f"{set(prof.per_vertex.values())}, bound (diam+1)*n = {(diam + 1) * 5}")
+      f"{set(per_vertex.values())}, bound (diam+1)*n = {(diam + 1) * 5}")
 
 for name, graph in (("K4", L.clique_graph(4)), ("C4", L.ring_graph(4))):
     g_star, _ = L.min_congestion_oracle(graph)
-    lex = L.congestion(L.shortest_path_system(graph)).max_vertex
+    lex = L.congestion(L.shortest_path_system(graph))
     print(f"{name}: optimal congestion {g_star} "
           f"(canonical shortest-path system achieves {lex})")

@@ -26,14 +26,12 @@ from .graphs import (
     separation_number_exact,
 )
 from .pathsystems import (
-    CongestionProfile,
     PathSystem,
     PathTable,
     cayley_path_system,
     congestion,
     hypercube_path_system,
     min_congestion_oracle,
-    num_paths_through,
     shortest_path_system,
 )
 from .staircase import (
@@ -63,7 +61,6 @@ from .separation import (
 )
 from .adversary import (
     FunctionFamily,
-    Relation,
     aaronson_vmin,
     big_m,
     big_q,

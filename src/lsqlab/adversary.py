@@ -6,7 +6,7 @@ M(Z) / (100 * q(Z)), where M(Z) sums r(F1, F2) over F1 in Z and F2 in the
 whole family, and q(Z) is the largest single-point distinguishing mass
 within Z.  Both double sums run over ordered pairs, so a symmetric pair
 contributes twice; this matches the matrix-game arithmetic.  Both bounds
-read r only on pairs with different labels, so a Relation holds just its
+read r only on pairs with different labels, so a family holds just its
 related pairs, and each reader works per point from the pairs that differ.
 
 The variant bound is found exactly without a subset sweep: one small
@@ -25,49 +25,39 @@ from fractions import Fraction
 from .errors import check_cap
 from .graphs import Graph
 from .pathsystems import PathSystem
-from .staircase import all_sequences, make_instance, relation_congestion
+from .staircase import all_sequences, is_good, make_instance, \
+    relation_congestion
 
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Finite functions over a shared finite domain, each labelled 0 or 1.
+    """Finite functions over a shared finite domain, each labelled 0 or 1,
+    with a symmetric integer relation over them.
 
     domain lists the query points; functions[i] is a tuple of answers
     aligned with domain; labels[i] is the hidden label of function i.
+    pairs holds the relation's related pairs (i, j, w): i < j, labels
+    that differ, w > 0, ascending in (i, j); any other pair weighs 0.
+    mass[i] is r(i, .) summed.
     """
 
     name: str
     domain: tuple
     functions: tuple
     labels: tuple
+    pairs: tuple = field(repr=False)
+    mass: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.domain)
         for f in self.functions:
             if len(f) != k:
                 raise ValueError("function table does not match the domain")
-        if len(self.labels) != len(self.functions):
+        size = len(self.functions)
+        if len(self.labels) != size:
             raise ValueError("labels must cover every function")
         if any(lab not in (0, 1) for lab in self.labels):
             raise ValueError("labels must be 0 or 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.functions)
-
-
-@dataclass(frozen=True)
-class Relation:
-    """A symmetric integer relation over functions with these labels, held
-    as its related pairs (i, j, w): i < j, w > 0, ascending in (i, j); any
-    other pair weighs 0.  Validated here, once.  mass[i] is r(i, .) summed."""
-
-    labels: tuple
-    pairs: tuple = field(repr=False)
-    mass: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        size = len(self.labels)
         mass = [0] * size
         last = (-1, -1)
         for i, j, w in self.pairs:
@@ -86,33 +76,29 @@ class Relation:
             raise ValueError("relation is identically zero")
         object.__setattr__(self, "mass", tuple(mass))
 
-    @staticmethod
-    def build(fam: FunctionFamily, weight_fn) -> "Relation":
-        pairs = ((i, j, weight_fn(i, j)) for i in range(fam.size)
-                 for j in range(i + 1, fam.size))
-        return Relation(fam.labels, tuple(p for p in pairs if p[2]))
+    @property
+    def size(self) -> int:
+        return len(self.functions)
 
 
-def _split_pairs(fam: FunctionFamily, rel: Relation) -> list:
-    """For each domain point, the related pairs (in rel.pairs order) whose
+def _split_pairs(fam: FunctionFamily) -> list:
+    """For each domain point, the related pairs (in fam.pairs order) whose
     two functions differ there."""
-    if rel.labels != fam.labels:
-        raise ValueError("relation labels do not match the family")
     f = fam.functions
-    return [[p for p in rel.pairs if f[p[0]][a] != f[p[1]][a]]
+    return [[p for p in fam.pairs if f[p[0]][a] != f[p[1]][a]]
             for a in range(len(fam.domain))]
 
 
-def big_m(fam: FunctionFamily, rel: Relation, z) -> int:
+def big_m(fam: FunctionFamily, z) -> int:
     """M(Z) = sum over F1 in Z, F2 in the whole family of r(F1, F2)."""
-    return sum(rel.mass[i] for i in z)
+    return sum(fam.mass[i] for i in z)
 
 
-def big_q(fam: FunctionFamily, rel: Relation, z) -> int:
+def big_q(fam: FunctionFamily, z) -> int:
     """q(Z) = max over domain points of the ordered distinguishing sum."""
     z = set(z)
     return max((2 * sum(w for i, j, w in differ if i in z and j in z)
-                for differ in _split_pairs(fam, rel)), default=0)
+                for differ in _split_pairs(fam)), default=0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,7 @@ def _closures(size: int, to: list, cap: list, arcs: list) -> list:
     return [c for c in set(reach[:size]) if not c >> size]
 
 
-def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound:
+def variant_bound_exhaustive(fam: FunctionFamily) -> VariantBound:
     """Exact min of M(Z)/q(Z) over all subsets with q(Z) > 0, and /100.
 
     The result is the optimum over all 2^F subsets, with the argmin that
@@ -262,8 +248,8 @@ def variant_bound_exhaustive(fam: FunctionFamily, rel: Relation) -> VariantBound
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size)
-    mass = rel.mass
-    groups = dict.fromkeys(map(tuple, _split_pairs(fam, rel)))
+    mass = fam.mass
+    groups = dict.fromkeys(map(tuple, _split_pairs(fam)))
     groups.pop((), None)
     if not groups:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")
@@ -312,20 +298,20 @@ class AaronsonBound:
     bound: Fraction
 
 
-def aaronson_vmin(fam: FunctionFamily, rel: Relation) -> AaronsonBound:
+def aaronson_vmin(fam: FunctionFamily) -> AaronsonBound:
     """v_min and 1/(5 v_min) of the original relational adversary over the
     label classes A (label 0) and B (label 1).
 
     theta is only evaluated at visited triples, i.e. related pairs that
     disagree at the queried point; the pair's own weight, positive in a
-    Relation, sits in both theta denominators, so neither can vanish there.
+    family, sits in both theta denominators, so neither can vanish there.
     Per point, each function's sum over the pairs that differ there is
     computed once, the thetas are compared as integer cross products and
     one Fraction is built at the end.
     """
-    mass = rel.mass
+    mass = fam.mass
     best_n, best_d = 0, 1  # every visited theta is positive
-    for differ in _split_pairs(fam, rel):
+    for differ in _split_pairs(fam):
         # away[i]: the weight between i and the functions that disagree
         # with it at this point
         away = [0] * fam.size
@@ -355,7 +341,8 @@ def family_matrix_game(k: int):
 
     Functions are the k row matrices (one row of 1s, label 0) followed by
     the k column matrices (one column of 2s, label 1); the domain is the
-    k^2 cells in row-major order.
+    k^2 cells in row-major order.  Each row and column are related with
+    weight 1: k^2 pairs.
     """
     if k < 2:
         raise ValueError("matrix game needs k >= 2")
@@ -368,17 +355,19 @@ def family_matrix_game(k: int):
     for j in range(1, k + 1):
         functions.append(tuple(2 if c == j else 0 for (_, c) in domain))
         labels.append(1)
-    fam = FunctionFamily("matrix_game", domain, tuple(functions), tuple(labels))
-    rel = Relation.build(fam, lambda i, j: int(fam.labels[i] != fam.labels[j]))
-    return fam, rel
+    pairs = tuple((i, k + j, 1) for i in range(k) for j in range(k))
+    return FunctionFamily("matrix_game", domain, tuple(functions),
+                          tuple(labels), pairs)
 
 
 def family_staircase(g: Graph, ps: PathSystem, L: int):
-    """Full staircase function family with its prefix-power relation.
+    """Full staircase function family with its prefix-power relation, and
+    the provenance instances aligned with the family's function order.
 
     Materializes all 2 * n^L hidden-bit functions, so the family size is
-    capped by errors.CAPS.  Also returns the provenance instances aligned
-    with the family's function order.
+    capped by errors.CAPS.  The relation weighs only pairs of good
+    sequences with opposite bits, so only those are passed to
+    relation_congestion.
     """
     if L < 0:
         raise ValueError(f"L: must be >= 0, got {L}")
@@ -395,17 +384,14 @@ def family_staircase(g: Graph, ps: PathSystem, L: int):
             instances.append(inst)
             functions.append(tuple(inst.oracle(v) for v in domain))
             labels.append(bit)
-    fam = FunctionFamily(f"staircase_n{n}_L{L}", domain,
-                         tuple(functions), tuple(labels))
-
-    def weight(i, j):
-        return relation_congestion(
-            instances[i].milestones, instances[i].bit,
-            instances[j].milestones, instances[j].bit, n,
-        )
-
-    rel = Relation.build(fam, weight)
-    return fam, rel, instances
+    good = [(i, f) for i, f in enumerate(instances) if is_good(f.milestones)]
+    pairs = tuple(
+        (i, j, relation_congestion(f.milestones, f.bit, h.milestones, h.bit, n))
+        for k, (i, f) in enumerate(good) for j, h in good[k + 1:]
+        if f.bit != h.bit)
+    fam = FunctionFamily(f"staircase_n{n}_L{L}", domain, tuple(functions),
+                         tuple(labels), pairs)
+    return fam, instances
 
 
 # ---------------------------------------------------------------------------

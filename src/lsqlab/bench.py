@@ -188,7 +188,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         sampler = lambda seed: sample_separation_instance(pa, cfg.c, seed)
     else:
         ps = build_path_system(cfg.graph, cfg.strategy)
-        g_cong = congestion(ps).max_vertex
+        g_cong = congestion(ps)
         sampler = lambda seed: sample_hard_instance(cfg.graph, ps, cfg.L, seed)
     rows = [row for t in range(cfg.trials)
             for row in _run_trial(cfg, sampler, delta, g_cong, t)]

@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import adversary, bench, graphs, pathsystems, serialize, \
-    solvers, staircase, verify
+from . import adversary, bench, graphs, serialize, solvers, staircase, \
+    verify
 from .errors import CapabilityError
 
 
@@ -100,12 +100,12 @@ def cmd_paths(args):
 
 def cmd_congestion(args):
     _, _, ps = _build_paths(args)
-    prof = pathsystems.congestion(ps)
+    per_vertex, per_edge = ps.vertex_counts(), ps.edge_counts()
     _emit(args, {
-        "max_vertex": prof.max_vertex,
-        "max_edge": prof.max_edge,
-        "per_vertex": {str(v): c for v, c in sorted(prof.per_vertex.items())},
-        "per_edge": {f"{u}-{v}": c for (u, v), c in sorted(prof.per_edge.items())},
+        "max_vertex": max(per_vertex.values()),
+        "max_edge": max(per_edge.values(), default=0),
+        "per_vertex": {str(v): c for v, c in sorted(per_vertex.items())},
+        "per_edge": {f"{u}-{v}": c for (u, v), c in sorted(per_edge.items())},
     })
     return 0
 
@@ -183,13 +183,13 @@ def _frac(x: Fraction) -> str:
 def cmd_adversary(args):
     if args.family == "matrix":
         _refuse_unread(args, (), "--family matrix")
-        fam, rel = adversary.family_matrix_game(args.k)
+        fam = adversary.family_matrix_game(args.k)
     else:
         _, g = _load_or_build_graph(args)
         ps = bench.build_path_system(g, args.strategy)
-        fam, rel, _ = adversary.family_staircase(g, ps, args.L)
-    vb = adversary.variant_bound_exhaustive(fam, rel)
-    ab = adversary.aaronson_vmin(fam, rel)
+        fam, _ = adversary.family_staircase(g, ps, args.L)
+    vb = adversary.variant_bound_exhaustive(fam)
+    ab = adversary.aaronson_vmin(fam)
     _emit(args, {
         "family": fam.name,
         "size": fam.size,

@@ -15,9 +15,12 @@ Three representations share the PathSystem interface:
                   the identity 1 in a graphs.Group: the group the graph
                   carries (the cayley strategy), or XOR on v - 1 (the
                   hypercube strategy).
+Every representation answers its own counts: vertex_counts() and
+edge_counts() (the per-vertex and per-edge memberships, with multiplicity)
+and paths_through(v) (per source u, the paths from u that contain v).
 Every built-in strategy is prefix-closed from each source, so the number of
-paths from u through v is the size of v's subtree in u's tree; congestion is
-counted from subtree sizes, never by walking n^2 paths.  The sizes come from
+paths from u through v is the size of v's subtree in u's tree; the counts
+come from subtree sizes, never from walking n^2 paths.  The sizes come from
 one reversed walk of an order that lists every vertex after its parent, such
 as bfs_tree's visit order; SourceTrees streams them one source at a time.
 """
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import add
 
 from .errors import check_cap
@@ -42,9 +44,9 @@ TREE_CACHE_ENTRIES = 1 << 22
 class PathSystem:
     """One simple path per ordered pair of 1..n; path(u, v) reads it.
 
-    Each representation supplies path, _vertex_counts and _edge_counts (the
-    per-vertex and per-edge membership counts of congestion) and _through
-    (the counts of num_paths_through).
+    Each representation supplies path and the counts: vertex_counts()
+    {v: paths containing v}, edge_counts() {(a, b): paths using edge
+    {a, b}, a < b} and paths_through(v) {u: paths from u containing v}.
     """
 
     n: int
@@ -94,14 +96,14 @@ class PathTable(PathSystem):
     def table(self) -> dict:
         return dict(self.paths)
 
-    def _vertex_counts(self) -> dict:
+    def vertex_counts(self) -> dict:
         per_vertex = dict.fromkeys(range(1, self.n + 1), 0)
         for p in self.paths.values():
             for v in p:
                 per_vertex[v] += 1
         return per_vertex
 
-    def _edge_counts(self) -> dict:
+    def edge_counts(self) -> dict:
         per_edge = {}
         for p in self.paths.values():
             for a, b in zip(p, p[1:]):
@@ -109,7 +111,7 @@ class PathTable(PathSystem):
                 per_edge[e] = per_edge.get(e, 0) + 1
         return per_edge
 
-    def _through(self, v: int) -> dict:
+    def paths_through(self, v: int) -> dict:
         counts = dict.fromkeys(range(1, self.n + 1), 0)
         for (u, _), p in self.paths.items():
             if v in p:
@@ -168,13 +170,13 @@ class SourceTrees(PathSystem):
         trees = self._trees
         return [*trees, *(u for u in range(1, self.n + 1) if u not in trees)]
 
-    def _vertex_counts(self) -> dict:
+    def vertex_counts(self) -> dict:
         load = [0] * (self.n + 1)
         for u in self._sources():
             load = list(map(add, load, self._tree(u)[1]))
         return {v: load[v] for v in range(1, self.n + 1)}
 
-    def _edge_counts(self) -> dict:
+    def edge_counts(self) -> dict:
         # up[w * (n + 1) + p]: size[w] summed over the trees in which p is
         # w's parent (p = 0 collects index 0 and the roots, unread).  Every
         # edge {a, b} is the tree edge above b in a's tree.
@@ -187,7 +189,7 @@ class SourceTrees(PathSystem):
         return {(a, b): up[a * n1 + b] + up[b * n1 + a]
                 for a, b in self.graph.edges}
 
-    def _through(self, v: int) -> dict:
+    def paths_through(self, v: int) -> dict:
         return dict(sorted((u, self._tree(u)[1][v]) for u in self._sources()))
 
 
@@ -202,6 +204,8 @@ class TranslateTrees(PathSystem):
     group: Group = field(repr=False)
     # patterns[w]: the base path to w as vertex - 1 per vertex
     patterns: tuple = field(init=False, repr=False, compare=False)
+    # size[w]: the base tree's subtree sizes, as _subtree_sizes gives them
+    size: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parent, order = self.base
@@ -209,19 +213,18 @@ class TranslateTrees(PathSystem):
         for w in order:
             patterns[w] = patterns[parent[w]] + (w - 1,)
         object.__setattr__(self, "patterns", tuple(patterns))
+        object.__setattr__(self, "size", _subtree_sizes(parent, order))
 
     def path(self, u: int, v: int) -> tuple:
         return self.group.translate(u, v, self.patterns)
 
-    def _vertex_counts(self) -> dict:
+    def vertex_counts(self) -> dict:
         # Every vertex lies on sum_w size[w] = sum_w (depth(w) + 1) paths.
-        return dict.fromkeys(range(1, self.n + 1),
-                             sum(_subtree_sizes(*self.base)[1:]))
+        return dict.fromkeys(range(1, self.n + 1), sum(self.size[1:]))
 
-    def _edge_counts(self) -> dict:
+    def edge_counts(self) -> dict:
         n, mul, inv = self.n, self.group.mul, self.group.inv
-        parent = self.base[0]
-        size = _subtree_sizes(*self.base)
+        parent, size = self.base[0], self.size
         # load[s]: subtree sizes summed over base edges (p, c) with p^-1 c = s;
         # edge {x, x*s} carries the translates of those run either way.
         load = {}
@@ -236,34 +239,9 @@ class TranslateTrees(PathSystem):
                     per_edge[(x, y)] = k + load[inv[s]]
         return per_edge
 
-    def _through(self, v: int) -> dict:
-        size = _subtree_sizes(*self.base)
-        mul, inv = self.group.mul, self.group.inv
+    def paths_through(self, v: int) -> dict:
+        size, mul, inv = self.size, self.group.mul, self.group.inv
         return {u: size[mul(inv[u], v)] for u in range(1, self.n + 1)}
-
-
-@dataclass(frozen=True, eq=False)
-class CongestionProfile:
-    """Per-vertex and per-edge membership counts plus their maxima; the
-    per-edge counts are taken from the system when first read."""
-
-    system: PathSystem = field(repr=False)
-    per_vertex: dict
-    max_vertex: int
-
-    @cached_property
-    def per_edge(self) -> dict:
-        return self.system._edge_counts()
-
-    @cached_property
-    def max_edge(self) -> int:
-        return max(self.per_edge.values(), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, CongestionProfile):
-            return NotImplemented
-        return ((self.per_vertex, self.max_vertex, self.per_edge)
-                == (other.per_vertex, other.max_vertex, other.per_edge))
 
 
 def shortest_path_system(g: Graph) -> SourceTrees:
@@ -316,15 +294,9 @@ def cayley_path_system(g: Graph) -> TranslateTrees:
 # ---------------------------------------------------------------------------
 
 
-def congestion(ps: PathSystem) -> CongestionProfile:
-    """Exact vertex and edge membership counts, with multiplicity."""
-    per_vertex = ps._vertex_counts()
-    return CongestionProfile(ps, per_vertex, max(per_vertex.values()))
-
-
-def num_paths_through(ps: PathSystem, v: int) -> dict:
-    """For each start vertex u, the number of paths from u that contain v."""
-    return ps._through(v)
+def congestion(ps: PathSystem) -> int:
+    """The vertex congestion g: the most paths that share one vertex."""
+    return max(ps.vertex_counts().values())
 
 
 # ---------------------------------------------------------------------------

@@ -164,9 +164,9 @@ def check_congestion_range():
         if g.n > 8:
             continue
         ps = pathsystems.shortest_path_system(g)
-        prof = pathsystems.congestion(ps)
-        if not (g.n <= prof.max_vertex <= g.n * g.n):
-            raise Violation(f"{name}: g={prof.max_vertex} outside [n, n^2]")
+        g_cong = pathsystems.congestion(ps)
+        if not (g.n <= g_cong <= g.n * g.n):
+            raise Violation(f"{name}: g={g_cong} outside [n, n^2]")
 
 
 @check("paths", "oracle_lower_bound")
@@ -174,8 +174,8 @@ def check_oracle_lower_bounds():
     for name, g in [("path3", graphs.from_edges(3, [(1, 2), (2, 3)])),
                     ("K4", graphs.clique_graph(4)), ("C4", graphs.ring_graph(4))]:
         g_star, opt_ps = pathsystems.min_congestion_oracle(g)
-        lex = pathsystems.congestion(pathsystems.shortest_path_system(g)).max_vertex
-        if pathsystems.congestion(opt_ps).max_vertex != g_star:
+        lex = pathsystems.congestion(pathsystems.shortest_path_system(g))
+        if pathsystems.congestion(opt_ps) != g_star:
             raise Violation(f"{name}: oracle system does not attain g*")
         if lex < g_star:
             raise Violation(f"{name}: shortest system beats the oracle")
@@ -191,13 +191,12 @@ def check_cayley_uniform():
     for name, group, gen_set in cases:
         g = graphs.cayley_graph(group, gen_set)
         ps = pathsystems.cayley_path_system(g)
-        prof = pathsystems.congestion(ps)
-        per = set(prof.per_vertex.values())
+        per = set(ps.vertex_counts().values())
         if len(per) != 1:
             raise Violation(f"{name}: non-uniform {per}")
         diam = graphs.graph_metrics(g)["diameter"]
-        if prof.max_vertex > (diam + 1) * g.n:
-            raise Violation(f"{name}: {prof.max_vertex} > (d+1)n")
+        if max(per) > (diam + 1) * g.n:
+            raise Violation(f"{name}: {max(per)} > (d+1)n")
 
 
 @check("paths", "hypercube_congestion")
@@ -206,7 +205,7 @@ def check_hypercube_congestion():
         g = graphs.hypercube_graph(b)
         ps = pathsystems.hypercube_path_system(g)
         expected = Fraction(g.n) * (1 + Fraction(b, 2))
-        got = pathsystems.congestion(ps).max_vertex
+        got = pathsystems.congestion(ps)
         if got != expected:
             raise Violation(f"dim {b}: {got} != {expected}")
 
@@ -228,10 +227,9 @@ def check_psi_identity():
     for name, g in [("path3", graphs.from_edges(3, [(1, 2), (2, 3)])),
                     ("K4", graphs.clique_graph(4)), ("grid2", graphs.grid_graph(2))]:
         ps = pathsystems.shortest_path_system(g)
-        prof = pathsystems.congestion(ps)
+        per_vertex = ps.vertex_counts()
         for v in g.vertices():
-            psi = pathsystems.num_paths_through(ps, v)
-            if sum(psi.values()) != prof.per_vertex[v]:
+            if sum(ps.paths_through(v).values()) != per_vertex[v]:
                 raise Violation(f"{name}: vertex {v}")
 
 
@@ -431,7 +429,7 @@ def check_tail_count_bound():
         gset = [graphs.clique_graph(n), graphs.ring_graph(n)]
         for g in gset:
             ps = pathsystems.shortest_path_system(g)
-            g_cong = pathsystems.congestion(ps).max_vertex
+            g_cong = pathsystems.congestion(ps)
             for L in (1, 2):
                 staircases = {y: staircase.build_staircase(y, ps)
                               for y in staircase.all_sequences(n, L)}
@@ -443,7 +441,7 @@ def check_tail_count_bound():
                                 if staircase.shared_prefix_length(x, y) == j
                                 and v in staircase.tail(j, s)
                             )
-                            psi = pathsystems.num_paths_through(ps, v)[x[j - 1]]
+                            psi = ps.paths_through(v)[x[j - 1]]
                             bound = staircase.tail_count_bound(psi, g_cong, n, L, j)
                             if actual > bound:
                                 raise Violation(f"n={n} L={L} x={x} j={j} v={v}: "
@@ -456,7 +454,7 @@ def check_qz_bound(samples, seed):
     rng = random.Random(seed)
     for n, L in ((4, 1), (4, 2), (5, 1), (5, 2)):
         g_cong = pathsystems.congestion(pathsystems.shortest_path_system(
-            graphs.clique_graph(n))).max_vertex
+            graphs.clique_graph(n)))
         size, r_v, _ = _pair_weights(n, L)
         for _ in range(samples):
             mask = rng.getrandbits(size)
@@ -550,20 +548,20 @@ def check_parameter_bound():
 def check_matrix_game_laws(samples, seed):
     rng = random.Random(seed)
     for k in (2, 3, 4):
-        fam, rel = adversary.family_matrix_game(k)
+        fam = adversary.family_matrix_game(k)
         closed_form = Fraction(k * k, 2 * k - 1)
-        vb = adversary.variant_bound_exhaustive(fam, rel)
+        vb = adversary.variant_bound_exhaustive(fam)
         if vb.min_ratio != closed_form:
             raise Violation(f"k={k}: min M/q {vb.min_ratio} != {closed_form}")
         for _ in range(samples):
             mask = rng.getrandbits(fam.size)
             z = [i for i in range(fam.size) if (mask >> i) & 1]
-            m = adversary.big_m(fam, rel, z)
+            m = adversary.big_m(fam, z)
             if m != len(z) * k:
                 raise Violation(f"k={k} Z={z}: M={m} != |Z|*k")
-            if adversary.big_q(fam, rel, z) > m:
+            if adversary.big_q(fam, z) > m:
                 raise Violation(f"k={k} Z={z}: q > M")
-        ab = adversary.aaronson_vmin(fam, rel)
+        ab = adversary.aaronson_vmin(fam)
         if ab.v_min != 1 or ab.bound != Fraction(1, 5):
             raise Violation(f"k={k}: aaronson {ab} != (1, 1/5)")
 
@@ -572,17 +570,15 @@ def check_matrix_game_laws(samples, seed):
 def check_proposition_stronger():
     """min M(Z)/q(Z) >= 1/(2 v_min) on the matrix game and the small
     staircase family."""
-    cases = []
-    for k in (2, 3, 4):
-        fam, rel = adversary.family_matrix_game(k)
-        cases.append((f"matrix k={k}", fam, rel))
+    cases = [(f"matrix k={k}", adversary.family_matrix_game(k))
+             for k in (2, 3, 4)]
     g = graphs.clique_graph(4)
     ps = pathsystems.shortest_path_system(g)
-    fam, rel, _ = adversary.family_staircase(g, ps, 1)
-    cases.append(("staircase n=4 L=1", fam, rel))
-    for name, fam, rel in cases:
-        vb = adversary.variant_bound_exhaustive(fam, rel)
-        ab = adversary.aaronson_vmin(fam, rel)
+    fam, _ = adversary.family_staircase(g, ps, 1)
+    cases.append(("staircase n=4 L=1", fam))
+    for name, fam in cases:
+        vb = adversary.variant_bound_exhaustive(fam)
+        ab = adversary.aaronson_vmin(fam)
         if vb.min_ratio < 1 / (2 * ab.v_min):
             raise Violation(f"{name}: {vb.min_ratio} < 1/(2*{ab.v_min})")
 
@@ -590,7 +586,7 @@ def check_proposition_stronger():
 @check("adversary", "diagonal_solver")
 def check_diagonal_solver():
     for k in range(2, 17):
-        fam, _ = adversary.family_matrix_game(k)
+        fam = adversary.family_matrix_game(k)
         cell_index = {cell: idx for idx, cell in enumerate(fam.domain)}
         for fi in range(fam.size):
             oracle = lambda cell: fam.functions[fi][cell_index[cell]]
@@ -603,15 +599,15 @@ def check_diagonal_solver():
 def check_staircase_family():
     g = graphs.clique_graph(4)
     ps = pathsystems.shortest_path_system(g)
-    fam, rel, insts = adversary.family_staircase(g, ps, 1)
+    fam, insts = adversary.family_staircase(g, ps, 1)
     if fam.size != 8:
         raise Violation(f"size {fam.size} != 8")
     for i, inst in enumerate(insts):
         if staircase.is_good(inst.milestones):
-            m = adversary.big_m(fam, rel, [i])
+            m = adversary.big_m(fam, [i])
             if m != 24:
                 raise Violation(f"good F{i}: M={m} != 24")
-    vb = adversary.variant_bound_exhaustive(fam, rel)
+    vb = adversary.variant_bound_exhaustive(fam)
     if vb.bound <= 0:
         raise Violation("bound not positive")
 

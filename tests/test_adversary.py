@@ -1,65 +1,71 @@
 """Exact adversary quantities on the matrix game and staircase families."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import lsqlab as L
 from lsqlab import CapabilityError
-from lsqlab.adversary import FunctionFamily, Relation
+from lsqlab.adversary import FunctionFamily
+
+
+def related_pairs(size, weight):
+    """The pairs (i, j, w) of a weight function r(i, j) over size
+    functions, i < j, with w != 0, ascending in (i, j)."""
+    return tuple((i, j, w) for i in range(size) for j in range(i + 1, size)
+                 if (w := weight(i, j)))
 
 
 def two_point_family():
-    """Two functions over a 1-point domain, differing there."""
-    fam = FunctionFamily("toy", (0,), ((0,), (1,)), (0, 1))
-    rel = Relation.build(fam, lambda i, j: 1)
-    return fam, rel
+    """Two related functions over a 1-point domain, differing there."""
+    return FunctionFamily("toy", (0,), ((0,), (1,)), (0, 1), ((0, 1, 1),))
 
 
 def test_big_m_examples():
-    fam, rel = L.family_matrix_game(4)
+    fam = L.family_matrix_game(4)
     row0 = [0]
-    assert L.big_m(fam, rel, row0) == 4
-    assert L.big_m(fam, rel, []) == 0
-    assert L.big_m(fam, rel, range(fam.size)) == 2 * 4 * 4
+    assert L.big_m(fam, row0) == 4
+    assert L.big_m(fam, []) == 0
+    assert L.big_m(fam, range(fam.size)) == 2 * 4 * 4
 
 
 def test_big_q_examples():
-    fam, rel = L.family_matrix_game(4)
-    assert L.big_q(fam, rel, [0, 4]) == 2  # one row + one column
-    assert L.big_q(fam, rel, [0, 1, 2]) == 0  # same label only
-    fam3, rel3 = L.family_matrix_game(3)
-    assert L.big_q(fam3, rel3, range(fam3.size)) == 2 * (2 * 3 - 1)
+    fam = L.family_matrix_game(4)
+    assert L.big_q(fam, [0, 4]) == 2  # one row + one column
+    assert L.big_q(fam, [0, 1, 2]) == 0  # same label only
+    fam3 = L.family_matrix_game(3)
+    assert L.big_q(fam3, range(fam3.size)) == 2 * (2 * 3 - 1)
 
 
 def test_q_at_most_m_everywhere():
-    fam, rel = L.family_matrix_game(3)
+    fam = L.family_matrix_game(3)
     for mask in range(1, 1 << fam.size):
         z = [i for i in range(fam.size) if (mask >> i) & 1]
-        assert L.big_q(fam, rel, z) <= L.big_m(fam, rel, z)
+        assert L.big_q(fam, z) <= L.big_m(fam, z)
 
 
 def test_matrix_game_m_law():
     for k in (2, 3, 4):
-        fam, rel = L.family_matrix_game(k)
+        fam = L.family_matrix_game(k)
         for mask in range(1 << fam.size):
             z = [i for i in range(fam.size) if (mask >> i) & 1]
-            assert L.big_m(fam, rel, z) == len(z) * k
+            assert L.big_m(fam, z) == len(z) * k
 
 
 def test_variant_bound_matrix_closed_form():
     for k in (2, 3, 4):
-        fam, rel = L.family_matrix_game(k)
-        vb = L.variant_bound_exhaustive(fam, rel)
+        fam = L.family_matrix_game(k)
+        vb = L.variant_bound_exhaustive(fam)
         assert vb.min_ratio == Fraction(k * k, 2 * k - 1)
         assert vb.bound == Fraction(k * k, 100 * (2 * k - 1))
-    fam3, rel3 = L.family_matrix_game(3)
-    vb3 = L.variant_bound_exhaustive(fam3, rel3)
+    fam3 = L.family_matrix_game(3)
+    vb3 = L.variant_bound_exhaustive(fam3)
     assert vb3.argmin == tuple(range(6))  # attained at the whole family
 
 
-def _variant_bound_reference(fam, rel):
+def _variant_bound_reference(fam):
     """(min M/q, argmin) by an independent Gray-code sweep that evaluates
     big_m and big_q on each subset and keeps the first strict minimum;
     None if no subset has q > 0."""
@@ -68,8 +74,8 @@ def _variant_bound_reference(fam, rel):
     for step in range(1, 1 << fam.size):
         members ^= step & -step
         z = [i for i in range(fam.size) if (members >> i) & 1]
-        q = L.big_q(fam, rel, z)
-        ratio = Fraction(L.big_m(fam, rel, z), q) if q else None
+        q = L.big_q(fam, z)
+        ratio = Fraction(L.big_m(fam, z), q) if q else None
         if ratio is not None and (best is None or ratio < best):
             best, argmin = ratio, tuple(z)
     return None if best is None else (best, argmin)
@@ -85,37 +91,37 @@ def _random_family(rng, max_weight=3):
     rng.shuffle(labels)
     functions = tuple(tuple(rng.randint(0, 2) for _ in range(npoints))
                       for _ in range(size))
-    fam = FunctionFamily("random", tuple(range(npoints)), functions,
-                         tuple(labels))
     weights = {(i, j): rng.randint(0, max_weight) for i in range(size)
                for j in range(i + 1, size) if labels[i] != labels[j]}
     first_pair = min(weights)
     weights[first_pair] = weights[first_pair] or 1
-    return fam, Relation.build(fam, lambda i, j: weights.get((i, j), 0))
+    return FunctionFamily("random", tuple(range(npoints)), functions,
+                          tuple(labels), related_pairs(
+                              size, lambda i, j: weights.get((i, j), 0)))
 
 
 def test_variant_bound_matches_direct_subset_sweep():
     # min_ratio and argmin against big_m/big_q evaluated on every subset
     g = L.clique_graph(4)
-    fam, rel, _ = L.family_staircase(g, L.shortest_path_system(g), 1)
-    cases = [L.family_matrix_game(2), L.family_matrix_game(3), (fam, rel)]
+    fam, _ = L.family_staircase(g, L.shortest_path_system(g), 1)
+    cases = [L.family_matrix_game(2), L.family_matrix_game(3), fam]
     rng = random.Random(8)
     cases += [_random_family(rng) for _ in range(150)]
     degenerate = 0
-    for fam, rel in cases:
-        ref = _variant_bound_reference(fam, rel)
+    for fam in cases:
+        ref = _variant_bound_reference(fam)
         if ref is None:
             degenerate += 1
             with pytest.raises(ValueError):
-                L.variant_bound_exhaustive(fam, rel)
+                L.variant_bound_exhaustive(fam)
             continue
-        vb = L.variant_bound_exhaustive(fam, rel)
+        vb = L.variant_bound_exhaustive(fam)
         assert (vb.min_ratio, vb.argmin) == ref
         assert vb.bound == ref[0] / 100
     assert 0 < degenerate < len(cases) // 2
 
 
-def _variant_bound_packed(fam, rel):
+def _variant_bound_packed(fam):
     """(min M/q, argmin) by a Gray-code sweep over packed integers, fast
     enough for 16 functions; None if no subset has q > 0.
 
@@ -131,7 +137,7 @@ def _variant_bound_packed(fam, rel):
     """
     size = fam.size
     npoints = len(fam.domain)
-    row_mass = rel.mass
+    row_mass = fam.mass
     total = sum(row_mass)
     width = total.bit_length() + 1
     field_mask = (1 << width) - 1
@@ -139,7 +145,7 @@ def _variant_bound_packed(fam, rel):
     high_bits = ones << (width - 1)
     fill = (1 << (width - 1)) - 1
     related = [[] for _ in range(size)]
-    for i, j, w in rel.pairs:
+    for i, j, w in fam.pairs:
         pts = [a for a in range(npoints)
                if fam.functions[i][a] != fam.functions[j][a]]
         if pts:
@@ -181,8 +187,6 @@ def _wide_random_family(rng):
     rng.shuffle(columns)
     labels = [0, 1] + [rng.randint(0, 1) for _ in range(size - 2)]
     rng.shuffle(labels)
-    fam = FunctionFamily("wide", tuple(range(len(columns))),
-                         tuple(zip(*columns)), tuple(labels))
     isolated = set(rng.sample(range(size), rng.randint(0, 3)))
     max_weight = rng.choice((1, 3, 2 ** 70))
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)
@@ -191,34 +195,39 @@ def _wide_random_family(rng):
         return _wide_random_family(rng)
     weights = {p: rng.randint(0, max_weight) for p in pairs}
     weights[pairs[0]] = weights[pairs[0]] or 1
-    return fam, lambda i, j: weights.get((i, j), 0)
+
+    def weight(i, j):
+        return weights.get((i, j), 0)
+
+    fam = FunctionFamily("wide", tuple(range(len(columns))),
+                         tuple(zip(*columns)), tuple(labels),
+                         related_pairs(size, weight))
+    return fam, weight
 
 
-def _coverage(seen, fam, rel):
+def _coverage(seen, fam):
     """Count the features of a wide family that the tests must meet."""
-    seen["mass 0"] += 0 in rel.mass
+    seen["mass 0"] += 0 in fam.mass
     seen["repeated point"] += len(set(zip(*fam.functions))) < len(fam.domain)
-    seen["past 2^64"] += max(w for *_, w in rel.pairs) >= 2 ** 64
+    seen["past 2^64"] += max(w for *_, w in fam.pairs) >= 2 ** 64
 
 
 def test_variant_bound_matches_packed_sweep_on_wide_families():
     rng = random.Random(19)
     seen = {"mass 0": 0, "repeated point": 0, "past 2^64": 0}
     for _ in range(24):
-        fam, weight = _wide_random_family(rng)
-        rel = Relation.build(fam, weight)
-        _coverage(seen, fam, rel)
-        vb = L.variant_bound_exhaustive(fam, rel)
-        assert (vb.min_ratio, vb.argmin) == _variant_bound_packed(fam, rel)
+        fam, _ = _wide_random_family(rng)
+        _coverage(seen, fam)
+        vb = L.variant_bound_exhaustive(fam)
+        assert (vb.min_ratio, vb.argmin) == _variant_bound_packed(fam)
     assert min(seen.values()) > 0, seen
 
 
 def test_packed_sweep_matches_direct_subset_sweep():
     rng = random.Random(20)
     for _ in range(60):
-        fam, rel = _random_family(rng, max_weight=rng.choice((1, 2 ** 70)))
-        assert _variant_bound_packed(fam, rel) == _variant_bound_reference(
-            fam, rel)
+        fam = _random_family(rng, max_weight=rng.choice((1, 2 ** 70)))
+        assert _variant_bound_packed(fam) == _variant_bound_reference(fam)
 
 
 def _dense(fam, weight):
@@ -237,16 +246,15 @@ def test_sparse_relation_matches_dense_double_sums():
     seen = {"mass 0": 0, "repeated point": 0, "past 2^64": 0}
     for _ in range(40):
         fam, weight = _wide_random_family(rng)
-        rel = Relation.build(fam, weight)
-        _coverage(seen, fam, rel)
+        _coverage(seen, fam)
         r, f, size = _dense(fam, weight), fam.functions, fam.size
         everyone, points = range(size), range(len(fam.domain))
         subsets = [everyone, []] + [rng.sample(everyone, rng.randint(1, size))
                                     for _ in range(20)]
         for z in subsets:
-            assert L.big_m(fam, rel, z) == sum(r[i][j] for i in z
-                                               for j in everyone)
-            assert L.big_q(fam, rel, z) == max(
+            assert L.big_m(fam, z) == sum(r[i][j] for i in z
+                                          for j in everyone)
+            assert L.big_q(fam, z) == max(
                 (sum(r[i][j] for i in z for j in z if f[i][a] != f[j][a])
                  for a in points), default=0)
 
@@ -259,10 +267,10 @@ def test_sparse_relation_matches_dense_double_sums():
                   for y in everyone if fam.labels[y] == 1 and r[x][y]
                   for a in points if f[x][a] != f[y][a]]
         if thetas:
-            assert L.aaronson_vmin(fam, rel).v_min == max(thetas)
+            assert L.aaronson_vmin(fam).v_min == max(thetas)
         else:
             with pytest.raises(ValueError, match="no distinguishing triple"):
-                L.aaronson_vmin(fam, rel)
+                L.aaronson_vmin(fam)
     assert min(seen.values()) > 0, seen
 
 
@@ -275,13 +283,14 @@ def test_sparse_relation_matches_dense_double_sums():
 ])
 def test_relation_rejects_malformed_pairs(pairs):
     with pytest.raises(ValueError, match=r"relation pair \(-?\d+, \d+\) must"):
-        Relation((0, 1, 0, 1), pairs)
+        FunctionFamily("toy", (0,), ((0,), (1,), (0,), (1,)), (0, 1, 0, 1),
+                       pairs)
 
 
 def test_variant_bound_matrix_closed_form_up_to_k12():
     for k in range(2, 13):
-        fam, rel = L.family_matrix_game(k)
-        vb = L.variant_bound_exhaustive(fam, rel)
+        fam = L.family_matrix_game(k)
+        vb = L.variant_bound_exhaustive(fam)
         assert vb.min_ratio == Fraction(k * k, 2 * k - 1)
         assert vb.argmin == tuple(range(2 * k))
 
@@ -292,14 +301,14 @@ def test_variant_bound_with_weights_beyond_64_bits():
     rng = random.Random(9)
     cases = [_random_family(rng, max_weight=2 ** 70) for _ in range(60)]
     # q(Z) = total exactly: both functions differ at every point
-    fam = FunctionFamily("far", (0, 1, 2), ((0, 0, 0), (1, 2, 1)), (0, 1))
-    cases.append((fam, Relation.build(fam, lambda i, j: 2 ** 64 + 1)))
+    cases.append(FunctionFamily("far", (0, 1, 2), ((0, 0, 0), (1, 2, 1)),
+                                (0, 1), ((0, 1, 2 ** 64 + 1),)))
     checked = 0
-    for fam, rel in cases:
-        ref = _variant_bound_reference(fam, rel)
+    for fam in cases:
+        ref = _variant_bound_reference(fam)
         if ref is None:
             continue
-        vb = L.variant_bound_exhaustive(fam, rel)
+        vb = L.variant_bound_exhaustive(fam)
         assert (vb.min_ratio, vb.argmin) == ref
         checked += 1
     assert checked > 40
@@ -311,19 +320,19 @@ def test_variant_bound_argmin_among_tied_ratios():
     rng = random.Random(10)
     tied = 0
     for _ in range(80):
-        fam, rel = _random_family(rng, max_weight=1)
-        ref = _variant_bound_reference(fam, rel)
+        fam = _random_family(rng, max_weight=1)
+        ref = _variant_bound_reference(fam)
         if ref is None:
             continue
         subsets = ([i for i in range(fam.size) if (mask >> i) & 1]
                    for mask in range(1, 1 << fam.size))
-        ratios = [Fraction(L.big_m(fam, rel, z), q) for z in subsets
-                  if (q := L.big_q(fam, rel, z))]
+        ratios = [Fraction(L.big_m(fam, z), q) for z in subsets
+                  if (q := L.big_q(fam, z))]
         tied += ratios.count(ref[0]) > 1
         for factor in (1, 3, 2 ** 66 + 1):
-            scaled = Relation(
-                rel.labels, tuple((i, j, factor * w) for i, j, w in rel.pairs))
-            vb = L.variant_bound_exhaustive(fam, scaled)
+            scaled = replace(
+                fam, pairs=tuple((i, j, factor * w) for i, j, w in fam.pairs))
+            vb = L.variant_bound_exhaustive(scaled)
             assert (vb.min_ratio, vb.argmin) == ref
     assert tied >= 20
 
@@ -331,38 +340,36 @@ def test_variant_bound_argmin_among_tied_ratios():
 def test_variant_bound_degenerate_families_raise():
     # no point separates two related functions, or there is no point
     same = FunctionFamily("same", (0, 1), ((0, 1), (0, 1), (0, 1)),
-                          (0, 1, 1))
-    empty = FunctionFamily("empty", (), ((), ()), (0, 1))
+                          (0, 1, 1), ((0, 1, 2 ** 70), (0, 2, 2 ** 70)))
+    empty = FunctionFamily("empty", (), ((), ()), (0, 1), ((0, 1, 2 ** 70),))
     for fam in (same, empty):
-        rel = Relation.build(
-            fam, lambda i, j: 2 ** 70 * (fam.labels[i] != fam.labels[j]))
-        assert _variant_bound_reference(fam, rel) is None
+        assert _variant_bound_reference(fam) is None
         with pytest.raises(ValueError, match="degenerate"):
-            L.variant_bound_exhaustive(fam, rel)
+            L.variant_bound_exhaustive(fam)
 
 
 def test_variant_bound_two_point_family():
-    fam, rel = two_point_family()
-    vb = L.variant_bound_exhaustive(fam, rel)
+    fam = two_point_family()
+    vb = L.variant_bound_exhaustive(fam)
     assert vb.min_ratio == 1
     assert vb.bound == Fraction(1, 100)
 
 
 def test_variant_bound_cap(monkeypatch):
-    fam, rel = L.family_matrix_game(4)
+    fam = L.family_matrix_game(4)
     monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "variant_bound_exhaustive=4")
     with pytest.raises(CapabilityError):
-        L.variant_bound_exhaustive(fam, rel)
+        L.variant_bound_exhaustive(fam)
 
 
 def test_variant_bound_default_cap_is_64_functions():
-    fam, rel = L.family_matrix_game(32)
-    assert L.variant_bound_exhaustive(fam, rel).min_ratio == Fraction(1024, 63)
+    fam = L.family_matrix_game(32)
+    assert L.variant_bound_exhaustive(fam).min_ratio == Fraction(1024, 63)
     labels = (0, 1) * 32 + (0,)
-    big = FunctionFamily("big", (0,), tuple((lab,) for lab in labels), labels)
-    big_rel = Relation.build(big, lambda i, j: int((i, j) == (0, 1)))
+    big = FunctionFamily("big", (0,), tuple((lab,) for lab in labels), labels,
+                         ((0, 1, 1),))
     with pytest.raises(CapabilityError, match="size 65 exceeds"):
-        L.variant_bound_exhaustive(big, big_rel)
+        L.variant_bound_exhaustive(big)
 
 
 def test_variant_bound_staircase_values_beyond_the_packed_sweep(monkeypatch):
@@ -377,39 +384,39 @@ def test_variant_bound_staircase_values_beyond_the_packed_sweep(monkeypatch):
               (L.ring_graph(6), 3, Fraction(130, 79)),
               (L.ring_graph(7), 3, Fraction(351, 190))]
     for g, depth, ratio in cases:
-        fam, rel, _ = L.family_staircase(g, L.shortest_path_system(g), depth)
-        vb = L.variant_bound_exhaustive(fam, rel)
+        fam, _ = L.family_staircase(g, L.shortest_path_system(g), depth)
+        vb = L.variant_bound_exhaustive(fam)
         argmin_size = 2 * (g.n - 2) * (g.n - 3 if depth == 3 else 1)
         assert (vb.min_ratio, len(vb.argmin)) == (ratio, argmin_size), fam.name
 
 
 def test_aaronson_matrix_game():
     for k in (2, 3, 4):
-        fam, rel = L.family_matrix_game(k)
-        ab = L.aaronson_vmin(fam, rel)
+        fam = L.family_matrix_game(k)
+        ab = L.aaronson_vmin(fam)
         assert ab.v_min == 1
         assert ab.bound == Fraction(1, 5)
 
 
 def test_aaronson_two_point():
-    fam, rel = two_point_family()
-    ab = L.aaronson_vmin(fam, rel)
+    fam = two_point_family()
+    ab = L.aaronson_vmin(fam)
     assert ab.v_min == 1
 
 
 def test_variant_vs_aaronson_constant_free():
     # min M/q grows with k while 1/v_min stays at 1
     for k in (2, 3, 4):
-        fam, rel = L.family_matrix_game(k)
-        vb = L.variant_bound_exhaustive(fam, rel)
-        ab = L.aaronson_vmin(fam, rel)
+        fam = L.family_matrix_game(k)
+        vb = L.variant_bound_exhaustive(fam)
+        ab = L.aaronson_vmin(fam)
         assert vb.min_ratio > 1 / ab.v_min
         assert vb.min_ratio >= 1 / (2 * ab.v_min)
 
 
 def test_row_and_column_matrices_differ_at_2k_minus_1_cells():
     for k in (2, 3, 4):
-        fam, _ = L.family_matrix_game(k)
+        fam = L.family_matrix_game(k)
         assert fam.size == 2 * k
         for i in range(k):
             for j in range(k, 2 * k):
@@ -420,40 +427,59 @@ def test_row_and_column_matrices_differ_at_2k_minus_1_cells():
 
 
 def test_relation_validation():
-    rel = Relation((0, 1, 1), ((0, 1, 2), (0, 2, 3)))
-    assert rel.mass == (5, 2, 3)
+    def toy(labels, pairs):
+        return FunctionFamily("toy", (0,), tuple((lab,) for lab in labels),
+                              labels, pairs)
+
+    fam = toy((0, 1, 1), ((0, 1, 2), (0, 2, 3)))
+    assert fam.mass == (5, 2, 3)
     with pytest.raises(ValueError, match="identically zero"):
-        Relation((0, 1), ())
+        toy((0, 1), ())
     with pytest.raises(ValueError, match="vanish on equal labels"):
-        Relation((0, 0), ((0, 1, 1),))
+        toy((0, 0), ((0, 1, 1),))
     with pytest.raises(ValueError, match="nonnegative"):
-        Relation((0, 1), ((0, 1, -1),))
+        toy((0, 1), ((0, 1, -1),))
     with pytest.raises(ValueError, match="relation pair"):
-        Relation((0, 1), ((0, 1, 0),))  # listed, but not related
-    # built from a weight function, the relation keeps only related pairs
-    fam = FunctionFamily("toy", (0,), ((0,), (1,), (1,)), (0, 1, 1))
-    built = Relation.build(fam, lambda i, j: {(0, 1): 2, (0, 2): 3}.get(
-        (i, j), 0))
-    assert built == rel and built.mass == rel.mass
+        toy((0, 1), ((0, 1, 0),))  # listed, but not related
+    # the relation is part of the family: other weights, another family
+    assert fam == toy((0, 1, 1), ((0, 1, 2), (0, 2, 3)))
+    assert fam != toy((0, 1, 1), ((0, 1, 2), (0, 2, 4)))
     for weight, message in ((-1, "nonnegative"), (0, "identically zero"),
                             (1, "vanish on equal labels")):
         with pytest.raises(ValueError, match=message):
-            Relation.build(fam, lambda i, j: weight)
+            toy((0, 1, 1), related_pairs(3, lambda i, j: weight))
 
 
 def test_family_staircase_small():
     g = L.clique_graph(4)
     ps = L.shortest_path_system(g)
-    fam, rel, insts = L.family_staircase(g, ps, 1)
+    fam, insts = L.family_staircase(g, ps, 1)
     assert fam.size == 8
     good = [i for i, inst in enumerate(insts) if L.is_good(inst.milestones)]
     assert len(good) == 6
     for i in good:
-        assert L.big_m(fam, rel, [i]) == 24
-    vb = L.variant_bound_exhaustive(fam, rel)
+        assert L.big_m(fam, [i]) == 24
+    vb = L.variant_bound_exhaustive(fam)
     assert vb.bound > 0
-    ab = L.aaronson_vmin(fam, rel)
+    ab = L.aaronson_vmin(fam)
     assert vb.min_ratio >= 1 / (2 * ab.v_min)
+
+
+def test_family_staircase_weighs_only_related_pairs(monkeypatch):
+    # the relation over all F(F-1)/2 pairs, from the weight on good pairs
+    # with opposite bits only: (n-1)...(n-L) good sequences squared
+    from lsqlab import adversary
+
+    g = L.ring_graph(5)
+    calls = []
+    weigh = adversary.relation_congestion
+    monkeypatch.setattr(adversary, "relation_congestion",
+                        lambda *args: calls.append(args) or weigh(*args))
+    fam, insts = L.family_staircase(g, L.shortest_path_system(g), 2)
+    assert len(calls) == (4 * 3) ** 2
+    assert fam.pairs == related_pairs(fam.size, lambda i, j: weigh(
+        insts[i].milestones, insts[i].bit, insts[j].milestones,
+        insts[j].bit, g.n))
 
 
 def test_family_staircase_rejects_negative_L():
@@ -461,7 +487,7 @@ def test_family_staircase_rejects_negative_L():
     ps = L.shortest_path_system(g)
     with pytest.raises(ValueError, match="L: must be >= 0, got -1"):
         L.family_staircase(g, ps, -1)
-    fam, _, _ = L.family_staircase(g, ps, 0)
+    fam, _ = L.family_staircase(g, ps, 0)
     assert (fam.name, fam.size) == ("staircase_n5_L0", 2)
 
 
@@ -475,7 +501,7 @@ def test_family_staircase_cap(monkeypatch):
 
 def test_diagonal_solver_examples():
     k = 4
-    fam, _ = L.family_matrix_game(k)
+    fam = L.family_matrix_game(k)
     idx = {cell: i for i, cell in enumerate(fam.domain)}
 
     def oracle_for(fi):
@@ -501,15 +527,10 @@ def test_diagonal_solver_rejects_corrupt_oracle():
 def test_aaronson_requires_distinguishing_triple():
     # a related pair with different labels that agree at every point
     # leaves no triple to evaluate over the full label classes
-    fam = FunctionFamily("gap", (0, 1), ((0, 1), (0, 1), (1, 1)), (0, 1, 1))
-    rel = Relation.build(fam, lambda i, j: int((i, j) == (0, 1)))
+    gap = ("gap", (0, 1), ((0, 1), (0, 1), (1, 1)), (0, 1, 1))
     with pytest.raises(ValueError, match="no distinguishing triple"):
-        L.aaronson_vmin(fam, rel)
+        L.aaronson_vmin(FunctionFamily(*gap, ((0, 1, 1),)))
     # a negative weight could cancel a visited pair's own weight in a theta
-    # denominator; a Relation that holds one cannot be constructed
+    # denominator; a family that holds one cannot be constructed
     with pytest.raises(ValueError, match="nonnegative"):
-        Relation(fam.labels, ((0, 1, 1), (0, 2, -1)))
-    # a relation over other labels is not the family's
-    other = Relation((0, 1, 0), ((0, 1, 1),))
-    with pytest.raises(ValueError, match="labels do not match"):
-        L.aaronson_vmin(fam, other)
+        FunctionFamily(*gap, ((0, 1, 1), (0, 2, -1)))

@@ -329,7 +329,7 @@ def test_one_cap_entry_leaves_the_others_at_their_defaults(monkeypatch, capsys):
     assert cli_main(["adversary", "--family", "matrix", "--k", "4"]) == 0
     capsys.readouterr()
     g = L.clique_graph(4)
-    fam, _, _ = L.family_staircase(g, L.shortest_path_system(g), 2)
+    fam, _ = L.family_staircase(g, L.shortest_path_system(g), 2)
     assert fam.size == 32
 
 
@@ -770,15 +770,59 @@ ADVERSARY_SHA256 = {
     ("--family", "staircase", "--kind", "ring", "--n", "8", "--L", "1",
      "--strategy", "cayley"):
         "63fe9a38ac4b001cce3dd64ca7ef4040b71d5a95cf6c01368533e6f4cfb0bf92",
+    ("--family", "staircase", "--kind", "clique", "--n", "5", "--L", "2"):
+        "b714d0499e6b2cf7bd2bd67216beb37b10b6edc2a0bb041a98dffcba1b35f361",
+    ("--family", "staircase", "--kind", "hypercube", "--dim", "3", "--L", "1",
+     "--strategy", "hypercube"):
+        "63fe9a38ac4b001cce3dd64ca7ef4040b71d5a95cf6c01368533e6f4cfb0bf92",
 }
 
 
 @pytest.mark.parametrize("args, digest", list(ADVERSARY_SHA256.items()),
-                         ids=["matrix-k8", "ring8-bfs", "ring8-cayley"])
+                         ids=["matrix-k8", "ring8-bfs", "ring8-cayley",
+                              "clique5-L2", "q3-hypercube"])
 def test_adversary_report_bytes_pinned(tmp_path, args, digest):
     out = tmp_path / "a.json"
     assert cli_main(["adversary", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `congestion` stdout, one case per path-system representation;
+# TWO_CYCLE and PATHS_FILE stand for files the test writes.
+TWO_CYCLE, PATHS_FILE = "two_cycle.json", "p.json"
+CONGESTION_SHA256 = {
+    ("--kind", "ring", "--n", "9", "--strategy", "bfs"):
+        "6cd6094784805a68eb07d97260035d2d71e2f3f2290c05ae3f26fcbf888750e6",
+    ("--graph", TWO_CYCLE, "--strategy", "bfs"):
+        "725c26be48473ef1698bd3d1ee5b726ffc4bd343d2bce82a7496737c73053a53",
+    ("--kind", "ring", "--n", "8", "--strategy", "cayley"):
+        "ca76349f14d9867b3ff44b7b07e8c2e201573a2000bba40e0ac8b77557b24b6c",
+    ("--kind", "hypercube", "--dim", "3", "--strategy", "hypercube"):
+        "3dc2cf014329ee39146d3ffc56df989fb666f6eaeab74f2207c243a79a04cd1e",
+    ("--kind", "hypercube", "--dim", "3", "--strategy", "cayley"):
+        "3dc2cf014329ee39146d3ffc56df989fb666f6eaeab74f2207c243a79a04cd1e",
+    ("--kind", "ring", "--n", "5", "--strategy", "brute"):
+        "49f1a2e2d40fb88353a4901903c6a0b283a61e9bfdd3b220b98c66cd2913f796",
+    # the bfs system of TWO_CYCLE, read back from a paths file
+    ("--graph", TWO_CYCLE, "--paths", PATHS_FILE):
+        "725c26be48473ef1698bd3d1ee5b726ffc4bd343d2bce82a7496737c73053a53",
+}
+
+
+@pytest.mark.parametrize("args, digest", list(CONGESTION_SHA256.items()),
+                         ids=["ring9-bfs", "two-cycle-bfs", "ring8-cayley",
+                              "q3-hypercube", "q3-cayley", "ring5-brute",
+                              "paths-file"])
+def test_congestion_stdout_pinned(tmp_path, monkeypatch, capsys, args, digest):
+    monkeypatch.chdir(tmp_path)
+    Path(TWO_CYCLE).write_text(json.dumps({"n": 6, "edges": [
+        [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6], [1, 4], [2, 5]]}))
+    assert cli_main(["paths", "--graph", TWO_CYCLE, "--strategy", "bfs",
+                     "--out", PATHS_FILE]) == 0
+    capsys.readouterr()
+    assert cli_main(["congestion", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_solve_rejects_instance_bit_outside_0_1(tmp_path):

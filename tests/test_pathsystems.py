@@ -50,9 +50,8 @@ def test_shortest_system_k4():
         for v in g.vertices():
             if u != v:
                 assert ps.path(u, v) == (u, v)
-    prof = L.congestion(ps)
-    assert prof.max_vertex == 7  # trivial path + 2(n-1) endpoint memberships
-    assert prof.max_edge == 2
+    assert L.congestion(ps) == 7  # trivial path + 2(n-1) endpoint memberships
+    assert max(ps.edge_counts().values()) == 2
 
 
 def test_congestion_counts_edges_only_when_read(monkeypatch):
@@ -62,22 +61,19 @@ def test_congestion_counts_edges_only_when_read(monkeypatch):
                    L.cayley_graph(L.TableGroup(L.cyclic_group(5)), {2, 5})),
                PathTable(5, L.shortest_path_system(g).table())):
         calls = []
-        edge_counts = type(ps)._edge_counts
-        monkeypatch.setattr(type(ps), "_edge_counts",
+        edge_counts = type(ps).edge_counts
+        monkeypatch.setattr(type(ps), "edge_counts",
                             lambda self: calls.append(self) or edge_counts(self))
-        prof = L.congestion(ps)
-        assert prof.max_vertex == 11 and calls == []
-        assert prof.max_edge == 6 and prof.per_edge[(1, 2)] == 6
+        assert L.congestion(ps) == 11 and calls == []
+        per_edge = ps.edge_counts()
+        assert max(per_edge.values()) == 6 and per_edge[(1, 2)] == 6
         assert calls == [ps]
-        prof.per_edge
-        assert calls == [ps]  # counted once
 
 
 def test_shortest_system_path3_middle_vertex():
     ps = L.shortest_path_system(path3())
     assert ps.path(1, 3) == (1, 2, 3)
-    prof = L.congestion(ps)
-    assert prof.per_vertex[2] == 7
+    assert ps.vertex_counts()[2] == 7
 
 
 def test_trivial_paths_are_singletons():
@@ -90,7 +86,7 @@ def test_trivial_paths_are_singletons():
 def test_hypercube_congestion_formula():
     for b in (1, 2, 3, 4):
         g = L.hypercube_graph(b)
-        got = L.congestion(L.hypercube_path_system(g)).max_vertex
+        got = L.congestion(L.hypercube_path_system(g))
         assert 2 * got == g.n * (2 + b)
 
 
@@ -141,11 +137,11 @@ def test_hypercube_recognizer_rejects_a_two_bit_edge():
 def test_cayley_system_on_hypercubes_matches_bit_fixing_congestion():
     for dim in range(1, 7):
         g = L.hypercube_graph(dim)
-        per = L.congestion(L.cayley_path_system(g)).per_vertex
+        per = L.cayley_path_system(g).vertex_counts()
         assert set(per.values()) == {g.n * (2 + dim) // 2}
     q2 = L.hypercube_graph(2)
     g_star, _ = L.min_congestion_oracle(q2)
-    assert g_star == 8 == L.congestion(L.cayley_path_system(q2)).max_vertex
+    assert g_star == 8 == L.congestion(L.cayley_path_system(q2))
 
 
 def test_path_system_check_graph():
@@ -161,17 +157,17 @@ def test_path_system_check_graph():
 def test_cayley_system_examples():
     z5 = L.TableGroup(L.cyclic_group(5))
     g5 = L.cayley_graph(z5, {2, 5})
-    prof = L.congestion(L.cayley_path_system(g5))
-    assert set(prof.per_vertex.values()) == {11}
-    assert prof.max_vertex <= (L.graph_metrics(g5)["diameter"] + 1) * 5
+    ps5 = L.cayley_path_system(g5)
+    assert set(ps5.vertex_counts().values()) == {11}
+    assert L.congestion(ps5) <= (L.graph_metrics(g5)["diameter"] + 1) * 5
 
     z2 = L.TableGroup(L.cyclic_group(2))
     g2 = L.cayley_graph(z2, {2})
-    assert L.congestion(L.cayley_path_system(g2)).max_vertex == 3
+    assert L.congestion(L.cayley_path_system(g2)) == 3
 
     z4 = L.TableGroup(L.cyclic_group(4))
     g4 = L.cayley_graph(z4, {2, 4})
-    per = L.congestion(L.cayley_path_system(g4)).per_vertex
+    per = L.cayley_path_system(g4).vertex_counts()
     assert len(set(per.values())) == 1
 
 
@@ -220,10 +216,9 @@ def test_cayley_system_nonabelian():
         assert p[0] == u and p[-1] == v
         for a, b in zip(p, p[1:]):
             assert g.has_edge(a, b)
-    prof = L.congestion(ps)
-    assert len(set(prof.per_vertex.values())) == 1
+    assert len(set(ps.vertex_counts().values())) == 1
     diam = L.graph_metrics(g)["diameter"]
-    assert prof.max_vertex <= (diam + 1) * g.n
+    assert L.congestion(ps) <= (diam + 1) * g.n
 
 
 def test_oracle_matches_full_brute_force_on_c4():
@@ -246,17 +241,16 @@ def test_oracle_matches_full_brute_force_on_c4():
 
 def test_star_center_congestion():
     star = L.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-    prof = L.congestion(L.shortest_path_system(star))
-    assert prof.per_vertex[1] == 13
+    assert L.shortest_path_system(star).vertex_counts()[1] == 13
 
 
 def test_psi_examples():
     ps = L.shortest_path_system(path3())
-    psi2 = L.num_paths_through(ps, 2)
+    psi2 = ps.paths_through(2)
     assert psi2 == {1: 2, 2: 3, 3: 2}
 
     k4 = L.shortest_path_system(L.clique_graph(4))
-    psi1 = L.num_paths_through(k4, 1)
+    psi1 = k4.paths_through(1)
     assert psi1[1] == 4
     assert all(psi1[u] == 1 for u in (2, 3, 4))
 
@@ -264,16 +258,15 @@ def test_psi_examples():
 def test_psi_sums_to_vertex_congestion():
     for g in (path3(), L.clique_graph(4), L.grid_graph(2)):
         ps = L.shortest_path_system(g)
-        prof = L.congestion(ps)
+        per_vertex = ps.vertex_counts()
         for v in g.vertices():
-            assert sum(L.num_paths_through(ps, v).values()) == prof.per_vertex[v]
+            assert sum(ps.paths_through(v).values()) == per_vertex[v]
 
 
 def test_congestion_range_small_graphs():
     for g in (L.clique_graph(5), L.ring_graph(7), L.grid_graph(2),
               L.hypercube_graph(3)):
-        prof = L.congestion(L.shortest_path_system(g))
-        assert g.n <= prof.max_vertex <= g.n * g.n
+        assert g.n <= L.congestion(L.shortest_path_system(g)) <= g.n * g.n
 
 
 def test_oracle_path3_unique_system():
@@ -286,15 +279,15 @@ def test_oracle_k4_direct_edges_optimal():
     g = L.clique_graph(4)
     g_star, _ = L.min_congestion_oracle(g)
     assert g_star == 7
-    assert L.congestion(L.shortest_path_system(g)).max_vertex == g_star
+    assert L.congestion(L.shortest_path_system(g)) == g_star
 
 
 def test_oracle_c4_beats_or_ties_lexicographic():
     g = L.ring_graph(4)
     g_star, ps = L.min_congestion_oracle(g)
-    lex = L.congestion(L.shortest_path_system(g)).max_vertex
+    lex = L.congestion(L.shortest_path_system(g))
     assert g_star <= lex
-    assert L.congestion(ps).max_vertex == g_star
+    assert L.congestion(ps) == g_star
 
 
 def test_oracle_cap():
@@ -333,10 +326,10 @@ def assert_same_system(ps, ref):
     vs = range(1, ref.n + 1)
     assert ps.n == ref.n
     assert all(ps.path(u, v) == ref.path(u, v) for u in vs for v in vs)
-    assert L.congestion(ps) == L.congestion(ref)
-    assert L.congestion(ps).max_edge == L.congestion(ref).max_edge
+    assert ps.vertex_counts() == ref.vertex_counts()
+    assert ps.edge_counts() == ref.edge_counts()
     for v in vs:
-        assert L.num_paths_through(ps, v) == L.num_paths_through(ref, v)
+        assert ps.paths_through(v) == ref.paths_through(v)
 
 
 @settings(deadline=None)
@@ -359,25 +352,52 @@ def test_source_trees_match_a_table_of_their_paths(g, trees):
         assert len(ps._trees) <= (g.n if trees is None else trees)
 
 
-def test_congestion_streams_source_trees(monkeypatch):
+def test_congestion_streams_source_trees(monkeypatch, capsys):
     # Holding all 1024 trees peaks near 16 MiB.
     g = L.random_regular_graph(1024, 3, 1)
     monkeypatch.setattr(pathsystems, "TREE_CACHE_ENTRIES", 8 * 2 * (g.n + 1))
-    tracemalloc.start()
-    try:
-        prof = L.congestion(L.shortest_path_system(g))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ps = L.shortest_path_system(g)
+    counts = []
+    vertex_counts = pathsystems.SourceTrees.vertex_counts
+
+    def recorded(self):
+        counts.append(vertex_counts(self))
+        return counts[-1]
+
+    def edge_counts(self):
+        raise AssertionError("congestion counted edges")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(pathsystems.SourceTrees, "vertex_counts", recorded)
+        mp.setattr(pathsystems.SourceTrees, "edge_counts", edge_counts)
+        tracemalloc.start()
+        try:
+            g_cong = L.congestion(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 2 << 20
+    [per_vertex] = counts
+    assert g_cong == max(per_vertex.values())
     # the edge pass reuses the 8 trees the vertex pass left cached
     built = []
     monkeypatch.setattr(pathsystems, "bfs_tree",
                         lambda g, u: built.append(u) or bfs_tree(g, u))
-    assert prof.max_edge > 0 and len(built) == g.n - 8
-    # every path from u to v holds dist(u, v) + 1 vertices
-    assert sum(prof.per_vertex.values()) == sum(
+    per_edge = ps.edge_counts()
+    assert len(built) == g.n - 8
+    # every path from u to v holds dist(u, v) + 1 vertices and dist(u, v)
+    # edges
+    assert sum(per_vertex.values()) == sum(
         sum(L.bfs_distances(g, u)[1:]) + g.n for u in g.vertices())
+    assert sum(per_edge.values()) == sum(per_vertex.values()) - g.n ** 2
+    # the congestion command streams twice, once per count: its max_vertex
+    # is read from the per_vertex it prints, not from a third stream
+    monkeypatch.setattr(pathsystems, "TREE_CACHE_ENTRIES", 8 * 2 * (64 + 1))
+    built.clear()
+    assert cli_main(["congestion", "--kind", "ring", "--n", "64"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(built) == 2 * 64 - 8 and set(built) == set(range(1, 65))
+    assert out["max_vertex"] == max(out["per_vertex"].values())
 
 
 def _all_connected_graphs(n):
@@ -422,7 +442,7 @@ def test_oracle_two_cycle_graph_seed3():
     g = two_cycle_graph(6, random.Random(3))
     g_star, ps = L.min_congestion_oracle(g)
     assert g_star == 14
-    assert L.congestion(ps).max_vertex == 14
+    assert L.congestion(ps) == 14
     ps.check_graph(g)
 
 
@@ -451,7 +471,7 @@ def test_oracle_meets_the_set_load_lower_bound_on_two_cycle_graphs():
         g = two_cycle_graph(6, random.Random(seed))
         g_star, ps = L.min_congestion_oracle(g)
         ps.check_graph(g)
-        assert L.congestion(ps).max_vertex == g_star
+        assert L.congestion(ps) == g_star
         assert g_star == _set_load_lower_bound(g)
         stars.append(g_star)
     assert stars == [13, 12, 14, 13, 14, 13, 15, 15, 13, 13]
@@ -505,7 +525,7 @@ import lsqlab as L
 ps = L.hypercube_path_system(L.hypercube_graph(14))
 rng = random.Random(14)
 pairs = [(rng.randint(1, ps.n), rng.randint(1, ps.n)) for _ in range(500)]
-print(json.dumps({"g": L.congestion(ps).max_vertex,
+print(json.dumps({"g": L.congestion(ps),
                   "paths": [[u, v, ps.path(u, v)] for u, v in pairs]}))
 """
 
