@@ -28,7 +28,7 @@ for k in (1, 2, 3):
                 mid = 6 - i - j
                 inter[(k, i, j)] = (k + 3 * (i - 1), k + 3 * (mid - 1),
                                     k + 3 * (j - 1))
-pa = PathArrangement(g, 3, clusters, inter, v_start=1)
+pa = PathArrangement(g, 3, clusters, inter)
 print("arrangement valid:", not L.arrangement_violations(pa, g))
 print("path 2 from cluster 2 to cluster 3:", pa.path(2, 2, 3))
 

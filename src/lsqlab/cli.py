@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import adversary, bench, graphs, serialize, solvers, staircase, \
-    verify
+from . import adversary, bench, graphs, pathsystems, serialize, solvers, \
+    staircase, verify
 from .errors import CapabilityError
 
 
@@ -100,7 +100,8 @@ def cmd_paths(args):
 
 def cmd_congestion(args):
     _, _, ps = _build_paths(args)
-    per_vertex, per_edge = ps.vertex_counts(), ps.edge_counts()
+    per_edge = ps.edge_counts()
+    per_vertex = pathsystems.vertex_counts_from_edges(ps.n, per_edge)
     _emit(args, {
         "max_vertex": max(per_vertex.values()),
         "max_edge": max(per_edge.values(), default=0),

@@ -21,9 +21,10 @@ class Graph:
     """Connected undirected graph on vertices 1..n.
 
     edges is a frozenset of (u, v) pairs with u < v; adjacency lists are
-    sorted ascending.  group is set only by cayley_graph, so a graph with a
-    group is that group's Cayley graph.  Instances are immutable, safe to
-    share.
+    sorted ascending.  dist holds the hop distances from the entrance,
+    vertex 1, as bfs_distances gives them: the connectivity check's BFS,
+    kept.  group is set only by cayley_graph, so a graph with a group is
+    that group's Cayley graph.  Instances are immutable, safe to share.
     """
 
     n: int
@@ -32,8 +33,7 @@ class Graph:
                                 compare=False)
     adjacency: tuple = field(init=False, repr=False, compare=False)
     max_degree: int = field(init=False, repr=False, compare=False)
-    _distances: dict = field(init=False, repr=False, compare=False,
-                             default_factory=dict)
+    dist: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -56,15 +56,10 @@ class Graph:
             self, "adjacency", tuple(tuple(sorted(nb)) for nb in adj)
         )
         object.__setattr__(self, "max_degree", max(map(len, adj[1:])))
-        if len(bfs_tree(self, 1)[1]) < self.n:
+        dist = tuple(bfs_distances(self, 1))
+        if -1 in dist[1:]:  # unreached
             raise ValueError("graph is not connected")
-
-    def distances(self, src: int) -> tuple:
-        """bfs_distances(self, src) as a tuple, computed once per source."""
-        dist = self._distances.get(src)
-        if dist is None:
-            dist = self._distances[src] = tuple(bfs_distances(self, src))
-        return dist
+        object.__setattr__(self, "dist", dist)
 
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]
@@ -97,9 +92,14 @@ def from_edges(n: int, edges) -> Graph:
 
 class Group:
     """A finite group on 1..order with identity 1.  Implementations hold
-    order and inv (inv[a] = a^-1, inv[0] unused) and supply mul(a, b) and
-    translate(u, v, patterns): the path u * patterns[u^-1 v], where a
-    pattern holds w - 1 for each vertex w of a path from the identity."""
+    order and inv (inv[a] = a^-1, inv[0] unused) and supply mul(a, b);
+    translate is read through mul, and a group may override it."""
+
+    def translate(self, u: int, v: int, patterns) -> tuple:
+        """The path u * patterns[u^-1 v], where a pattern holds w - 1 for
+        each vertex w of a path from the identity."""
+        mul = self.mul
+        return tuple([mul(u, p + 1) for p in patterns[mul(self.inv[u], v)]])
 
 
 class TableGroup(Group):
@@ -129,10 +129,6 @@ class TableGroup(Group):
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a - 1][b - 1]
-
-    def translate(self, u: int, v: int, patterns) -> tuple:
-        w = self.table[self.inv[u] - 1][v - 1]
-        return tuple(map(self.table[u - 1].__getitem__, patterns[w]))
 
 
 def _associative(table) -> bool:
@@ -173,7 +169,8 @@ def _associative(table) -> bool:
 
 
 class XorGroup(Group):
-    """Bit strings under XOR, order a power of two: vertex v is v - 1."""
+    """Bit strings under XOR, order a power of two: vertex v is v - 1.
+    Its translate XORs each pattern with u - 1, with no call per vertex."""
 
     def __init__(self, order: int):
         self.order, self.inv = order, tuple(range(order + 1))
@@ -194,10 +191,6 @@ class CyclicGroup(Group):
 
     def mul(self, a: int, b: int) -> int:
         return (a + b - 2) % self.order + 1
-
-    def translate(self, u: int, v: int, patterns) -> tuple:
-        n, x = self.order, u - 1
-        return tuple([(p + x) % n + 1 for p in patterns[(v - u) % n + 1]])
 
 
 def cyclic_group(k: int) -> tuple:
@@ -442,10 +435,10 @@ def bfs_distances(g: Graph, src: int) -> list:
 def graph_metrics(g: Graph) -> dict:
     """Max degree and exact diameter.  A graph that carries a group is its
     Cayley graph, which left multiplication maps onto itself taking 1 to
-    any vertex, so one BFS from 1 gives the diameter; any other graph
-    takes a BFS from every vertex."""
-    sources = (1,) if g.group is not None else g.vertices()
-    diameter = max(max(bfs_distances(g, v)) for v in sources)
+    any vertex, so the distances from 1 the graph holds give the diameter;
+    any other graph also takes a BFS from every other vertex."""
+    sources = () if g.group is not None else range(2, g.n + 1)
+    diameter = max([max(g.dist), *(max(bfs_distances(g, v)) for v in sources)])
     return {"max_degree": g.max_degree, "diameter": diameter}
 
 

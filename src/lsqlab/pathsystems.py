@@ -299,6 +299,20 @@ def congestion(ps: PathSystem) -> int:
     return max(ps.vertex_counts().values())
 
 
+def vertex_counts_from_edges(n: int, per_edge: dict) -> dict:
+    """vertex_counts() of a system on 1..n, read from its edge_counts().
+
+    The edges at v count each simple path through v twice and each of the
+    2(n - 1) paths that start or end at v once, so v lies on n + (sum of
+    its edges' counts) / 2 paths, the trivial path (v,) included.
+    """
+    twice = [2 * n] * (n + 1)
+    for (a, b), k in per_edge.items():
+        twice[a] += k
+        twice[b] += k
+    return {v: twice[v] // 2 for v in range(1, n + 1)}
+
+
 # ---------------------------------------------------------------------------
 # Brute-force minimum-congestion oracle
 # ---------------------------------------------------------------------------

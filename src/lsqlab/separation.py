@@ -39,21 +39,15 @@ from .staircase import (
 class Arrangement:
     """Clusters N_1..N_m of a graph with inter-cluster paths P_k(i, j).
 
-    clusters is a tuple of m vertex frozensets.  Each representation
-    supplies v_start, the distinguished walk entrance inside N_1, and the
-    two path reads: path(k, i, j) for P_k(i, j) and cluster_path(i, u, v)
-    for the shortest path from u to v inside N_i (lowest-id tie-break).
+    clusters is a tuple of m vertex frozensets, and N_1 holds the walk
+    entrance, vertex 1.  Each representation supplies the two path reads:
+    path(k, i, j) for P_k(i, j) and cluster_path(i, u, v) for the shortest
+    path from u to v inside N_i (lowest-id tie-break).
     """
 
     graph: Graph
     m: int
     clusters: tuple
-
-    def cluster_of(self, v: int) -> int | None:
-        for i, cluster in enumerate(self.clusters, start=1):
-            if v in cluster:
-                return i
-        return None
 
     def path(self, k: int, i: int, j: int) -> tuple:
         raise NotImplementedError
@@ -71,7 +65,6 @@ class PathArrangement(Arrangement):
     """
 
     inter_paths: dict = field(repr=False)
-    v_start: int
 
     def path(self, k: int, i: int, j: int) -> tuple:
         return self.inter_paths[(k, i, j)]
@@ -96,8 +89,6 @@ class GridArrangement(Arrangement):
     shortest path inside it.
     """
 
-    v_start: int = field(default=1, init=False)
-
     def path(self, k: int, i: int, j: int) -> tuple:
         m = self.m
         if not (1 <= k <= m and 1 <= i <= m and 1 <= j <= m):
@@ -119,8 +110,8 @@ def grid_path_arrangement(side: int,
     """Columns of a side x side grid as clusters, rows as inter-cluster paths.
 
     P_k(i, j) runs along row k from column i to column j; P_k(i, i) is the
-    single k-th vertex of column i.  v_start is vertex 1.  No path is
-    stored: both path reads are computed when called.  A caller that
+    single k-th vertex of column i, and vertex 1 opens column 1.  No path
+    is stored: both path reads are computed when called.  A caller that
     already holds the grid passes it as g, which must have the edges
     graphs.grid_edges(side) (only its vertex count is checked here);
     otherwise the grid is built.
@@ -152,8 +143,8 @@ def arrangement_violations(pa: Arrangement, g: Graph) -> list:
             problems.append(f"cluster {idx} is not connected")
     if len(pa.clusters) != pa.m:
         problems.append(f"expected {pa.m} clusters, found {len(pa.clusters)}")
-    if pa.cluster_of(pa.v_start) != 1:
-        problems.append("v_start is not in cluster 1")
+    if not pa.clusters or 1 not in pa.clusters[0]:
+        problems.append("vertex 1 is not in cluster 1")
 
     m = min(pa.m, len(pa.clusters))  # P_k(i, j) needs clusters i and j
     for i in range(1, m + 1):
@@ -212,28 +203,28 @@ def cluster_staircase(x, pa: Arrangement) -> Staircase:
 
     Leg l reads the inter-cluster path P_{x_{2l}}(x_{2l-1}, x_{2l+1}) and
     reaches its start by a shortest path inside cluster x_{2l-1}, from
-    v_start for l = 1 and from the end of the previous leg's path after.
-    c = 0 degenerates to the single-vertex walk (v_start,).
+    vertex 1 for l = 1 and from the end of the previous leg's path after.
+    c = 0 degenerates to the single-vertex walk (1,).
     """
     c = check_cluster_sequence(x, pa.m)
     segments = []
-    at = pa.v_start
+    at = 1
     for leg in range(c):
         here, k, there = x[2 * leg:2 * leg + 3]
         p = pa.path(k, here, there)
         segments += (pa.cluster_path(here, at, p[0]), p)
         at = p[-1]
-    return chain(pa.v_start, segments)
+    return chain(1, segments)
 
 
 def make_separation_instance(x, bit: int, pa: Arrangement,
                              g: Graph) -> HiddenBitInstance:
     """The hidden-bit instance of a cluster sequence: off the walk
-    dist(v, v_start), on it -(last position of v), counted from 1.  The
-    walk is written into the distance table in order, so a later visit
-    overwrites an earlier one."""
+    dist(1, v), read from g.dist, and on it -(last position of v), counted
+    from 1.  The walk is written into the distance table in order, so a
+    later visit overwrites an earlier one."""
     s = cluster_staircase(x, pa)
-    table = list(g.distances(s.walk[0]))
+    table = list(g.dist)
     val = 0
     for v in s.walk:
         val -= 1

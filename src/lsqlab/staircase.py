@@ -141,11 +141,12 @@ def make_instance(x, bit: int, ps: PathSystem, g: Graph) -> HiddenBitInstance:
     On the walk the value is -(i*n + j), where i is the largest
     quasi-segment index whose path contains v and j is v's position
     within that path (from 1).  Each path is read once, for the walk and
-    the values, which are written straight into the distance table.
+    the values, which are written straight into a copy of g.dist, the
+    distances from x_1 = 1.
     """
     check_milestones(x, ps.n)
     n = g.n
-    table = list(g.distances(x[0]))
+    table = list(g.dist)
     paths = []
     for i, (a, b) in enumerate(zip(x, x[1:]), start=1):
         p = ps.path(a, b)

@@ -248,13 +248,13 @@ def unique_minimum_violation(g, values, expected_end):
 
 
 def _check_instances(cases):
-    """For each (label, graph, start, instance) case: the instance's walk
-    runs along edges of the graph from start, its values are valid for that
+    """For each (label, graph, instance) case: the instance's walk runs
+    along edges of the graph from vertex 1, its values are valid for that
     walk, and the walk's end is its only local minimum."""
-    for label, g, start, inst in cases:
+    for label, g, inst in cases:
         walk = inst.staircase.walk
         where = f"{label} x={inst.milestones}"
-        if walk[0] != start:
+        if walk[0] != 1:
             raise Violation(f"{where}: wrong start")
         for a, b in zip(walk, walk[1:]):
             if not g.has_edge(a, b):
@@ -277,7 +277,7 @@ def check_unique_local_minimum(samples, seed):
             ps = pathsystems.shortest_path_system(g)
             for L in (1, 2, 3):
                 for x in staircase.all_sequences(g.n, L):
-                    yield name, g, 1, staircase.make_instance(x, 0, ps, g)
+                    yield name, g, staircase.make_instance(x, 0, ps, g)
         rng = random.Random(seed)
         for dim in (4, 6, 8):
             g = graphs.hypercube_graph(dim)
@@ -285,7 +285,7 @@ def check_unique_local_minimum(samples, seed):
             L = max(1, int(g.n ** 0.5) - 1)
             for _ in range(max(1, samples // 3)):
                 inst = staircase.sample_hard_instance(g, ps, L, rng.getrandbits(64))
-                yield f"hypercube{dim}", g, 1, inst
+                yield f"hypercube{dim}", g, inst
     _check_instances(cases())
 
 
@@ -503,7 +503,7 @@ def check_separation_validity(samples, seed):
         pa3 = separation.grid_path_arrangement(3)
         for x in itertools.product(range(1, 4), repeat=2):
             inst = separation.make_separation_instance((1, *x), 0, pa3, pa3.graph)
-            yield "side 3", pa3.graph, pa3.v_start, inst
+            yield "side 3", pa3.graph, inst
         rng = random.Random(seed)
         pa4 = separation.grid_path_arrangement(4)
         for _ in range(samples):
@@ -511,7 +511,7 @@ def check_separation_validity(samples, seed):
             seq = (1, *(rng.randrange(1, 5) for _ in range(2 * c)))
             inst = separation.make_separation_instance(seq, rng.randrange(2),
                                                        pa4, pa4.graph)
-            yield "side 4", pa4.graph, pa4.v_start, inst
+            yield "side 4", pa4.graph, inst
     _check_instances(cases())
 
 

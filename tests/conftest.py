@@ -116,5 +116,5 @@ def nine_vertex_arrangement():
                     mid = 6 - i - j
                     inter[(k, i, j)] = (
                         k + 3 * (i - 1), k + 3 * (mid - 1), k + 3 * (j - 1))
-    pa = PathArrangement(g, 3, clusters, inter, v_start=1)
+    pa = PathArrangement(g, 3, clusters, inter)
     return g, pa

@@ -168,19 +168,24 @@ def test_cayley_diameter_from_one_source_matches_all_sources():
 
 
 def test_graph_metrics_runs_one_bfs_on_a_cayley_graph(monkeypatch):
+    # the one BFS is the graph's own, from vertex 1, run when it was built
+    cayleys = (L.ring_graph(9), L.hypercube_graph(4))
+    others = (L.grid_graph(3), L.barbell_graph(6),
+              relabel(L.ring_graph(9), {v: v for v in range(1, 10)}))
     calls = []
-    bfs = L.graphs.bfs_distances
-    monkeypatch.setattr(L.graphs, "bfs_distances",
-                        lambda g, v: calls.append(v) or bfs(g, v))
-    for g in (L.ring_graph(9), L.hypercube_graph(4)):
-        calls.clear()
+    for name in ("bfs_distances", "bfs_tree"):
+        bfs = getattr(L.graphs, name)
+        monkeypatch.setattr(L.graphs, name, lambda g, v, name=name, bfs=bfs:
+                            calls.append((name, v)) or bfs(g, v))
+    for g in cayleys:
         L.graph_metrics(g)
-        assert calls == [1]
-    for g in (L.grid_graph(3), L.barbell_graph(6), relabel(L.ring_graph(9), {
-            v: v for v in range(1, 10)})):
-        calls.clear()
+        assert calls == []
+    # any other graph adds a BFS from every vertex but 1
+    for g in others:
         L.graph_metrics(g)
-        assert calls == list(g.vertices())
+        assert [v for name, v in calls if name == "bfs_distances"] == list(
+            range(2, g.n + 1))
+        calls.clear()
 
 
 def test_graph_rejects_malformed_edge_sets():

@@ -390,14 +390,37 @@ def test_congestion_streams_source_trees(monkeypatch, capsys):
     assert sum(per_vertex.values()) == sum(
         sum(L.bfs_distances(g, u)[1:]) + g.n for u in g.vertices())
     assert sum(per_edge.values()) == sum(per_vertex.values()) - g.n ** 2
-    # the congestion command streams twice, once per count: its max_vertex
-    # is read from the per_vertex it prints, not from a third stream
+    # the congestion command streams once, for the edge counts, and derives
+    # per_vertex and max_vertex from them
     monkeypatch.setattr(pathsystems, "TREE_CACHE_ENTRIES", 8 * 2 * (64 + 1))
     built.clear()
     assert cli_main(["congestion", "--kind", "ring", "--n", "64"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert len(built) == 2 * 64 - 8 and set(built) == set(range(1, 65))
+    assert sorted(built) == list(range(1, 65))
     assert out["max_vertex"] == max(out["per_vertex"].values())
+
+
+def test_vertex_counts_from_edges_on_every_representation():
+    one = L.from_edges(1, [])
+    s3, index = _symmetric_group_3()
+    systems = [L.shortest_path_system(one), L.hypercube_path_system(one),
+               L.cayley_path_system(L.ring_graph(3))]
+    for g in (two_cycle_graph(9, random.Random(3)), L.grid_graph(3),
+              L.barbell_graph(6)):
+        systems.append(L.shortest_path_system(g))
+    for dim in (1, 2, 4):
+        g = L.hypercube_graph(dim)
+        systems += [L.hypercube_path_system(g), L.cayley_path_system(g)]
+    systems += [L.cayley_path_system(L.ring_graph(8)),
+                L.cayley_path_system(L.cayley_graph(
+                    L.TableGroup(s3), {index[(1, 0, 2)], index[(0, 2, 1)]}))]
+    for g in (L.ring_graph(5), L.clique_graph(4), path3()):
+        systems.append(L.min_congestion_oracle(g)[1])
+    kinds = {type(ps).__name__ for ps in systems}
+    assert kinds == {"SourceTrees", "TranslateTrees", "PathTable"}
+    for ps in systems:
+        assert (pathsystems.vertex_counts_from_edges(ps.n, ps.edge_counts())
+                == ps.vertex_counts())
 
 
 def _all_connected_graphs(n):
@@ -517,6 +540,16 @@ def test_implicit_groups_match_their_tables():
         assert_same_system(
             L.cayley_path_system(L.cayley_graph(CyclicGroup(n), {2, n})),
             L.cayley_path_system(L.cayley_graph(table, {2, n})))
+
+
+def test_xor_translate_matches_the_generic_translate():
+    for dim in range(1, 7):
+        ps = L.hypercube_path_system(L.hypercube_graph(dim))
+        xor = ps.group
+        for u in range(1, ps.n + 1):
+            for v in range(1, ps.n + 1):
+                assert (xor.translate(u, v, ps.patterns)
+                        == L.graphs.Group.translate(xor, u, v, ps.patterns))
 
 
 SCALE_SCRIPT = """

@@ -27,7 +27,7 @@ def test_duplicate_interior_vertex_fails(nine_vertex_arrangement):
     g, pa = nine_vertex_arrangement
     bad = dict(pa.inter_paths)
     bad[(2, 1, 3)] = bad[(1, 1, 3)]  # reuse path 1's interior vertex
-    broken = L.PathArrangement(g, pa.m, pa.clusters, bad, pa.v_start)
+    broken = L.PathArrangement(g, pa.m, pa.clusters, bad)
     problems = arrangement_violations(broken, g)
     assert problems
 
@@ -37,13 +37,13 @@ def _clusters(text):
     return tuple(frozenset(map(int, c)) for c in text.split("|"))
 
 
-def _broken(pa, m=None, clusters=None, paths=(), v_start=None, drop=()):
+def _broken(pa, m=None, clusters=None, paths=(), drop=()):
     """pa with some fields replaced, paths overridden and keys dropped."""
     inter = {**pa.inter_paths, **dict(paths)}
     for key in drop:
         del inter[key]
     return L.PathArrangement(pa.graph, m or pa.m, clusters or pa.clusters,
-                             inter, v_start or pa.v_start)
+                             inter)
 
 
 @pytest.mark.parametrize("change, message", [
@@ -52,7 +52,7 @@ def _broken(pa, m=None, clusters=None, paths=(), v_start=None, drop=()):
      "cluster 2 overlaps an earlier cluster"),
     ({"clusters": _clusters("123|456|79")}, "cluster 3 is not connected"),
     ({"m": 2}, "expected 2 clusters, found 3"),
-    ({"v_start": 4}, "v_start is not in cluster 1"),
+    ({"clusters": _clusters("456|123|789")}, "vertex 1 is not in cluster 1"),
     ({"drop": [(2, 1, 3)]}, "missing path P_2(1,3)"),
     ({"paths": {(1, 1, 1): (1, 2, 1)}}, "P_1(1,1) repeats a vertex"),
     ({"paths": {(1, 1, 2): (1, 5)}}, "P_1(1,2) uses non-edge (1,5)"),
@@ -92,7 +92,7 @@ def test_cluster_staircase_grid_edge_consecutive():
     for rest in itertools.product(range(1, 4), repeat=4):
         x = (1, *rest)
         s = cluster_staircase(x, pa)
-        assert s.walk[0] == pa.v_start
+        assert s.walk[0] == 1
         for a, b in zip(s.walk, s.walk[1:]):
             assert pa.graph.has_edge(a, b)
 
@@ -121,8 +121,8 @@ def test_separation_walk_single_vertex_values():
     pa = L.grid_path_arrangement(3)
     g = pa.graph
     vals = make_separation_instance((1,), 0, pa, g).table
-    assert vals[pa.v_start] == -1
-    assert all(v == pa.v_start or vals[v] > 0 for v in g.vertices())
+    assert vals[1] == -1
+    assert all(v == 1 or vals[v] > 0 for v in g.vertices())
 
 
 def test_intra_cluster_path_stays_inside(nine_vertex_arrangement):
@@ -246,7 +246,7 @@ def _stored_grid_arrangement(side):
                     inter[(k, i, j)] = tuple(
                         cell(k, c) for c in range(i, j + step, step)
                     )
-    return L.PathArrangement(g, side, clusters, inter, v_start=1)
+    return L.PathArrangement(g, side, clusters, inter)
 
 
 def _cluster_paths_match_reference(pa):
@@ -261,7 +261,7 @@ def test_intra_cluster_path_matches_reference(nine_vertex_arrangement):
         _cluster_paths_match_reference(_stored_grid_arrangement(side))
     _cluster_paths_match_reference(nine_vertex_arrangement[1])
     g = nine_vertex_arrangement[0]
-    split = L.PathArrangement(g, 1, (frozenset({1, 3}),), {}, v_start=1)
+    split = L.PathArrangement(g, 1, (frozenset({1, 3}),), {})
     with pytest.raises(ValueError, match="does not connect 1 and 3"):
         split.cluster_path(1, 1, 3)
 
@@ -271,8 +271,8 @@ def test_grid_arrangement_matches_stored_paths():
         pa = L.grid_path_arrangement(side)
         stored = _stored_grid_arrangement(side)
         assert isinstance(pa, L.GridArrangement)
-        assert (pa.graph, pa.m, pa.clusters, pa.v_start) == (
-            stored.graph, stored.m, stored.clusters, stored.v_start)
+        assert (pa.graph, pa.m, pa.clusters) == (
+            stored.graph, stored.m, stored.clusters)
         for key in itertools.product(range(1, side + 1), repeat=3):
             assert pa.path(*key) == stored.path(*key)
         _cluster_paths_match_reference(pa)
@@ -290,13 +290,13 @@ def _cluster_staircase_reference(x, pa):
     chained one intra-cluster path and one inter-cluster path per leg."""
     c = (len(x) - 1) // 2
     if c == 0:
-        return L.Staircase((pa.v_start,), ())
+        return L.Staircase((1,), ())
     segments = []
     for i in range(1, 2 * c + 1):
         if i == 1:
             nxt = pa.path(x[1], 1, x[2])
             segments.append(
-                _intra_cluster_path_reference(pa, 1, pa.v_start, nxt[0]))
+                _intra_cluster_path_reference(pa, 1, 1, nxt[0]))
         elif i % 2 == 0:
             segments.append(pa.path(x[i - 1], x[i - 2], x[i]))
         else:

@@ -272,7 +272,7 @@ def _cluster_draws(rng):
     pa = L.grid_path_arrangement(7)
     for _ in range(15):
         inst = L.sample_separation_instance(pa, rng.randrange(1, 4), rng.getrandbits(64))
-        values = _eager_distances(pa.graph, pa.v_start)
+        values = _eager_distances(pa.graph, 1)
         for pos, v in enumerate(inst.staircase.walk, start=1):
             values[v] = -pos
         yield pa.graph, inst, values
@@ -291,28 +291,29 @@ def test_walk_only_oracle_matches_eager_construction(draws):
 
 
 def test_instances_on_one_graph_share_one_entrance_bfs(monkeypatch):
-    calls = []
-    bfs = L.graphs.bfs_distances
-    monkeypatch.setattr(L.graphs, "bfs_distances",
-                        lambda g, src: calls.append(src) or bfs(g, src))
+    # the graph's own BFS from vertex 1, run when it was built, is the only one
     g = L.hypercube_graph(4)
     ps = L.hypercube_path_system(g)
-    calls.clear()
+    pa = L.grid_path_arrangement(5)
+    calls = []
+    for module, name in ((L.graphs, "bfs_distances"), (L.graphs, "bfs_tree"),
+                         (L.staircase, "bfs_distances")):
+        bfs = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda g, src, *rest, bfs=bfs:
+                            calls.append(src) or bfs(g, src, *rest))
     for seed in range(6):
         L.sample_hard_instance(g, ps, 3, seed)
-    assert calls == [1]
-    pa = L.grid_path_arrangement(5)
-    calls.clear()
+    assert calls == []
     for seed in range(6):
         L.sample_separation_instance(pa, 2, seed)
-    assert calls == [pa.v_start]
+    assert calls == []
 
 
 # The construction the dense value table replaced, kept as the reference:
 # walk values in a dict, every other vertex read from the distance tuple
 # of the walk's start.
 def _dict_instance(s, bit, walk_values, g):
-    dist = g.distances(s.walk[0])
+    dist = L.bfs_distances(g, s.walk[0])
 
     def oracle(v):
         return walk_values.get(v, dist[v]), bit if v == s.end else -1
