@@ -172,47 +172,10 @@ def _min_cut(mass: tuple, group: tuple, best: Fraction):
                 nxt[u] += 1
 
 
-def _closures(size: int, to: list, cap: list, arcs: list) -> list:
-    """The distinct closures R(x) (all that x reaches, as a bitmask) of
-    the functions x that cannot reach t (bit size + 1) in the residual
-    graph.  One Tarjan pass from s, taken to lead to every function,
-    emits the strongly connected components sinks first, so a component's
-    closure is its members OR-ed with those of the components they reach."""
-    succ = [[to[a] for a in arcs[u] if cap[a] and to[a] != size]
-            for u in range(size)] + [list(range(size)), []]
-    index = [-1] * size + [0, -1]  # place on the stack, -1 before the visit
-    low, reach = [0] * (size + 2), [0] * (size + 2)
-    stack, calls = [size], [(size, iter(succ[size]))]
-    while calls:
-        u, todo = calls[-1]
-        for v in todo:
-            if index[v] < 0:
-                index[v] = low[v] = len(stack)
-                stack.append(v)
-                calls.append((v, iter(succ[v])))
-                break
-            if low[v] < low[u]:
-                low[u] = low[v]
-        else:
-            calls.pop()
-            if calls and low[u] < low[calls[-1][0]]:
-                low[calls[-1][0]] = low[u]
-            if low[u] == index[u]:
-                stack, members = stack[:index[u]], stack[index[u]:]
-                closure = sum(1 << v for v in members)
-                for v in members:
-                    for w in succ[v]:
-                        closure |= reach[w]
-                for v in members:
-                    low[v], reach[v] = size + 2, closure  # done: lowers no low
-    return [c for c in set(reach[:size]) if not c >> size]
-
-
 def variant_bound_exhaustive(fam: FunctionFamily) -> VariantBound:
     """Exact min of M(Z)/q(Z) over all subsets with q(Z) > 0, and /100.
 
-    The result is the optimum over all 2^F subsets, with the argmin that
-    a sweep of them in Gray-code order finds first, but no subset sweep
+    The result is the optimum over all 2^F subsets, but no subset sweep
     is made.  Since q = max_a D_a, with D_a(Z) the ordered distinguishing
     sum at point a, the minimum is min over a of min_Z M(Z)/D_a(Z).
     Points at which the same related pairs differ pose the same inner
@@ -229,22 +192,19 @@ def variant_bound_exhaustive(fam: FunctionFamily) -> VariantBound:
     source side Z of the least min cut has M(Z)/D_a(Z) < num/den and
     becomes the new best.  All capacities are integers.
 
-    A group whose largest value is 0 at the final ratio lam* has as its
-    minimizers exactly the subsets of positive mass that are unions of
-    closures R(x) in the residual graph, for the functions x that cannot
-    reach t (a function of mass 0 is a closure of its own).  A group
-    checked only at an earlier, larger ratio has none.  Any max flow will
-    do: in its residual graph the min cuts are exactly the sets holding s,
-    not t, and the head of each arc out of them (Picard & Queyranne, Math.
-    Programming Study 13, 1980), so the value, the least min cut and each
-    R(x) are fixed; at value 0 every s arc is full, and R(x) plus s is the
-    least such set that holds x.
-
-    The argmin is the minimizer whose mask has the least inverse Gray
-    code, its rank in the sweep.  The rank's bits are fixed from the top,
-    each 0 when some group can still meet the mask bits fixed so far:
-    the union U of its closures that avoid every function forced out
-    holds every function forced in, and U has positive mass.
+    The argmin is the union of the minimizers Z with D_a(Z) > 0 at the
+    first domain point a, in domain order, where the optimum lam* is
+    attained, less the functions of mass 0.  A group checked only at an
+    earlier, larger ratio attains nothing below it; at a group last cut at
+    lam*, lam* D_a - M is supermodular with largest value 0, so its
+    maximizers are closed under union, and those of positive mass are the
+    minimizers.  The union of all of them is the source side of the
+    largest min cut: in any max flow's residual graph the min cuts are
+    exactly the sets holding s, not t, and the head of each arc out of
+    them (Picard & Queyranne, Math. Programming Study 13, 1980), so it is
+    every function that cannot reach t, found by one BFS from t along
+    reversed residual arcs.  The first group whose union has positive
+    mass gives the argmin.
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size)
@@ -256,39 +216,29 @@ def variant_bound_exhaustive(fam: FunctionFamily) -> VariantBound:
 
     best = Fraction(
         sum(mass), 2 * max(sum(w for *_, w in group) for group in groups))
-    tied = []  # closures of each group whose largest value is 0 at best
+    at_best = []  # residual graphs of the groups last cut at best
     for group in groups:
         value, res, side = _min_cut(mass, group, best)
         if value:
-            tied = []
+            at_best = []
         while value:
             best = Fraction(
                 sum(mass[i] for i in side),
                 2 * sum(w for i, j, w in group if i in side and j in side))
             value, res, side = _min_cut(mass, group, best)
-        tied.append(_closures(size, *res))
+        at_best.append(res)
 
-    positive = sum(1 << i for i in range(size) if mass[i])
-
-    def feasible(forced_in, forced_out):
-        for closures in tied:
-            union = 0
-            for c in closures:
-                union |= 0 if c & forced_out else c
-            if union & positive and not forced_in & ~union:
-                return True
-        return False
-
-    forced_in = forced_out = 0
-    rank_bit = 0  # the rank's bit above bit k; 0 before the top bit
-    for k in reversed(range(size)):
-        bit = 1 << k
-        choices = ((forced_in, forced_out | bit), (forced_in | bit, forced_out))
-        # rank bit k is mask bit k XOR the rank bit above it: 0 if it can be
-        mask_bit = rank_bit if feasible(*choices[rank_bit]) else 1 - rank_bit
-        forced_in, forced_out = choices[mask_bit]
-        rank_bit ^= mask_bit
-    subset = tuple(i for i in range(size) if (forced_in >> i) & 1)
+    for to, cap, arcs in at_best:  # the first whose largest min cut has mass
+        reach = [False] * size + [False, True]  # what reaches t
+        queue = [size + 1]
+        for v in queue:
+            for a in arcs[v]:
+                if cap[a ^ 1] and not reach[to[a]]:
+                    reach[to[a]] = True
+                    queue.append(to[a])
+        subset = tuple(i for i in range(size) if mass[i] and not reach[i])
+        if subset:
+            break
     return VariantBound(best, best / 100, subset)
 
 

@@ -66,19 +66,38 @@ def test_variant_bound_matrix_closed_form():
 
 
 def _variant_bound_reference(fam):
-    """(min M/q, argmin) by an independent Gray-code sweep that evaluates
-    big_m and big_q on each subset and keeps the first strict minimum;
-    None if no subset has q > 0."""
-    best = argmin = None
-    members = 0
-    for step in range(1, 1 << fam.size):
-        members ^= step & -step
-        z = [i for i in range(fam.size) if (members >> i) & 1]
-        q = L.big_q(fam, z)
-        ratio = Fraction(L.big_m(fam, z), q) if q else None
-        if ratio is not None and (best is None or ratio < best):
-            best, argmin = ratio, tuple(z)
-    return None if best is None else (best, argmin)
+    """(min M/q, argmin) by brute force over every subset Z and point a,
+    with D_a(Z) the ordered sum of r over the pairs in Z that differ at a;
+    None if no subset has q > 0.  The argmin is the first nonempty union,
+    over the points in domain order, of the Z with D_a(Z) > 0 and
+    M(Z)/D_a(Z) the minimum, less the functions of mass 0."""
+    f, points = fam.functions, range(len(fam.domain))
+    found = []  # (a, M(Z)/D_a(Z), Z) for each Z and a with D_a(Z) > 0
+    for mask in range(1, 1 << fam.size):
+        z = {i for i in range(fam.size) if (mask >> i) & 1}
+        for a in points:
+            d = 2 * sum(w for i, j, w in fam.pairs
+                        if i in z and j in z and f[i][a] != f[j][a])
+            if d:
+                found.append((a, Fraction(L.big_m(fam, z), d), z))
+    if not found:
+        return None
+    best = min(ratio for _, ratio, _ in found)
+    for a in points:
+        union = set().union(*(z for b, ratio, z in found
+                              if b == a and ratio == best))
+        if union:
+            return best, tuple(i for i in sorted(union) if fam.mass[i])
+
+
+def _check_variant_bound(fam, ref):
+    """The routine's (min_ratio, argmin) is ref, and the argmin's own
+    M/q is min_ratio."""
+    vb = L.variant_bound_exhaustive(fam)
+    assert (vb.min_ratio, vb.argmin) == ref
+    z = vb.argmin
+    assert Fraction(L.big_m(fam, z), L.big_q(fam, z)) == vb.min_ratio
+    return vb
 
 
 def _random_family(rng, max_weight=3):
@@ -101,7 +120,7 @@ def _random_family(rng, max_weight=3):
 
 
 def test_variant_bound_matches_direct_subset_sweep():
-    # min_ratio and argmin against big_m/big_q evaluated on every subset
+    # min_ratio and argmin against every subset's M and D_a
     g = L.clique_graph(4)
     fam, _ = L.family_staircase(g, L.shortest_path_system(g), 1)
     cases = [L.family_matrix_game(2), L.family_matrix_game(3), fam]
@@ -115,36 +134,18 @@ def test_variant_bound_matches_direct_subset_sweep():
             with pytest.raises(ValueError):
                 L.variant_bound_exhaustive(fam)
             continue
-        vb = L.variant_bound_exhaustive(fam)
-        assert (vb.min_ratio, vb.argmin) == ref
+        vb = _check_variant_bound(fam, ref)
         assert vb.bound == ref[0] / 100
     assert 0 < degenerate < len(cases) // 2
 
 
-def _variant_bound_packed(fam):
-    """(min M/q, argmin) by a Gray-code sweep over packed integers, fast
-    enough for 16 functions; None if no subset has q > 0.
-
-    The per-point distinguishing sums are fields of one integer d, of
-    B = bits(total) + 1 bits each, total the sum of all row masses, so no
-    field carries or borrows.  Toggling function i adds or subtracts, per
-    related j in Z, 2 r(i, j) times the field unit of every point where i
-    and j differ.  A subset replaces the best only when M(Z)/q(Z) is
-    strictly smaller, i.e. when some field exceeds
-    t = floor(m_z * best_q / best_m); adding 2^(B-1) - 1 - t to every
-    field sets a field's top bit exactly then, so that test is one
-    addition and one AND, and q is read out only when it fires.
-    """
-    size = fam.size
+def _packed_sweep(fam, width):
+    """(members, M(Z), d) for every nonempty subset Z in Gray-code order,
+    members a bitmask and d holding D_a(Z) in field a, of width bits.
+    Toggling function i adds or subtracts, per related j in Z, 2 r(i, j)
+    times the field unit of every point where i and j differ."""
     npoints = len(fam.domain)
-    row_mass = fam.mass
-    total = sum(row_mass)
-    width = total.bit_length() + 1
-    field_mask = (1 << width) - 1
-    ones = sum(1 << (width * a) for a in range(npoints))  # 1 in every field
-    high_bits = ones << (width - 1)
-    fill = (1 << (width - 1)) - 1
-    related = [[] for _ in range(size)]
+    related = [[] for _ in range(fam.size)]
     for i, j, w in fam.pairs:
         pts = [a for a in range(npoints)
                if fam.functions[i][a] != fam.functions[j][a]]
@@ -153,25 +154,58 @@ def _variant_bound_packed(fam):
             related[i].append((1 << j, vec))
             related[j].append((1 << i, vec))
     members = m_z = d = 0
-    best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
-    argmin = None
-    for step in range(1, 1 << size):
+    for step in range(1, 1 << fam.size):
         i = (step & -step).bit_length() - 1
         members ^= 1 << i
         sign = 1 if members >> i & 1 else -1
-        m_z += sign * row_mass[i]
+        m_z += sign * fam.mass[i]
         for bit, vec in related[i]:
             if members & bit:
                 d += sign * vec
+        yield members, m_z, d
+
+
+def _variant_bound_packed(fam):
+    """(min M/q, argmin) by two Gray-code sweeps over packed integers,
+    fast enough for 16 functions; None if no subset has q > 0.
+
+    The per-point distinguishing sums are fields of B = bits(total) + 1
+    bits, total the sum of all row masses, so no field carries or borrows.
+    The first sweep finds the minimum: a subset replaces the best only
+    when M(Z)/q(Z) is strictly smaller, i.e. when some field exceeds
+    t = floor(m_z * best_q / best_m); adding 2^(B-1) - 1 - t to every
+    field sets a field's top bit exactly then, so that test is one
+    addition and one AND, and q is read out only when it fires.  The
+    second ORs each Z into the union of every point whose field is
+    t = M(Z) / min > 0: no field exceeds t, so adding 2^(B-1) - t to
+    every field sets the top bit of exactly those.
+    """
+    npoints = len(fam.domain)
+    total = sum(fam.mass)
+    width = total.bit_length() + 1
+    field_mask = (1 << width) - 1
+    ones = sum(1 << (width * a) for a in range(npoints))  # 1 in every field
+    high_bits = ones << (width - 1)
+    fill = (1 << (width - 1)) - 1
+    best_m, best_q = 1, 0  # 1/0 stands for +infinity: any q > 0 beats it
+    for _, m_z, d in _packed_sweep(fam, width):
         t = m_z * best_q // best_m
         if t < total and (d + (fill - t) * ones) & high_bits:
             best_q = max((d >> (width * a)) & field_mask
                          for a in range(npoints))
-            best_m, argmin = m_z, members
-    if argmin is None:
+            best_m = m_z
+    if not best_q:
         return None
+    unions = [0] * npoints
+    for members, m_z, d in _packed_sweep(fam, width):
+        t, rest = divmod(m_z * best_q, best_m)
+        hits = (d + (fill + 1 - t) * ones) & high_bits if t and not rest else 0
+        for a in range(npoints):
+            if hits >> (width * a + width - 1) & 1:
+                unions[a] |= members
+    first = next(u for u in unions if u)
     return (Fraction(best_m, best_q),
-            tuple(i for i in range(size) if (argmin >> i) & 1))
+            tuple(i for i in range(fam.size) if first >> i & 1 and fam.mass[i]))
 
 
 def _wide_random_family(rng):
@@ -218,8 +252,7 @@ def test_variant_bound_matches_packed_sweep_on_wide_families():
     for _ in range(24):
         fam, _ = _wide_random_family(rng)
         _coverage(seen, fam)
-        vb = L.variant_bound_exhaustive(fam)
-        assert (vb.min_ratio, vb.argmin) == _variant_bound_packed(fam)
+        _check_variant_bound(fam, _variant_bound_packed(fam))
     assert min(seen.values()) > 0, seen
 
 
@@ -308,15 +341,15 @@ def test_variant_bound_with_weights_beyond_64_bits():
         ref = _variant_bound_reference(fam)
         if ref is None:
             continue
-        vb = L.variant_bound_exhaustive(fam)
-        assert (vb.min_ratio, vb.argmin) == ref
+        _check_variant_bound(fam, ref)
         checked += 1
     assert checked > 40
 
 
 def test_variant_bound_argmin_among_tied_ratios():
-    # the first minimizer in Gray-code order wins, also when the weights
-    # are scaled past 2^64, which leaves every ratio as it was
+    # the argmin is the union of all minimizers at the first optimal
+    # point, also when the weights are scaled past 2^64, which leaves every
+    # ratio as it was
     rng = random.Random(10)
     tied = 0
     for _ in range(80):
@@ -332,8 +365,7 @@ def test_variant_bound_argmin_among_tied_ratios():
         for factor in (1, 3, 2 ** 66 + 1):
             scaled = replace(
                 fam, pairs=tuple((i, j, factor * w) for i, j, w in fam.pairs))
-            vb = L.variant_bound_exhaustive(scaled)
-            assert (vb.min_ratio, vb.argmin) == ref
+            _check_variant_bound(scaled, ref)
     assert tied >= 20
 
 
@@ -388,6 +420,24 @@ def test_variant_bound_staircase_values_beyond_the_packed_sweep(monkeypatch):
         vb = L.variant_bound_exhaustive(fam)
         argmin_size = 2 * (g.n - 2) * (g.n - 3 if depth == 3 else 1)
         assert (vb.min_ratio, len(vb.argmin)) == (ratio, argmin_size), fam.name
+
+
+def test_variant_bound_ring9_optimum_lies_below_za(monkeypatch):
+    # the counterexample to the Z_a conjecture: on ring-9 at L = 3 (1458
+    # functions) Z_9 is beaten by 660 good functions
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "variant_bound_exhaustive=1458")
+    g = L.ring_graph(9)
+    fam, instances = L.family_staircase(g, L.shortest_path_system(g), 3)
+    vb = L.variant_bound_exhaustive(fam)
+    assert vb.min_ratio == Fraction(144540, 67141)
+    good = [L.is_good(f.milestones) for f in instances]
+    z9 = [i for i, f in enumerate(instances)
+          if good[i] and f.milestones[-1] == 9]
+    za_ratio = Fraction(L.big_m(fam, z9), L.big_q(fam, z9))
+    assert za_ratio == Fraction(292, 135) > vb.min_ratio
+    assert len(vb.argmin) == 660 and all(good[i] for i in vb.argmin)
+    z = vb.argmin
+    assert Fraction(L.big_m(fam, z), L.big_q(fam, z)) == vb.min_ratio
 
 
 def test_aaronson_matrix_game():

@@ -771,7 +771,7 @@ ADVERSARY_SHA256 = {
      "--strategy", "cayley"):
         "63fe9a38ac4b001cce3dd64ca7ef4040b71d5a95cf6c01368533e6f4cfb0bf92",
     ("--family", "staircase", "--kind", "clique", "--n", "5", "--L", "2"):
-        "b714d0499e6b2cf7bd2bd67216beb37b10b6edc2a0bb041a98dffcba1b35f361",
+        "d821d95d92e8d155024dc5b7fde584bbf6d9a9b0175cc58a3c3083c5f07c500d",
     ("--family", "staircase", "--kind", "hypercube", "--dim", "3", "--L", "1",
      "--strategy", "hypercube"):
         "63fe9a38ac4b001cce3dd64ca7ef4040b71d5a95cf6c01368533e6f4cfb0bf92",

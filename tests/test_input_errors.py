@@ -8,16 +8,22 @@ from lsqlab.bench import SolverSpec
 from lsqlab.graphs import CyclicGroup
 from lsqlab.separation import check_cluster_sequence
 from lsqlab.serialize import instance_from_dict
-from lsqlab.staircase import count_good_with_prefix, related
+from lsqlab.staircase import check_milestones, count_good_with_prefix, \
+    related
 
 
 def _family(functions=((0,), (1,)), labels=(0, 1), pairs=((0, 1, 1),)):
     return FunctionFamily("toy", (0,), functions, labels, pairs)
 
 
-def _arrangement_bench(c):
-    return L.BenchConfig("grid", L.grid_graph(3), "bfs", 0,
-                         (SolverSpec("descent"),), trials=1, master_seed=0, c=c)
+def _arrangement_bench(c, solvers=(SolverSpec("descent"),)):
+    return L.BenchConfig("grid", L.grid_graph(3), "bfs", 0, solvers,
+                         trials=1, master_seed=0, c=c)
+
+
+def _ring4_staircase():
+    g = L.ring_graph(4)
+    return L.build_staircase((1, 2), L.shortest_path_system(g))
 
 
 ERRORS = {
@@ -37,6 +43,27 @@ ERRORS = {
                         "identity cannot be a generator"),
     "bench-c-too-large": (lambda: _arrangement_bench(2),
                           "c: need 2c + 1 <= side, got c=2"),
+    "bench-no-solvers": (lambda: _arrangement_bench(1, solvers=()),
+                         "solvers: at least one solver required"),
+    "diagonal-solver-all-zero": (
+        lambda: L.matrix_game_diagonal_solver(lambda cell: 0, 3),
+        "all-zero diagonal: oracle is not a row/column matrix"),
+    "staircase-tail-index": (lambda: L.tail(0, _ring4_staircase()),
+                             "tail index 0 outside 1..2"),
+    "milestones-empty": (lambda: check_milestones((), 4),
+                         "milestone sequence is empty"),
+    "related-length": (lambda: related((1, 2), 0, (1, 2, 3), 1),
+                       "sequences must share their length"),
+    "regular-graph-odd": (lambda: L.random_regular_graph(5, 3, 0),
+                          "n * d must be even"),
+    "cyclic-group-order": (lambda: L.cyclic_group(0),
+                           "cyclic group order must be >= 1"),
+    "verify-budget": (lambda: L.run_verify("all", budget=-1),
+                      "budget: must be >= 0, got -1"),
+    "verify-scope": (lambda: L.run_verify("nope"),
+                     "unknown scope 'nope'; choose from ['all', 'graph', "
+                     "'paths', 'staircase', 'separation', 'adversary', "
+                     "'solvers', 'bench']"),
     "path-table-not-simple": (
         lambda: L.PathTable(2, {(1, 1): (1,), (2, 2): (2,), (2, 1): (2, 1),
                                 (1, 2): (1, 2, 1, 2)}),

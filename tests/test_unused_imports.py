@@ -1,11 +1,11 @@
 """Every name a library module imports is read somewhere in it, and every
-public definition is read by some library module.
+top-level definition, private or public, is read by some library module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import binds names, and every bound name must appear as a Name node
 elsewhere in the module.  Lines marked `# noqa: F401` are re-exports and
 exempt.  `__init__.py` only re-exports and is skipped by the import check;
-its re-exports do not count as reads for the definition check, so a public
+its re-exports do not count as reads for the definition check, so a
 function no library module calls is caught even when it is exported.  A
 decorated definition (such as a registered `verify` check) is read by its
 decorator.
@@ -54,10 +54,10 @@ def test_unused_import_is_caught():
 
 
 def unread_definitions(sources: dict) -> list:
-    """(module, name) of each undecorated public top-level function or class
-    that no module other than __init__.py reads, as a name, an attribute or
-    an import: a re-export alone is not a read.  sources maps module to
-    text."""
+    """(module, name) of each undecorated top-level function or class,
+    private or public, that no module other than __init__.py reads, as a
+    name, an attribute or an import: a re-export alone is not a read.
+    sources maps module to text."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = set()
     for module, tree in trees.items():
@@ -73,8 +73,7 @@ def unread_definitions(sources: dict) -> list:
     return [(module, node.name) for module, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.decorator_list and not node.name.startswith("_")
-            and node.name not in read]
+            and not node.decorator_list and node.name not in read]
 
 
 def test_every_public_definition_is_read():
@@ -87,9 +86,11 @@ def test_unread_definition_is_caught():
     sources = {"a.py": ("def used():\n    return helper()\n"
                         "def helper():\n    return 1\n"
                         "def orphan():\n    return 2\n"
+                        "def _leftover():\n    return 4\n"
                         "@register\ndef hooked():\n    return 3\n"
                         "class Exported:\n    pass\n"),
                "b.py": "from .a import used\n",
                "__init__.py": "from .a import Exported, used\n"}
     assert unread_definitions(sources) == [("a.py", "orphan"),
+                                           ("a.py", "_leftover"),
                                            ("a.py", "Exported")]
