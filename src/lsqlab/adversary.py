@@ -7,11 +7,13 @@ whole family, and q(Z) is the largest single-point distinguishing mass
 within Z.  Both double sums run over ordered pairs, so a symmetric pair
 contributes twice; this matches the matrix-game arithmetic.  Both bounds
 read r only on pairs with different labels, so a family holds just its
-related pairs, and each reader works per point from the pairs that differ.
+related pairs, and each reader works per point from the pairs that differ
+there, a split the family derives once, on first read.
 
 The variant bound is found exactly without a subset sweep: one small
 parametric min cut per group of domain points (Dinkelbach's method over
-Goldberg's densest-subgraph network, cut by Dinic's blocking flows), so
+Goldberg's densest-subgraph network, cut by a greedy flow that often
+certifies the cut alone, else by Dinic's blocking flows), so
 the cap is 64 functions rather than the 16 a 2^F sweep allowed.  All
 weights are exact integers, all capacities integers and all ratios exact
 fractions.
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import check_cap
+from .errors import cap_of, check_cap
 from .graphs import Graph
 from .pathsystems import PathSystem
 from .staircase import all_sequences, is_good, make_instance, \
@@ -38,7 +41,9 @@ class FunctionFamily:
     aligned with domain; labels[i] is the hidden label of function i.
     pairs holds the relation's related pairs (i, j, w): i < j, labels
     that differ, w > 0, ascending in (i, j); any other pair weighs 0.
-    mass[i] is r(i, .) summed.
+    mass[i] is r(i, .) summed.  differing[a] lists the related pairs (in
+    pairs order) whose two functions differ at domain point a, derived on
+    first read and then kept.
     """
 
     name: str
@@ -80,13 +85,11 @@ class FunctionFamily:
     def size(self) -> int:
         return len(self.functions)
 
-
-def _split_pairs(fam: FunctionFamily) -> list:
-    """For each domain point, the related pairs (in fam.pairs order) whose
-    two functions differ there."""
-    f = fam.functions
-    return [[p for p in fam.pairs if f[p[0]][a] != f[p[1]][a]]
-            for a in range(len(fam.domain))]
+    @cached_property
+    def differing(self) -> tuple:
+        pairs = self.pairs
+        return tuple([p for p in pairs if column[p[0]] != column[p[1]]]
+                     for column in zip(*self.functions))
 
 
 def big_m(fam: FunctionFamily, z) -> int:
@@ -98,7 +101,7 @@ def big_q(fam: FunctionFamily, z) -> int:
     """q(Z) = max over domain points of the ordered distinguishing sum."""
     z = set(z)
     return max((2 * sum(w for i, j, w in differ if i in z and j in z)
-                for differ in _split_pairs(fam)), default=0)
+                for differ in fam.differing), default=0)
 
 
 @dataclass(frozen=True)
@@ -108,54 +111,84 @@ class VariantBound:
     argmin: tuple
 
 
-def _min_cut(mass: tuple, group: tuple, best: Fraction):
-    """Twice the group's largest num D_a(Z) - den M(Z) at num/den = best:
-    the positive g_i summed less a max flow, s = F, t = F + 1.  Arc a runs
-    to to[a] with residual capacity cap[a], a ^ 1 is its reverse, arcs[u]
-    lists u's arcs.  Flow goes greedily along each s -> i -> j -> t, then
-    by Dinic's blocking flows (BFS levels, a DFS keeping each node's next
-    arc) until t is out of reach.  Returns the value, the residual graph
-    and the functions s reaches in it, the least min cut's source side."""
-    s, t = len(mass), len(mass) + 1
-    num, den = 2 * best.numerator, 2 * best.denominator
-    g = [-den * m for m in mass]
+def _network(g: list, rest: list, group: tuple, caps: list, flow: list):
+    """The residual network of a greedy flow, s = F, t = F + 1.  Arc a
+    runs to to[a] with residual capacity cap[a], a ^ 1 is its reverse and
+    arcs[u] lists u's arcs: s -> i if g_i > 0, else i -> t, carrying
+    g_i - rest[i], then i <-> j for each pair, carrying flow[k] from i to
+    j (a negative flow runs from j to i).  Listing the arc at s or t first
+    lets the DFS try it before a node's pair arcs."""
+    s, t = len(g), len(g) + 1
     to, cap, arcs = [], [], [[] for _ in range(t + 1)]
-    for i, j, w in group:
-        c = num * w
+    a = 0
+    for i, (gi, ri) in enumerate(zip(g, rest)):
+        u, v = (s, i) if gi > 0 else (i, t)
+        arcs[u].append(a)
+        arcs[v].append(a + 1)
+        to += v, u
+        cap += abs(ri), abs(gi - ri)
+        a += 2
+    for (i, j, _), c, f in zip(group, caps, flow):
+        arcs[i].append(a)
+        arcs[j].append(a + 1)
+        to += j, i
+        cap += c - f, c + f
+        a += 2
+    return to, cap, arcs
+
+
+def _min_cut(mass: tuple, group: tuple, best: Fraction, largest: bool):
+    """Twice the group's largest num D_a(Z) - den M(Z) at num/den = best:
+    the positive g_i summed less a max flow, s = F, t = F + 1.  Returns
+    the value and a set of functions: the source side of the least min
+    cut, or, when largest is set and the value is 0, that of the largest
+    min cut less the functions of mass 0, as a tuple.
+
+    Flow first goes greedily along each s -> i -> j -> t.  If that
+    saturates every positive g_i, it is a max flow and the value is 0, a
+    certificate read with no network built (without largest, the least
+    min cut's source side is then empty).  Otherwise Dinic's blocking
+    flows (BFS levels, a DFS keeping each node's next arc) run on the
+    greedy flow's residual network until t is out of reach."""
+    size = len(mass)
+    s, t = size, size + 1
+    num, den = 2 * best.numerator, 2 * best.denominator
+    caps = [num * w for _, _, w in group]
+    g = [-den * m for m in mass]
+    for (i, j, _), c in zip(group, caps):
         g[i] += c
         g[j] += c
-        arcs[i].append(len(to))
-        arcs[j].append(len(to) + 1)
-        to += j, i
-        cap += c, c
     rest = g[:]  # what is left of each g_i after the greedy pushes
-    for a in range(len(to)):
-        i, j = to[a ^ 1], to[a]
-        if rest[i] > 0 > rest[j]:  # push along s -> i -> j -> t
-            push = min(rest[i], cap[a], -rest[j])
-            rest[i], rest[j] = rest[i] - push, rest[j] + push
-            cap[a], cap[a ^ 1] = cap[a] - push, cap[a ^ 1] + push
-    for i, gi in enumerate(g):  # an arc s -> i if g_i > 0, else i -> t
-        u, v = (s, i) if gi > 0 else (i, t)
-        arcs[u].append(len(to))
-        arcs[v].append(len(to) + 1)
-        to += v, u
-        cap += abs(rest[i]), abs(gi - rest[i])
+    flow = []
+    for (i, j, _), c in zip(group, caps):
+        ri, rj = rest[i], rest[j]
+        if ri > 0 > rj:
+            push = min(ri, c, -rj)
+        elif rj > 0 > ri:
+            push = -min(rj, c, -ri)
+        else:
+            flow.append(0)
+            continue
+        rest[i], rest[j] = ri - push, rj + push
+        flow.append(push)
+    if not largest and max(rest) <= 0:
+        return 0, ()
+    to, cap, arcs = _network(g, rest, group, caps, flow)
+    ends = list(map(len, arcs))
     while True:
         level, queue = [-1] * s + [0, -1], [s]
         for u in queue:
-            for a in arcs[u]:
-                if cap[a] and level[to[a]] < 0:
-                    level[to[a]] = level[u] + 1
-                    queue.append(to[a])
+            up = level[u] + 1
+            new = [to[a] for a in arcs[u] if cap[a] and level[to[a]] < 0]
+            for v in new:
+                level[v] = up
+            queue += new
             if level[t] >= 0:
                 break
-        else:  # the value is what the arcs out of s have left
-            value = sum(cap[a] for a in arcs[s])
-            return value, (to, cap, arcs), set(queue[1:])
-        nxt, path, u = [0] * (s + 2), [], s
-        while u != s or nxt[s] < len(arcs[s]):
-            a = arcs[u][nxt[u]] if nxt[u] < len(arcs[u]) else None
+        else:  # t is out of reach: the flow is a max flow
+            break
+        nxt, path, u = [0] * (t + 1), [], s
+        while True:
             if u == t:
                 push = min(cap[a] for a in path)
                 for a in path:
@@ -163,13 +196,29 @@ def _min_cut(mass: tuple, group: tuple, best: Fraction):
                     cap[a ^ 1] += push
                 del path[next(k for k, a in enumerate(path) if not cap[a]):]
                 u = to[path[-1]] if path else s
-            elif a is not None and cap[a] and level[to[a]] == level[u] + 1:
-                path.append(a)
-                u = to[a]
-            else:  # a is of no use, or u is a dead end, left for good
-                if a is None:
-                    u = to[path.pop() ^ 1]
+            elif nxt[u] == ends[u]:  # a dead end, left for good
+                if u == s:
+                    break
+                u = to[path.pop() ^ 1]
                 nxt[u] += 1
+            else:
+                a = arcs[u][nxt[u]]
+                if cap[a] and level[to[a]] == level[u] + 1:
+                    path.append(a)
+                    u = to[a]
+                else:
+                    nxt[u] += 1
+    value = sum(cap[a] for a in arcs[s])  # what the arcs out of s have left
+    if value or not largest:
+        return value, set(queue[1:])
+    reach = [False] * size + [False, True]  # what reaches t
+    queue = [t]
+    for v in queue:
+        for a in arcs[v]:
+            if cap[a ^ 1] and not reach[to[a]]:
+                reach[to[a]] = True
+                queue.append(to[a])
+    return 0, tuple(i for i in range(size) if mass[i] and not reach[i])
 
 
 def variant_bound_exhaustive(fam: FunctionFamily) -> VariantBound:
@@ -203,43 +252,31 @@ def variant_bound_exhaustive(fam: FunctionFamily) -> VariantBound:
     exactly the sets holding s, not t, and the head of each arc out of
     them (Picard & Queyranne, Math. Programming Study 13, 1980), so it is
     every function that cannot reach t, found by one BFS from t along
-    reversed residual arcs.  The first group whose union has positive
-    mass gives the argmin.
+    reversed residual arcs.  That BFS runs right after a group's last cut
+    while no group since the last drop of the ratio has given a set of
+    positive mass; the first such set is the argmin.
     """
     size = fam.size
     check_cap("variant_bound_exhaustive", size)
     mass = fam.mass
-    groups = dict.fromkeys(map(tuple, _split_pairs(fam)))
+    groups = dict.fromkeys(map(tuple, fam.differing))
     groups.pop((), None)
     if not groups:
         raise ValueError("no subset has q(Z) > 0: relation is degenerate")
 
     best = Fraction(
-        sum(mass), 2 * max(sum(w for *_, w in group) for group in groups))
-    at_best = []  # residual graphs of the groups last cut at best
+        sum(mass), 2 * max(sum(w for _, _, w in group) for group in groups))
+    argmin = ()
     for group in groups:
-        value, res, side = _min_cut(mass, group, best)
-        if value:
-            at_best = []
+        value, side = _min_cut(mass, group, best, not argmin)
         while value:
             best = Fraction(
                 sum(mass[i] for i in side),
                 2 * sum(w for i, j, w in group if i in side and j in side))
-            value, res, side = _min_cut(mass, group, best)
-        at_best.append(res)
-
-    for to, cap, arcs in at_best:  # the first whose largest min cut has mass
-        reach = [False] * size + [False, True]  # what reaches t
-        queue = [size + 1]
-        for v in queue:
-            for a in arcs[v]:
-                if cap[a ^ 1] and not reach[to[a]]:
-                    reach[to[a]] = True
-                    queue.append(to[a])
-        subset = tuple(i for i in range(size) if mass[i] and not reach[i])
-        if subset:
-            break
-    return VariantBound(best, best / 100, subset)
+            value, side = _min_cut(mass, group, best, True)
+            argmin = ()
+        argmin = argmin or side
+    return VariantBound(best, best / 100, argmin)
 
 
 @dataclass(frozen=True)
@@ -261,7 +298,7 @@ def aaronson_vmin(fam: FunctionFamily) -> AaronsonBound:
     """
     mass = fam.mass
     best_n, best_d = 0, 1  # every visited theta is positive
-    for differ in _split_pairs(fam):
+    for differ in fam.differing:
         # away[i]: the weight between i and the functions that disagree
         # with it at this point
         away = [0] * fam.size
@@ -310,6 +347,17 @@ def family_matrix_game(k: int):
                           tuple(labels), pairs)
 
 
+def check_staircase_cap(what: str, n: int, L: int) -> None:
+    """check_cap(what, 2 n^L), the size of the staircase family over n
+    vertices at depth L, after refusing L < 0.  Past the cap's bit length,
+    L is not used as an exponent: for n > 1, 2 n^L is then past the cap,
+    shown as 2*n^L."""
+    if L < 0:
+        raise ValueError(f"L: must be >= 0, got {L}")
+    bits = cap_of(what).bit_length()
+    check_cap(what, 2 * n ** min(L, bits), None if L <= bits else f"2*{n}^{L}")
+
+
 def family_staircase(g: Graph, ps: PathSystem, L: int):
     """Full staircase function family with its prefix-power relation, and
     the provenance instances aligned with the family's function order.
@@ -319,11 +367,8 @@ def family_staircase(g: Graph, ps: PathSystem, L: int):
     sequences with opposite bits, so only those are passed to
     relation_congestion.
     """
-    if L < 0:
-        raise ValueError(f"L: must be >= 0, got {L}")
     n = g.n
-    size = 2 * n ** L
-    check_cap("family_staircase", size)
+    check_staircase_cap("family_staircase", n, L)
     domain = tuple(g.vertices())
     instances = []
     functions = []

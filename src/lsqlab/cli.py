@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import adversary, bench, graphs, pathsystems, serialize, solvers, \
     staircase, verify
-from .errors import CapabilityError
+from .errors import CapabilityError, check_cap
 
 
 def _family_params() -> tuple:
@@ -182,11 +182,14 @@ def _frac(x: Fraction) -> str:
 
 
 def cmd_adversary(args):
+    # the variant bound's cap is read before the family is built
     if args.family == "matrix":
         _refuse_unread(args, (), "--family matrix")
+        check_cap("variant_bound_exhaustive", 2 * args.k)
         fam = adversary.family_matrix_game(args.k)
     else:
         _, g = _load_or_build_graph(args)
+        adversary.check_staircase_cap("variant_bound_exhaustive", g.n, args.L)
         ps = bench.build_path_system(g, args.strategy)
         fam, _ = adversary.family_staircase(g, ps, args.L)
     vb = adversary.variant_bound_exhaustive(fam)

@@ -20,6 +20,7 @@ CAPS = {  # routine -> default cap
     "min_congestion_oracle": 6,  # vertices
     "variant_bound_exhaustive": 64,  # functions in the family
     "family_staircase": 10_000,  # functions materialized, 2 n^L
+    "graph_metrics": 1 << 24,  # vertices times edges, one BFS per vertex
 }
 
 
@@ -49,10 +50,17 @@ def _overrides() -> dict:
     return caps
 
 
-def check_cap(what: str, size: int) -> None:
-    """Raise CapabilityError if size exceeds the cap of routine what."""
-    cap = _overrides().get(what, CAPS[what])
+def cap_of(what: str) -> int:
+    """The cap of routine what: its LSQLAB_MAX_EXHAUSTIVE entry, else its
+    default."""
+    return _overrides().get(what, CAPS[what])
+
+
+def check_cap(what: str, size: int, shown: str | None = None) -> None:
+    """Raise CapabilityError if size exceeds the cap of routine what; the
+    message shows shown in place of size when it is given."""
+    cap = cap_of(what)
     if size > cap:
         raise CapabilityError(
-            f"{what}: size {size} exceeds exhaustive cap {cap} "
-            f"(raise it with {ENV_CAP}={what}=N)")
+            f"{what}: size {size if shown is None else shown} exceeds "
+            f"exhaustive cap {cap} (raise it with {ENV_CAP}={what}=N)")

@@ -436,8 +436,12 @@ def graph_metrics(g: Graph) -> dict:
     """Max degree and exact diameter.  A graph that carries a group is its
     Cayley graph, which left multiplication maps onto itself taking 1 to
     any vertex, so the distances from 1 the graph holds give the diameter;
-    any other graph also takes a BFS from every other vertex."""
-    sources = () if g.group is not None else range(2, g.n + 1)
+    any other graph also takes a BFS from every other vertex, capped in
+    vertices times edges by errors.CAPS."""
+    sources = ()
+    if g.group is None:
+        check_cap("graph_metrics", g.n * len(g.edges))
+        sources = range(2, g.n + 1)
     diameter = max([max(g.dist), *(max(bfs_distances(g, v)) for v in sources)])
     return {"max_degree": g.max_degree, "diameter": diameter}
 

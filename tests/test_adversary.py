@@ -1,6 +1,7 @@
 """Exact adversary quantities on the matrix game and staircase families."""
 
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -90,6 +91,39 @@ def _variant_bound_reference(fam):
             return best, tuple(i for i in sorted(union) if fam.mass[i])
 
 
+def _track_networks(monkeypatch):
+    """Watch the residual networks adversary._network builds: "built"
+    counts them, "uncertified" counts those whose greedy flow left some
+    positive g_i unsaturated, and "peak" is the most alive at once, a
+    network being alive while any of its three lists is."""
+    from lsqlab import adversary
+
+    class Watched(list):  # a list that a weak reference can watch
+        pass
+
+    seen = {"built": 0, "uncertified": 0, "alive": 0, "peak": 0}
+    build = adversary._network
+
+    def network(g, rest, group, caps, flow):
+        parts = [Watched(part) for part in build(g, rest, group, caps, flow)]
+        left = [len(parts)]  # parts of this network still alive
+
+        def freed():
+            left[0] -= 1
+            seen["alive"] -= not left[0]
+
+        for part in parts:
+            weakref.finalize(part, freed)
+        seen["built"] += 1
+        seen["uncertified"] += max(rest) > 0
+        seen["alive"] += 1
+        seen["peak"] = max(seen["peak"], seen["alive"])
+        return tuple(parts)
+
+    monkeypatch.setattr(adversary, "_network", network)
+    return seen
+
+
 def _check_variant_bound(fam, ref):
     """The routine's (min_ratio, argmin) is ref, and the argmin's own
     M/q is min_ratio."""
@@ -119,15 +153,19 @@ def _random_family(rng, max_weight=3):
                               size, lambda i, j: weights.get((i, j), 0)))
 
 
-def test_variant_bound_matches_direct_subset_sweep():
-    # min_ratio and argmin against every subset's M and D_a
-    g = L.clique_graph(4)
-    fam, _ = L.family_staircase(g, L.shortest_path_system(g), 1)
-    cases = [L.family_matrix_game(2), L.family_matrix_game(3), fam]
+def test_variant_bound_matches_direct_subset_sweep(monkeypatch):
+    # min_ratio and argmin against every subset's M and D_a, also on
+    # families where the greedy flow leaves a group uncertified, so that
+    # Dinic's phases run (ring-8 at L = 1 has one such group of seven)
+    cases = [L.family_matrix_game(2), L.family_matrix_game(3)]
+    for g in (L.clique_graph(4), L.ring_graph(8)):
+        cases.append(L.family_staircase(g, L.shortest_path_system(g), 1)[0])
     rng = random.Random(8)
     cases += [_random_family(rng) for _ in range(150)]
-    degenerate = 0
+    seen = _track_networks(monkeypatch)
+    degenerate, uncertified = 0, []
     for fam in cases:
+        before = seen["uncertified"]
         ref = _variant_bound_reference(fam)
         if ref is None:
             degenerate += 1
@@ -136,7 +174,58 @@ def test_variant_bound_matches_direct_subset_sweep():
             continue
         vb = _check_variant_bound(fam, ref)
         assert vb.bound == ref[0] / 100
+        if seen["uncertified"] > before:
+            uncertified.append(fam.name)
     assert 0 < degenerate < len(cases) // 2
+    assert "staircase_n8_L1" in uncertified
+    assert len(uncertified) > 10, uncertified
+
+
+def test_variant_bound_certifies_every_matrix_group(monkeypatch):
+    # on matrix k = 8 the greedy flow saturates every positive g_i in all
+    # 64 groups at the first ratio, so the one network built is the
+    # argmin's, for its BFS
+    from lsqlab import adversary
+
+    cuts = []
+    cut = adversary._min_cut
+    monkeypatch.setattr(adversary, "_min_cut",
+                        lambda *args: cuts.append(args) or cut(*args))
+    seen = _track_networks(monkeypatch)
+    vb = L.variant_bound_exhaustive(L.family_matrix_game(8))
+    assert (vb.min_ratio, vb.argmin) == (Fraction(64, 15), tuple(range(16)))
+    assert len(cuts) == 64
+    assert (seen["built"], seen["uncertified"]) == (1, 0)
+
+
+def test_variant_bound_holds_one_residual_network_at_a_time(monkeypatch):
+    # ring-8 at L = 3 (1024 functions) cuts each of its groups on a network
+    # that is dropped before the next one is built
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "variant_bound_exhaustive=1024")
+    seen = _track_networks(monkeypatch)
+    g = L.ring_graph(8)
+    fam, _ = L.family_staircase(g, L.shortest_path_system(g), 3)
+    vb = L.variant_bound_exhaustive(fam)
+    assert (vb.min_ratio, len(vb.argmin)) == (Fraction(1148, 569), 60)
+    assert seen["built"] > 1 and seen["peak"] == 1, seen
+
+
+def test_replaced_family_derives_its_own_split():
+    # the per-point split is derived from the family's own pairs on first
+    # read, so a family rebuilt with other pairs does not inherit it
+    fam = L.family_matrix_game(3)
+    f = fam.functions
+
+    def split(pairs):
+        return tuple([p for p in pairs if f[p[0]][a] != f[p[1]][a]]
+                     for a in range(len(fam.domain)))
+
+    assert fam.differing == split(fam.pairs)
+    fewer = replace(fam, pairs=fam.pairs[:4])
+    assert fewer.differing == split(fam.pairs[:4]) != fam.differing
+    # at cell (1, 1) row 1 differs from all three columns and row 2 from
+    # column 1; with every pair, a cell separates 2k - 1 = 5 of them
+    assert L.big_q(fewer, range(6)) == 2 * 4 < L.big_q(fam, range(6)) == 2 * 5
 
 
 def _packed_sweep(fam, width):
@@ -547,6 +636,17 @@ def test_family_staircase_cap(monkeypatch):
     monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "family_staircase=16")
     with pytest.raises(CapabilityError):
         L.family_staircase(g, ps, 2)
+
+
+def test_family_staircase_cap_without_the_power():
+    # 7^(10^8) is never computed: L past the cap's bit length puts 2 * 7^L
+    # past the cap, and the message shows it as a power
+    g = L.ring_graph(7)
+    with pytest.raises(CapabilityError,
+                       match=r"family_staircase: size 2\*7\^100000000 exceeds"):
+        L.family_staircase(g, L.shortest_path_system(g), 10 ** 8)
+    with pytest.raises(CapabilityError, match="size 33614 exceeds"):
+        L.family_staircase(g, L.shortest_path_system(g), 5)
 
 
 def test_diagonal_solver_examples():

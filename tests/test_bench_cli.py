@@ -313,6 +313,7 @@ def test_cap_defaults():
         "min_congestion_oracle": 6,
         "variant_bound_exhaustive": 64,
         "family_staircase": 10_000,
+        "graph_metrics": 1 << 24,
     }
 
 
@@ -467,6 +468,44 @@ def test_cli_refuses_huge_family_sizes_before_allocating(argv, flags, edges):
     assert r.returncode == 1
     assert r.stderr == (f"lsqlab {argv[0]}: --kind {argv[2]} {flags} gives "
                         f"{edges} edges, more than the limit of 4194304\n")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("--family", "matrix", "--k", "2000"), "4000"),
+    (("--family", "staircase", "--kind", "ring", "--n", "8",
+      "--L", "100000000", "--strategy", "bfs"), "2*8^100000000"),
+])
+def test_cli_refuses_oversize_adversary_families_before_building(argv, size):
+    # the matrix family would hold a 4-million-cell domain, and 2 * 8^L
+    # has too many digits to print: both are refused by the variant
+    # bound's cap before either is built
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    r = subprocess.run([sys.executable, "-m", "lsqlab.cli", "adversary", *argv],
+                       capture_output=True, text=True, preexec_fn=limit)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == (
+        f"lsqlab adversary: variant_bound_exhaustive: size {size} exceeds "
+        "exhaustive cap 64 (raise it with "
+        "LSQLAB_MAX_EXHAUSTIVE=variant_bound_exhaustive=N)\n")
+
+
+def test_metrics_caps_the_per_source_diameter_pass(monkeypatch, capsys):
+    # a graph with no group takes a BFS from every vertex, capped in
+    # vertices times edges; the refusal comes right after the build
+    assert cli_main(["metrics", "--kind", "grid", "--side", "300"]) == 1
+    assert capsys.readouterr().err == (
+        "lsqlab metrics: graph_metrics: size 16146000000 exceeds exhaustive "
+        "cap 16777216 (raise it with LSQLAB_MAX_EXHAUSTIVE=graph_metrics=N)\n")
+    # a Cayley graph reads its diameter from one BFS and is never refused
+    monkeypatch.setenv("LSQLAB_MAX_EXHAUSTIVE", "graph_metrics=0")
+    for argv in (["--kind", "ring", "--n", "9"],
+                 ["--kind", "hypercube", "--dim", "4"]):
+        assert cli_main(["metrics", *argv]) == 0
+    assert cli_main(["metrics", "--kind", "barbell", "--n", "6"]) == 1
+    assert "graph_metrics: size 42 exceeds exhaustive cap 0" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text, field", [
